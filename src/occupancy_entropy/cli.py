@@ -151,7 +151,8 @@ def parse_box_model(spec: dict) -> BoxModel:
 
 def _emit_json(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:

@@ -64,6 +64,8 @@ class OneParticleDistribution:
         p = np.asarray(self.probs, dtype=np.float64).copy()
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < 0):
             raise ValueError("probabilities must be non-negative")
         if abs(float(p.sum()) - 1.0) > _PROB_SUM_TOL:
@@ -78,8 +80,8 @@ class OneParticleDistribution:
         cls, weights: Sequence[float], provenance: str = "user"
     ) -> "OneParticleDistribution":
         w = np.asarray(weights, dtype=np.float64)
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be non-negative with positive sum")
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
+            raise ValueError("weights must be finite, non-negative, with positive sum")
         return cls(w / w.sum(), provenance=provenance)
 
     @classmethod
@@ -348,7 +350,7 @@ def marginal(d: MultinomialDist | MvhgDist, color: int) -> np.ndarray:
 # reproduces bit-identically on any platform. Parallel use should derive the
 # worker seed as seed + worker_index and partition `count`.
 
-_CHUNK_DRAWS = 4_000_000
+_CHUNK_DRAWS = 2**18
 
 
 def _sample_multinomial_counts(
@@ -404,6 +406,14 @@ def sample(
     d: OccupancyDistribution, count: int, seed: int = DEFAULT_SEED
 ) -> list[OccupancyVector]:
     """Draw `count` occupancy vectors; deterministic for a given seed."""
+    rows = _sample_counts(d, count, seed)
+    return [OccupancyVector(tuple(int(c) for c in row)) for row in rows]
+
+
+def _sample_counts(
+    d: OccupancyDistribution, count: int, seed: int = DEFAULT_SEED
+) -> np.ndarray:
+    """The draws of :func:`sample` as a (count, colours) int64 array."""
     if count < 0:
         raise ValueError("count must be non-negative")
     rng = np.random.default_rng(seed)
@@ -425,7 +435,7 @@ def sample(
             )
     else:
         raise TypeError(f"cannot sample from {type(d).__name__}")
-    return [OccupancyVector(tuple(int(c) for c in row)) for row in counts]
+    return counts
 
 
 # --- distances and convergence ----------------------------------------------

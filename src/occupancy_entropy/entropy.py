@@ -50,6 +50,7 @@ _UNITS = ("nats", "bits", "kB")
 _FULL_SUM_MAX_N = 1000
 _WINDOW_SIGMAS = 12.0
 _COLOR_CHUNK = 4096
+_BLOCK_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -191,53 +192,66 @@ def multinomial_entropy(d: MultinomialDist) -> EntropyReport:
     )
 
 
-def _expected_log_factorials_hypergeometric(
-    U: int, u_c: int, N: int
-) -> tuple[float, float]:
-    """(E{ln n!}, E{ln (u_c - n)!}) for n ~ Hypergeometric(U, u_c, N)."""
-    if u_c == 0:
-        return 0.0, 0.0
-    lo, hi = max(0, N - (U - u_c)), min(N, u_c)
+def _hypergeometric_log_expectations(
+    U: int, counts: np.ndarray, N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(E{ln n!}, E{ln C(u, n)}) for each colour count u of an array of
+    urns of U balls each, with n ~ Hypergeometric(U, u, N).
+
+    Equal counts are evaluated once. Each pmf is scaled to its largest
+    entry and normalised by its own sum, so the ln C(U, N) normaliser is
+    never formed. Above _FULL_SUM_MAX_N draws the k-range is cut to
+    mean +- _WINDOW_SIGMAS sigma. The (counts x k) grid is built in blocks
+    of at most _BLOCK_CELLS entries.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    levels, where = np.unique(counts, return_inverse=True)
+    u = levels.astype(np.float64)[:, None]
+    lo = np.maximum(0.0, N - (U - u))
+    hi = np.minimum(float(N), u)
     if N > _FULL_SUM_MAX_N:
-        frac = u_c / U
+        frac = u / U
         mean = N * frac
-        sigma = math.sqrt(N * frac * (1.0 - frac) * (U - N) / max(U - 1, 1))
-        lo = max(lo, int(math.floor(mean - _WINDOW_SIGMAS * sigma)))
-        hi = min(hi, int(math.ceil(mean + _WINDOW_SIGMAS * sigma)))
-    k = np.arange(lo, hi + 1, dtype=np.float64)
-    log_pmf = (
-        gammaln(u_c + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(u_c - k + 1.0)
-        + gammaln(U - u_c + 1.0)
-        - gammaln(N - k + 1.0)
-        - gammaln(U - u_c - N + k + 1.0)
-        - (gammaln(U + 1.0) - gammaln(N + 1.0) - gammaln(U - N + 1.0))
-    )
-    pmf = np.exp(log_pmf)
-    return float(pmf @ gammaln(k + 1.0)), float(pmf @ gammaln(u_c - k + 1.0))
+        sigma = np.sqrt(N * frac * (1.0 - frac) * (U - N) / max(U - 1, 1))
+        lo = np.maximum(lo, np.floor(mean - _WINDOW_SIGMAS * sigma))
+        hi = np.minimum(hi, np.ceil(mean + _WINDOW_SIGMAS * sigma))
+    steps = np.arange(int((hi - lo).max(initial=0.0)) + 1, dtype=np.float64)
+    e_fact = np.empty(levels.size)
+    e_binom = np.empty(levels.size)
+    rows = max(1, _BLOCK_CELLS // steps.size)
+    for start in range(0, levels.size, rows):
+        b = slice(start, start + rows)
+        k = np.minimum(lo[b] + steps, hi[b])
+        log_fact = gammaln(k + 1.0)
+        log_binom = gammaln(u[b] + 1.0) - log_fact - gammaln(u[b] - k + 1.0)
+        log_rest = (
+            gammaln(U - u[b] + 1.0)
+            - gammaln(N - k + 1.0)
+            - gammaln(U - u[b] - N + k + 1.0)
+        )
+        log_pmf = log_binom + log_rest
+        pmf = np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True))
+        pmf[lo[b] + steps > hi[b]] = 0.0
+        mass = pmf.sum(axis=1)
+        e_fact[b] = (pmf * log_fact).sum(axis=1) / mass
+        e_binom[b] = (pmf * log_binom).sum(axis=1) / mass
+    return e_fact[where].reshape(counts.shape), e_binom[where].reshape(counts.shape)
 
 
 def mvhg_entropy(d: MvhgDist) -> EntropyReport:
     """Decomposed entropy of the without-replacement occupancy distribution.
 
-    Evaluated through per-color hypergeometric marginals:
-    total = ln W(urn) - [ln (U-N)! - sum_c E{ln (u_c-n_c)!}]
-                      - [ln N!     - sum_c E{ln n_c!}].
+    Evaluated through per-color hypergeometric marginals as
+    total = ln C(U, N) - sum_c E{ln C(u_c, n_c)}, whose terms are of the
+    size of the result rather than of ln U!, and
+    expected_logW = ln N! - sum_c E{ln n_c!}.
     The microstate term is reported as total + expected_logW.
     """
     urn, N = d.urn, d.draw_count
     U = urn.total
-    log_w_urn = log_multinomial_coeff(urn.counts).value
-    sum_sys = 0.0
-    sum_env = 0.0
-    for u_c in urn.counts:
-        e_sys, e_env = _expected_log_factorials_hypergeometric(U, u_c, N)
-        sum_sys += e_sys
-        sum_env += e_env
-    expected_logW = log_factorial(N) - sum_sys
-    env_logW = log_factorial(U - N) - sum_env
-    total = log_w_urn - env_logW - expected_logW
+    e_fact, e_binom = _hypergeometric_log_expectations(U, urn.counts, N)
+    expected_logW = log_factorial(N) - float(e_fact.sum())
+    total = log_multinomial_coeff((N, U - N)).value - float(e_binom.sum())
     mean = N * np.asarray(urn.counts, dtype=np.float64) / U if U else np.zeros(len(urn))
     return EntropyReport(
         microstate_term=total + expected_logW,

@@ -51,6 +51,8 @@ class BoxModel:
     dimensions: int = 3
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.mass, self.temperature, self.side_length))):
+            raise ValueError("mass, temperature and side length must be finite")
         if self.mass <= 0 or self.temperature <= 0 or self.side_length <= 0:
             raise ValueError("mass, temperature and side length must be positive")
         if self.dimensions not in (1, 3):

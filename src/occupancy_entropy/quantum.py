@@ -19,6 +19,7 @@ import numpy as np
 from .combinatorics import (
     CapExceededError,
     OccupancyVector,
+    log_multinomial_coeff,
     occupancy_count,
     support_matrix,
 )
@@ -27,9 +28,15 @@ from .distributions import (
     MultinomialDist,
     MvhgDist,
     OneParticleDistribution,
-    sample,
+    _binomial_pmf,
+    _sample_counts,
 )
-from .entropy import multinomial_entropy, mvhg_entropy
+from .entropy import (
+    _BLOCK_CELLS,
+    _hypergeometric_log_expectations,
+    multinomial_entropy,
+    mvhg_entropy,
+)
 
 __all__ = [
     "BosonicDensityOperator",
@@ -175,38 +182,70 @@ def holevo_chi(
     extract about the universe outcome:
     chi = S(canonical) - E_prior{ S(traced) } >= 0.
 
-    Exact mode enumerates the universe occupancies; Monte Carlo mode
-    samples them from the prior and only estimates the conditional term
-    (the unconditional entropy is analytic either way), reporting the
-    standard error of the estimate.
+    Exact mode evaluates the closed form
+    chi = H(Mult(U, p)) - H(Mult(U - N, p)), which holds because the
+    environment's draws are independent of the system's; ``cap`` still
+    bounds the number of universe occupancies it stands for. Monte Carlo
+    mode samples the universes from the prior and only estimates the
+    conditional term (the unconditional entropy is analytic either way),
+    reporting the standard error of the estimate.
     """
     if N > U:
         raise ValueError("system cannot hold more particles than the universe")
-    s_system = multinomial_entropy(MultinomialDist(N, p)).total
     if mode == "exact":
         if occupancy_count(U, p.num_colors) > cap:
             raise CapExceededError(
                 "universe support exceeds cap; use monte_carlo mode"
             )
-        prior = MultinomialDist(U, p)
-        expected = 0.0
-        for urn_row in support_matrix(U, p.num_colors, cap=cap):
-            pu = prior.pmf(urn_row)
-            if pu == 0.0:
-                continue
-            urn = OccupancyVector(tuple(int(x) for x in urn_row))
-            expected += pu * mvhg_entropy(MvhgDist(urn, N)).total
-        return HolevoEstimate(s_system - expected, None, "exact")
+        return HolevoEstimate(_closed_form_chi(U, N, p), None, "exact")
     if mode == "monte_carlo":
         if mc_samples < 2:
             raise ValueError("monte_carlo mode needs at least 2 samples")
-        urns = sample(MultinomialDist(U, p), mc_samples, seed=seed)
-        vals = np.array(
-            [mvhg_entropy(MvhgDist(u, N)).total for u in urns], dtype=np.float64
-        )
+        s_system = multinomial_entropy(MultinomialDist(N, p)).total
+        urns = _sample_counts(MultinomialDist(U, p), mc_samples, seed=seed)
+        _, e_binom = _hypergeometric_log_expectations(U, urns, N)
+        vals = log_multinomial_coeff((N, U - N)).value - e_binom.sum(axis=1)
         se = float(vals.std(ddof=1) / math.sqrt(mc_samples))
         return HolevoEstimate(s_system - float(vals.mean()), se, "monte_carlo")
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _closed_form_chi(U: int, N: int, p: OneParticleDistribution) -> float:
+    """H(Mult(U, p)) - H(Mult(U - N, p)) without U ln U-sized terms.
+
+    Each colour's universe count is A + B with A ~ Bin(U - N, p_c) and
+    B ~ Bin(N, p_c) independent, and ln (A + B)! - ln A! is the sum of
+    ln(A + j) over j = 1..B, so
+    chi = N H(p) - sum_{j=U-N+1..U} ln j
+          + sum_c sum_{j=1..N} P(B_c >= j) E{ln(A_c + j)}.
+    Both pmfs are normalised by their sums and their zero entries
+    dropped; the (a x j) grid is built in blocks of at most _BLOCK_CELLS.
+    """
+    if p.num_colors == 1:
+        # the only universe is (U,), whatever U; the cap does not bound U here
+        return 0.0
+    log_ratio = float(np.log(np.arange(U - N + 1, U + 1, dtype=np.float64)).sum())
+    acc = 0.0
+    for pc in p.probs:
+        if pc == 0.0:
+            continue
+        if pc == 1.0:
+            acc += log_ratio
+            continue
+        a_pmf = _binomial_pmf(U - N, float(pc))
+        b_pmf = _binomial_pmf(N, float(pc))
+        a_pmf /= a_pmf.sum()
+        # P(B >= j) for j = 1..N
+        survival = np.cumsum(b_pmf[::-1] / b_pmf.sum())[::-1][1:]
+        a = np.flatnonzero(a_pmf)
+        j = np.flatnonzero(survival)
+        a_w, s_w = a_pmf[a], survival[j]
+        shifts = j + 1.0
+        rows = max(1, _BLOCK_CELLS // max(j.size, 1))
+        for start in range(0, a.size, rows):
+            b = slice(start, start + rows)
+            acc += float(a_w[b] @ (np.log(a[b, None] + shifts) @ s_w))
+    return N * p.entropy() - log_ratio + acc + 0.0
 
 
 def empirical_information(universe: OccupancyVector, N: int) -> float:

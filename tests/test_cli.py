@@ -51,6 +51,13 @@ class TestEntropyCommand:
         assert code == 0
         assert json.loads(out)["total"] == pytest.approx(2 * math.log(2), abs=1e-9)
 
+    def test_nan_probability_exit_2(self, capsys):
+        code, out = run(
+            capsys, "entropy", '{"kind":"multinomial","N":2,"probs":[NaN,1.0]}'
+        )
+        assert code == 2
+        assert out == ""
+
     def test_malformed_json_exit_2(self, capsys):
         assert run(capsys, "entropy", '{"kind":')[0] == 2
 
@@ -148,6 +155,12 @@ class TestGasCommand:
     def test_one_d_model_exit_2(self, capsys):
         assert run(capsys, "gas", "--model", ELECTRON_BOX_1D, "--particles", "2")[0] == 2
 
+    def test_nan_temperature_exit_2(self, capsys):
+        model = '{"mass_kg":9.11e-31,"temperature_K":NaN,"side_m":20e-9,"dims":3}'
+        code, out = run(capsys, "gas", "--model", model, "--particles", "2")
+        assert code == 2
+        assert out == ""
+
 
 class TestSzilardCommand:
     def test_reference_entropy_values(self, capsys):
@@ -191,6 +204,17 @@ class TestHolevoCommand:
         payload = json.loads(out)
         assert payload["chi"] >= -0.05
         assert payload["standard_error"] > 0
+
+    @pytest.mark.parametrize(
+        "universe, draws, probs", [("5", "0", "0.5,0.5"), ("5", "3", "1.0")]
+    )
+    def test_exact_zero_is_positive(self, capsys, universe, draws, probs):
+        code, out = run(
+            capsys, "holevo", "--universe-size", universe, "--draws", draws,
+            "--probs", probs,
+        )
+        assert code == 0
+        assert '"chi": 0.0,' in out
 
     def test_draws_exceeding_universe_exit_2(self, capsys):
         code, _ = run(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from occupancy_entropy import distributions
 from occupancy_entropy.combinatorics import (
     CapExceededError,
     OccupancyVector,
@@ -59,6 +60,13 @@ class TestOneParticleDistribution:
             OneParticleDistribution([0.5, 0.6])
         with pytest.raises(ValueError):
             OneParticleDistribution([1.1, -0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            OneParticleDistribution([bad, 1.0])
+        with pytest.raises(ValueError):
+            OneParticleDistribution.from_weights([bad, 1.0])
 
     def test_from_weights_normalizes(self):
         p = OneParticleDistribution.from_weights([2, 2, 4])
@@ -208,6 +216,23 @@ class TestSampling:
         b = sample(d, 50, seed=99)
         assert a == b
         assert a != sample(d, 50, seed=100)
+
+    def test_chunk_size_does_not_change_samples(self, monkeypatch):
+        # PCG64 fills arrays in order, so rows drawn chunk by chunk are the
+        # rows drawn in one block
+        dists = [
+            MultinomialDist(5, OneParticleDistribution([0.2, 0.3, 0.5])),
+            MultinomialDist(9, OneParticleDistribution([0.6, 0.4])),
+            MvhgDist(OccupancyVector((5, 3, 2)), 4),
+            MvhgDist(OccupancyVector((6, 7)), 11),
+        ]
+        default = distributions._CHUNK_DRAWS
+        for d in dists:
+            rows = {}
+            for chunk in (7, default):
+                monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+                rows[chunk] = sample(d, 40, seed=21)
+            assert rows[7] == rows[default]
 
     def test_multinomial_mean_within_3_sigma(self):
         d = MultinomialDist(10**4, uniform(2))

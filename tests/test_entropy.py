@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -148,6 +149,35 @@ class TestMvhgEntropy:
                 assert r.total >= -1e-12
 
 
+def mvhg_entropy_mp(urn, N):
+    """-sum p ln p over the joint support, in 30-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        total = mp.binomial(sum(urn), N)
+        acc = mp.mpf(0)
+        for head in itertools.product(*(range(min(u, N) + 1) for u in urn[:-1])):
+            last = N - sum(head)
+            if not 0 <= last <= urn[-1]:
+                continue
+            p = mp.fprod(mp.binomial(u, n) for u, n in zip(urn, head + (last,))) / total
+            acc -= p * mp.log(p)
+        return float(acc)
+
+
+class TestMvhgPrecision:
+    # written as ln W(urn) - ln W(env) - E{ln W}, these urns cancel ln U!-sized
+    # terms (1e-7 relative is lost on the first); ln C(U, N) - sum_c
+    # E{ln C(u_c, n_c)} has no such terms
+    @pytest.mark.parametrize(
+        "urn, N",
+        [((2500, 3500, 4000), 10), ((200, 200), 2), ((512, 289, 199), 100)],
+    )
+    def test_matches_mpmath_joint_entropy(self, urn, N):
+        want = mvhg_entropy_mp(urn, N)
+        got = mvhg_entropy(MvhgDist(OccupancyVector(urn), N)).total
+        assert got == pytest.approx(want, rel=1e-9)
+
+
 class TestBoltzmannEntropy:
     def test_single_color(self):
         assert boltzmann_entropy((2, 0)) == pytest.approx(0.0, abs=1e-14)
@@ -249,9 +279,7 @@ class TestWindowedExpectation:
         )
 
     def test_hypergeometric_window_matches_full_sum(self):
-        from occupancy_entropy.entropy import (
-            _expected_log_factorials_hypergeometric,
-        )
+        from occupancy_entropy.entropy import _hypergeometric_log_expectations
 
         U, u_c, N = 5000, 2100, 1400  # N above the full-sum cutoff
         lo, hi = max(0, N - (U - u_c)), min(N, u_c)
@@ -268,7 +296,10 @@ class TestWindowedExpectation:
         pmf = np.exp(log_pmf)
         full_sys = float(pmf @ gammaln(k + 1.0))
         full_env = float(pmf @ gammaln(u_c - k + 1.0))
-        win_sys, win_env = _expected_log_factorials_hypergeometric(U, u_c, N)
+        e_fact, e_binom = _hypergeometric_log_expectations(U, [u_c], N)
+        # the kernel returns E{ln C(u_c, n)}; ln (u_c - n)! = ln u_c! - ln n! - ln C
+        win_sys = float(e_fact[0])
+        win_env = float(gammaln(u_c + 1.0)) - win_sys - float(e_binom[0])
         assert win_sys == pytest.approx(full_sys, rel=1e-13)
         assert win_env == pytest.approx(full_env, rel=1e-13)
 

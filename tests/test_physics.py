@@ -32,6 +32,16 @@ class TestBoxModel:
         with pytest.raises(ValueError):
             BoxModel(ELECTRON_MASS, 300.0, 1e-8, dimensions=2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        for args in (
+            (bad, 300.0, 1e-8),
+            (ELECTRON_MASS, bad, 1e-8),
+            (ELECTRON_MASS, 300.0, bad),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                BoxModel(*args)
+
     def test_energy_unit(self):
         e0 = ELECTRON_20NM_1D.energy_unit
         assert e0 == pytest.approx(1.50604e-22, rel=1e-4)

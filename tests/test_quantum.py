@@ -14,8 +14,13 @@ from occupancy_entropy.distributions import (
     MvhgDist,
     OneParticleDistribution,
     mvhg_pmf,
+    sample,
 )
-from occupancy_entropy.entropy import multinomial_entropy, mvhg_entropy
+from occupancy_entropy.entropy import (
+    entropy_by_enumeration,
+    multinomial_entropy,
+    mvhg_entropy,
+)
 from occupancy_entropy.oracle import brute_force_partial_trace
 from occupancy_entropy.quantum import (
     BosonicDensityOperator,
@@ -109,7 +114,63 @@ class TestBayesianMarginalCheck:
             bayesian_marginal_check(40, 20, OneParticleDistribution([0.25] * 4), cap=10)
 
 
+def multinomial_entropy_mp(n, probs):
+    """n H(p) - ln n! + sum_c E{ln X_c!} with X_c ~ Bin(n, p_c), every term
+    of the binomial sums kept, in 30-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        p = [mp.mpf(x) for x in probs if x > 0]
+        acc = -n * mp.fsum(x * mp.log(x) for x in p) - mp.loggamma(n + 1)
+        for pc in p:
+            term = (1 - pc) ** n  # P(X_c = 0), then P(X_c = k) by recurrence
+            log_fact = mp.mpf(0)
+            for k in range(1, n + 1):
+                term *= (n - k + 1) * pc / (k * (1 - pc))
+                log_fact += mp.log(k)
+                acc += term * log_fact
+        return acc
+
+
 class TestHolevoChi:
+    @pytest.mark.parametrize(
+        "U, N, probs",
+        [
+            (60, 10, (0.5, 0.3, 0.2)),
+            (200, 20, (0.5, 0.3, 0.2)),
+            (2000, 5, (1e-4, 1 - 1e-4)),
+            (3000, 10, (0.5, 0.5)),
+        ],
+    )
+    def test_exact_matches_mpmath_full_sum(self, U, N, probs):
+        # chi = H(Mult(U, p)) - H(Mult(U - N, p)); the environment's draws
+        # are independent of the system's
+        want = float(
+            multinomial_entropy_mp(U, probs) - multinomial_entropy_mp(U - N, probs)
+        )
+        got = holevo_chi(U, N, OneParticleDistribution(probs)).chi
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "U, N, probs", [(5, 0, [0.5, 0.5]), (7, 3, [1.0]), (7, 3, [0.0, 1.0])]
+    )
+    def test_exact_zero_is_positive_zero(self, U, N, probs):
+        chi = holevo_chi(U, N, OneParticleDistribution(probs)).chi
+        assert chi == 0.0 and math.copysign(1.0, chi) == 1.0
+
+    def test_monte_carlo_averages_the_sampled_urns(self):
+        # the estimate is the canonical entropy minus the mean traced entropy
+        # of the seeded prior draws, and its error is their standard error
+        p = OneParticleDistribution([0.3, 0.7])
+        est = holevo_chi(64, 2, p, mode="monte_carlo", mc_samples=400, seed=13)
+        urns = sample(MultinomialDist(64, p), 400, seed=13)
+        vals = [entropy_by_enumeration(MvhgDist(u, 2)) for u in urns]
+        s_system = multinomial_entropy(MultinomialDist(2, p)).total
+        mean = math.fsum(vals) / len(vals)
+        se = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
+        assert est.chi == pytest.approx(s_system - mean, abs=1e-12)
+        assert est.standard_error == pytest.approx(se / math.sqrt(400), abs=1e-12)
+
+
     def test_universe_equals_system_gives_full_entropy(self):
         est = holevo_chi(3, 3, FAIR_TWO)
         expected = multinomial_entropy(MultinomialDist(3, FAIR_TWO)).total
