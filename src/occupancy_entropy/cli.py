@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .combinatorics import CapExceededError, OccupancyVector
+from .combinatorics import CapExceededError, OccupancyVector, require_int
 from .distributions import (
     DEFAULT_SEED,
     MultinomialDist,
@@ -114,11 +114,11 @@ def parse_distribution_spec(spec: dict):
     if kind == "multinomial":
         _check_fields(spec, {"kind", "N", "probs"}, {"normalize"}, "multinomial spec")
         p = _one_particle(spec["probs"], bool(spec.get("normalize", False)), "probs")
-        return MultinomialDist(int(spec["N"]), p)
+        return MultinomialDist(require_int(spec["N"], "N"), p)
     if kind == "mvhg":
         _check_fields(spec, {"kind", "N", "urn"}, set(), "mvhg spec")
-        urn = OccupancyVector(tuple(int(x) for x in spec["urn"]))
-        return MvhgDist(urn, int(spec["N"]))
+        urn = OccupancyVector(tuple(require_int(x, "urn") for x in spec["urn"]))
+        return MvhgDist(urn, require_int(spec["N"], "N"))
     if kind == "szilard":
         _check_fields(
             spec,
@@ -128,7 +128,7 @@ def parse_distribution_spec(spec: dict):
         )
         norm = bool(spec.get("normalize", False))
         return SzilardSplitDist(
-            int(spec["N"]),
+            require_int(spec["N"], "N"),
             float(spec["volume_fraction"]),
             _one_particle(spec["left_probs"], norm, "left_probs"),
             _one_particle(spec["right_probs"], norm, "right_probs"),
@@ -143,7 +143,7 @@ def parse_box_model(spec: dict) -> BoxModel:
             mass=float(spec["mass_kg"]),
             temperature=float(spec["temperature_K"]),
             side_length=float(spec["side_m"]),
-            dimensions=int(spec.get("dims", 3)),
+            dimensions=require_int(spec.get("dims", 3), "dims"),
         )
     except ValueError as exc:
         raise InputSpecError(f"box model: {exc}") from exc

@@ -9,6 +9,7 @@ Exact big-integer combinatorics lives in the oracle module only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, Iterator, Sequence
@@ -104,6 +105,14 @@ _EXACT_TABLE_MAX = 20
 _LOG_FACTORIAL_TABLE = tuple(
     math.log(math.factorial(n)) if n > 1 else 0.0 for n in range(_EXACT_TABLE_MAX + 1)
 )
+
+
+def require_int(value, what: str) -> int:
+    """``value`` as an int. Bools, strings and non-integral numbers are
+    refused with ValueError instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def log_factorial(n: int) -> float:

@@ -22,6 +22,7 @@ from .distributions import (
 )
 from .entropy import (
     EntropyReport,
+    _multinomial_report,
     entropy_by_enumeration,
     multinomial_entropy,
     sackur_tetrode,
@@ -143,10 +144,9 @@ def _axis_cutoff(alpha: float, trunc: SpectrumTruncation, axes: int) -> tuple[in
             )
 
 
-def box_spectrum(
-    model: BoxModel, truncation: SpectrumTruncation = DEFAULT_TRUNCATION
-) -> BoxSpectrum:
-    """Enumerate box eigenstates until the Boltzmann tail is negligible."""
+def _cutoff(model: BoxModel, truncation: SpectrumTruncation) -> tuple[int, float]:
+    """Per-axis cutoff and achieved tail bound, refusing spectra over
+    max_states."""
     alpha = model.energy_unit / (BOLTZMANN_KB * model.temperature)
     cutoff, achieved = _axis_cutoff(alpha, truncation, model.dimensions)
     if cutoff**model.dimensions > truncation.max_states:
@@ -154,6 +154,14 @@ def box_spectrum(
             f"{cutoff**model.dimensions} states exceed max_states="
             f"{truncation.max_states}"
         )
+    return cutoff, achieved
+
+
+def box_spectrum(
+    model: BoxModel, truncation: SpectrumTruncation = DEFAULT_TRUNCATION
+) -> BoxSpectrum:
+    """Enumerate box eigenstates until the Boltzmann tail is negligible."""
+    cutoff, achieved = _cutoff(model, truncation)
     if model.dimensions == 1:
         qn = np.arange(1, cutoff + 1, dtype=np.int64)[:, None]
         energies = model.energy_unit * (qn[:, 0].astype(np.float64) ** 2)
@@ -168,18 +176,36 @@ def box_spectrum(
     return BoxSpectrum(qn, energies, achieved)
 
 
-def _probs_and_partition(
-    spec: BoxSpectrum, model: BoxModel
-) -> tuple[OneParticleDistribution, float]:
+def _square_sum_levels(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of q1^2 + q2^2 + q3^2 over [1, cutoff]^3, ascending,
+    and how many quantum-number triples give each: the 3-D box levels in
+    units of the axis energy, with their degeneracies."""
+    squares = np.arange(1, cutoff + 1, dtype=np.int64) ** 2
+    pairs = np.bincount(np.add.outer(squares, squares).ravel())
+    triples = np.zeros(pairs.size + squares[-1], dtype=np.int64)
+    for sq in squares:
+        triples[sq : sq + pairs.size] += pairs
+    levels = np.flatnonzero(triples)
+    return levels, triples[levels]
+
+
+def _boltzmann_weights(
+    energies: np.ndarray, model: BoxModel, multiplicity=1
+) -> tuple[np.ndarray, float]:
     # weights are taken relative to the ground state so that deep-cold
     # spectra keep well-defined probabilities; only the reported absolute
     # partition sum may underflow to zero there
     kT = BOLTZMANN_KB * model.temperature
-    scaled = np.exp(-(spec.energies - spec.energies[0]) / kT)
-    norm = float(scaled.sum())
-    dist = OneParticleDistribution(scaled / norm, provenance="model")
-    partition = norm * math.exp(-spec.energies[0] / kT)
-    return dist, partition
+    scaled = np.exp(-(energies - energies[0]) / kT)
+    norm = float((multiplicity * scaled).sum())
+    return scaled / norm, norm * math.exp(-energies[0] / kT)
+
+
+def _probs_and_partition(
+    spec: BoxSpectrum, model: BoxModel
+) -> tuple[OneParticleDistribution, float]:
+    probs, partition = _boltzmann_weights(spec.energies, model)
+    return OneParticleDistribution(probs, provenance="model"), partition
 
 
 def boltzmann_distribution(
@@ -210,20 +236,20 @@ def ideal_gas_entropy(
     closed-form approximation.
 
     The exact path stays non-negative everywhere, including in the regime
-    where the approximation has already gone negative.
+    where the approximation has already gone negative. It is evaluated per
+    distinct energy level, weighted by degeneracy, and ``budget`` caps the
+    levels x counts cells the binomial expectations are summed over.
     """
     if model.dimensions != 3:
         raise ValueError("ideal gas entropy requires a 3-D box model")
     if N < 1:
         raise ValueError("N must be at least 1")
-    spec = box_spectrum(model, truncation)
-    if len(spec) * (min(N, 1000) + 1) > budget:
-        raise CapExceededError(
-            f"{len(spec)} states x {N} particles exceeds the summation "
-            "budget; lower N or loosen the truncation"
-        )
-    dist, partition = _probs_and_partition(spec, model)
-    exact = multinomial_entropy(MultinomialDist(N, dist)).in_unit("kB")
+    cutoff, achieved = _cutoff(model, truncation)
+    levels, multiplicity = _square_sum_levels(cutoff)
+    probs, partition = _boltzmann_weights(
+        model.energy_unit * levels.astype(np.float64), model, multiplicity
+    )
+    exact = _multinomial_report(N, probs, multiplicity, budget).in_unit("kB")
     approx = sackur_tetrode(N, model.mass, model.temperature, model.side_length)
     gap = abs(exact.total - approx) / exact.total if exact.total > 0 else math.inf
     return GasEntropyResult(
@@ -231,8 +257,8 @@ def ideal_gas_entropy(
         sackur_tetrode=approx,
         relative_gap=gap,
         partition_function=partition,
-        states_retained=len(spec),
-        tail_bound_achieved=spec.tail_bound_achieved,
+        states_retained=cutoff**3,
+        tail_bound_achieved=achieved,
     )
 
 

@@ -21,6 +21,7 @@ from .combinatorics import (
     OccupancyVector,
     log_multinomial_coeff,
     occupancy_count,
+    require_int,
     support_matrix,
 )
 from .distributions import (
@@ -339,20 +340,22 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
     declared_urn: OccupancyVector | None = None
     if kind == "bayesian":
         _require_keys(start, {"kind", "N", "probs"}, set(), "bayesian start")
-        N = int(start["N"])
+        N = require_int(start["N"], "N")
         p = OneParticleDistribution(np.asarray(start["probs"], dtype=np.float64))
         current: float | None = multinomial_entropy(MultinomialDist(N, p)).total
     elif kind == "empirical":
         _require_keys(start, {"kind", "N", "urn"}, set(), "empirical start")
-        N = int(start["N"])
-        declared_urn = OccupancyVector(tuple(int(x) for x in start["urn"]))
+        N = require_int(start["N"], "N")
+        declared_urn = OccupancyVector(
+            tuple(require_int(x, "urn") for x in start["urn"])
+        )
         model = MultinomialDist(
             N, OneParticleDistribution.empirical_from_urn(declared_urn)
         )
         current = multinomial_entropy(model).total
     else:
         _require_keys(start, {"kind", "N"}, set(), "agnostic start")
-        N = int(start["N"])
+        N = require_int(start["N"], "N")
         current = None
 
     rows: list[LedgerStep] = []
@@ -372,7 +375,7 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
         if op == "pvm_on_universe":
             if universe_measured:
                 raise ValueError("universe already measured in this scenario")
-            urn = OccupancyVector(tuple(int(x) for x in raw["urn"]))
+            urn = OccupancyVector(tuple(require_int(x, "urn") for x in raw["urn"]))
             if declared_urn is not None and urn != declared_urn:
                 raise ValueError(
                     "empirical model was built from a different universe outcome"
@@ -389,7 +392,7 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
                     "povm_empirical_model is only valid as the first step of "
                     "an agnostic scenario"
                 )
-            urn = OccupancyVector(tuple(int(x) for x in raw["urn"]))
+            urn = OccupancyVector(tuple(require_int(x, "urn") for x in raw["urn"]))
             pre = multinomial_entropy(
                 MultinomialDist(N, OneParticleDistribution.empirical_from_urn(urn))
             ).total

@@ -58,6 +58,24 @@ class TestEntropyCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("count", ["2.7", "true", '"3"'])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kind":"multinomial","N":%s,"probs":[0.5,0.5]}',
+            '{"kind":"mvhg","urn":[2,2],"N":%s}',
+            '{"kind":"mvhg","urn":[2,%s],"N":2}',
+            '{"kind":"szilard","N":%s,"volume_fraction":0.5,'
+            '"left_probs":[1.0],"right_probs":[1.0]}',
+        ],
+    )
+    def test_non_integer_count_exit_2(self, capsys, spec, count):
+        code = main(["entropy", spec % count])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "must be an integer" in captured.err
+
     def test_malformed_json_exit_2(self, capsys):
         assert run(capsys, "entropy", '{"kind":')[0] == 2
 
@@ -154,6 +172,13 @@ class TestGasCommand:
 
     def test_one_d_model_exit_2(self, capsys):
         assert run(capsys, "gas", "--model", ELECTRON_BOX_1D, "--particles", "2")[0] == 2
+
+    @pytest.mark.parametrize("dims", ["3.5", "true", '"3"'])
+    def test_non_integer_dims_exit_2(self, capsys, dims):
+        model = '{"mass_kg":9.11e-31,"temperature_K":300,"side_m":20e-9,"dims":%s}'
+        code, out = run(capsys, "gas", "--model", model % dims, "--particles", "2")
+        assert code == 2
+        assert out == ""
 
     def test_nan_temperature_exit_2(self, capsys):
         model = '{"mass_kg":9.11e-31,"temperature_K":NaN,"side_m":20e-9,"dims":3}'
@@ -264,6 +289,17 @@ class TestLedgerCommand:
         payload = json.loads(out)
         assert payload["total_information"] is None
         assert payload["steps"][0]["information_gained"] is None
+
+    @pytest.mark.parametrize("count", ["2.7", "true", '"3"'])
+    def test_non_integer_count_exit_2(self, capsys, count):
+        for start in (
+            '{"kind":"bayesian","N":%s,"probs":[0.5,0.5]}' % count,
+            '{"kind":"empirical","N":2,"urn":[%s,4]}' % count,
+        ):
+            scenario = '{"start":%s,"steps":[{"op":"pvm_on_system"}]}' % start
+            code, out = run(capsys, "ledger", scenario)
+            assert code == 2
+            assert out == ""
 
     def test_ill_ordered_exit_2(self, capsys):
         scenario = json.dumps(

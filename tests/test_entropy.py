@@ -17,6 +17,7 @@ from occupancy_entropy.distributions import (
 from occupancy_entropy.entropy import (
     EntropyReport,
     _expected_log_factorial_binomial,
+    _hypergeometric_log_expectations,
     boltzmann_entropy,
     entropy_by_enumeration,
     multinomial_entropy,
@@ -254,23 +255,79 @@ class TestUnits:
             EntropyReport(1.0, 0.5, 0.5, 0.6, unit="joules")
 
 
+def _mp_expected_log_factorial(N, p):
+    """E{ln n!} for n ~ Binomial(N, p), summed over every k = 0..N in
+    30-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        p = mp.mpf(p)
+        term, log_fact, acc = (1 - p) ** N, mp.mpf(0), mp.mpf(0)
+        for k in range(1, N + 1):
+            term = term * (N - k + 1) / k * p / (1 - p)
+            log_fact += mp.log(k)
+            acc += term * log_fact
+        return float(acc)
+
+
+def _mp_hypergeometric_log_expectations(U, u, N):
+    """(E{ln n!}, E{ln C(u, n)}) for n ~ Hypergeometric(U, u, N), summed
+    over the whole support in 30-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ks = range(max(0, N - (U - u)), min(N, u) + 1)
+        pmf = [
+            mp.binomial(u, k) * mp.binomial(U - u, N - k) / mp.binomial(U, N)
+            for k in ks
+        ]
+        e_fact = mp.fsum(w * mp.loggamma(k + 1) for w, k in zip(pmf, ks))
+        e_binom = mp.fsum(w * mp.log(mp.binomial(u, k)) for w, k in zip(pmf, ks))
+        return float(e_fact), float(e_binom)
+
+
 class TestWindowedExpectation:
     def test_window_matches_full_sum_above_threshold(self):
-        # N just above the full-sum cutoff: windowed result must agree with
-        # an explicit full-range reference sum
+        # N above the old full-sum cutoff of 1000: the windowed result must
+        # agree with a sum over every count
         N, p = 1500, 0.37
-        k = np.arange(N + 1, dtype=np.float64)
-        logpmf = (
-            gammaln(N + 1.0)
-            - gammaln(k + 1.0)
-            - gammaln(N - k + 1.0)
-            + k * math.log(p)
-            + (N - k) * math.log1p(-p)
-        )
-        full = float(np.exp(logpmf) @ gammaln(k + 1.0))
+        full = _mp_expected_log_factorial(N, p)
         assert _expected_log_factorial_binomial(N, p) == pytest.approx(
             full, rel=1e-13
         )
+
+    @pytest.mark.parametrize("N, p", [(1001, 1e-6), (5000, 1e-5), (100_000, 1e-7)])
+    def test_poisson_like_binomial_matches_full_sum(self, N, p):
+        # a mean +- 12 sigma window dropped most of these expectations
+        full = _mp_expected_log_factorial(N, p)
+        if N == 1001:
+            assert full == pytest.approx(3.4687e-7, rel=1e-4)
+        got = _expected_log_factorial_binomial(N, p)
+        assert got == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("N, U", [(300, 1200), (1001, 100_000)])
+    def test_window_matches_whole_grid(self, monkeypatch, N, U):
+        # small grids skip the window search; both ways give the same sums
+        import occupancy_entropy.entropy as ent
+
+        p = np.array([0.0, 1e-9, 1e-6, 0.003, 0.37, 1.0])
+        counts = [0, 3, 10, 300, U]
+        runs = []
+        for cells in (math.inf, 0):
+            monkeypatch.setattr(ent, "_WHOLE_GRID_CELLS", cells)
+            runs.append(
+                (_expected_log_factorial_binomial(N, p),)
+                + _hypergeometric_log_expectations(U, counts, N)
+            )
+        for whole, windowed in zip(*runs):
+            np.testing.assert_allclose(windowed, whole, rtol=1e-14)
+
+    def test_levels_are_evaluated_elementwise(self):
+        p = np.array([[0.0, 1e-9], [0.37, 1.0]])
+        got = _expected_log_factorial_binomial(1500, p)
+        assert got.shape == p.shape
+        for value, q in zip(got.ravel(), p.ravel()):
+            assert value == pytest.approx(
+                _expected_log_factorial_binomial(1500, q), rel=1e-14
+            )
 
     def test_extreme_probabilities(self):
         assert _expected_log_factorial_binomial(2000, 0.0) == 0.0
@@ -279,8 +336,6 @@ class TestWindowedExpectation:
         )
 
     def test_hypergeometric_window_matches_full_sum(self):
-        from occupancy_entropy.entropy import _hypergeometric_log_expectations
-
         U, u_c, N = 5000, 2100, 1400  # N above the full-sum cutoff
         lo, hi = max(0, N - (U - u_c)), min(N, u_c)
         k = np.arange(lo, hi + 1, dtype=np.float64)
@@ -302,6 +357,16 @@ class TestWindowedExpectation:
         win_env = float(gammaln(u_c + 1.0)) - win_sys - float(e_binom[0])
         assert win_sys == pytest.approx(full_sys, rel=1e-13)
         assert win_env == pytest.approx(full_env, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "U, u, N", [(100_000, 10, 2000), (100_000, 300, 2000), (100_000, 10, 98_000)]
+    )
+    def test_hypergeometric_small_fraction_matches_full_sum(self, U, u, N):
+        # draw counts and U - N both above 1000, with few balls of the colour
+        want_fact, want_binom = _mp_hypergeometric_log_expectations(U, u, N)
+        e_fact, e_binom = _hypergeometric_log_expectations(U, [u], N)
+        assert e_fact[0] == pytest.approx(want_fact, rel=1e-12)
+        assert e_binom[0] == pytest.approx(want_binom, rel=1e-12)
 
 
 class TestSzilardSplitEntropy:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import gammaln
 
 from occupancy_entropy.combinatorics import CapExceededError
 from occupancy_entropy.constants import BOLTZMANN_KB, LN2
@@ -14,6 +16,7 @@ from occupancy_entropy.entropy import entropy_by_enumeration, multinomial_entrop
 from occupancy_entropy.physics import (
     BoxModel,
     SpectrumTruncation,
+    _square_sum_levels,
     boltzmann_distribution,
     box_spectrum,
     ideal_gas_entropy,
@@ -23,6 +26,30 @@ from occupancy_entropy.physics import (
 
 ELECTRON_MASS = 9.11e-31
 ELECTRON_20NM_1D = BoxModel(ELECTRON_MASS, 300.0, 20e-9, dimensions=1)
+
+
+def per_state_reference(model, N):
+    """Exact gas entropy terms from the ungrouped per-state spectrum, with
+    E{ln n!} = sum_k ln k P(n >= k) from scipy's binomial survival function."""
+    spec = box_spectrum(model)
+    kT = BOLTZMANN_KB * model.temperature
+    weights = np.exp(-(spec.energies - spec.energies[0]) / kT)
+    p = weights / weights.sum()
+    k = np.arange(2, N + 1)
+    e_log_fact = sum(
+        float((stats.binom.sf(k[None, :] - 1, N, p[i : i + 1024, None]) @ np.log(k)).sum())
+        for i in range(0, p.size, 1024)
+    )
+    micro = N * float(-(p * np.log(p)).sum())
+    expected_logW = float(gammaln(N + 1.0)) - e_log_fact
+    mean = N * p
+    return {
+        "microstate_term": micro,
+        "expected_logW": expected_logW,
+        "total": micro - expected_logW,
+        "boltzmann": float(gammaln(mean.sum() + 1.0) - gammaln(mean + 1.0).sum()),
+        "Z": float(weights.sum()) * math.exp(-spec.energies[0] / kT),
+    }
 
 
 class TestBoxModel:
@@ -142,6 +169,71 @@ class TestIdealGasEntropy:
         model = BoxModel(ELECTRON_MASS, 300.0, 20e-9, dimensions=3)
         with pytest.raises(CapExceededError, match="budget"):
             ideal_gas_entropy(model, 100, budget=1000)
+
+    def test_budget_counts_levels_times_window(self):
+        # 3.2 M states x 1001 counts used to exceed the default budget; the
+        # 44,806 levels need a window of a few counts each
+        model = BoxModel(ELECTRON_MASS, 300.0, 100e-9, dimensions=3)
+        res = ideal_gas_entropy(model, 1000)
+        assert res.states_retained == 147**3
+        assert res.exact.total > 0
+        with pytest.raises(CapExceededError, match=r"needs \d+ cells, over the budget of 1000\b"):
+            ideal_gas_entropy(model, 1000, budget=1000)
+
+    @pytest.mark.parametrize("temperature", [300.0, 3.0])
+    def test_level_multiplicities_count_box_states(self, temperature):
+        spec = box_spectrum(BoxModel(ELECTRON_MASS, temperature, 20e-9, dimensions=3))
+        cutoff = int(spec.quantum_numbers.max())
+        levels, multiplicity = _square_sum_levels(cutoff)
+        sums, counts = np.unique((spec.quantum_numbers**2).sum(axis=1), return_counts=True)
+        np.testing.assert_array_equal(levels, sums)
+        np.testing.assert_array_equal(multiplicity, counts)
+
+    @pytest.mark.parametrize(
+        "side, temperature, N", [(20e-9, 300.0, 2), (20e-9, 300.0, 200), (8e-9, 300.0, 1500)]
+    )
+    def test_matches_per_state_reference(self, side, temperature, N):
+        model = BoxModel(ELECTRON_MASS, temperature, side, dimensions=3)
+        res = ideal_gas_entropy(model, N)
+        want = per_state_reference(model, N)
+        for key in ("microstate_term", "expected_logW", "boltzmann"):
+            assert getattr(res.exact, key) == pytest.approx(want[key], rel=1e-12)
+        assert res.partition_function == pytest.approx(want["Z"], rel=1e-12)
+        assert res.exact.total == pytest.approx(
+            want["total"], abs=1e-12 * want["microstate_term"]
+        )
+        spec = box_spectrum(model)
+        assert res.states_retained == len(spec) == int(spec.quantum_numbers.max()) ** 3
+        assert res.tail_bound_achieved == spec.tail_bound_achieved
+
+    def test_cold_box_matches_per_state_reference(self):
+        # nearly every particle sits in the ground level, so expected_logW and
+        # the Boltzmann term are ln N! less a sum of about ln N!: double
+        # precision leaves them about 1e-16 ln N! absolute
+        model = BoxModel(ELECTRON_MASS, 3.0, 20e-9, dimensions=3)
+        N = 100
+        res = ideal_gas_entropy(model, N)
+        want = per_state_reference(model, N)
+        assert res.exact.microstate_term == pytest.approx(
+            want["microstate_term"], rel=1e-12
+        )
+        assert res.partition_function == pytest.approx(want["Z"], rel=1e-12)
+        cancel = 1e-14 * math.lgamma(N + 1.0)
+        for key in ("expected_logW", "boltzmann", "total"):
+            assert getattr(res.exact, key) == pytest.approx(want[key], abs=cancel)
+        assert res.states_retained == 4**3
+
+    def test_max_states_refuses_the_same_boxes(self):
+        model = BoxModel(ELECTRON_MASS, 300.0, 20e-9, dimensions=3)
+        states = box_spectrum(model).energies.size
+        for cap in (states - 1, 1000):
+            trunc = SpectrumTruncation(1e-14, max_states=cap)
+            with pytest.raises(CapExceededError, match="max_states"):
+                box_spectrum(model, trunc)
+            with pytest.raises(CapExceededError, match="max_states"):
+                ideal_gas_entropy(model, 2, trunc)
+        trunc = SpectrumTruncation(1e-14, max_states=states)
+        assert ideal_gas_entropy(model, 2, trunc).states_retained == states
 
 
 class TestSzilardInsertion:
