@@ -347,58 +347,96 @@ def marginal(d: MultinomialDist | MvhgDist, color: int) -> np.ndarray:
 # All samplers draw from numpy's PCG64 generator seeded explicitly, and use
 # fixed documented algorithms (categorical inversion with replacement,
 # sequential urn depletion without), so a (distribution, count, seed) triple
-# reproduces bit-identically on any platform. Parallel use should derive the
-# worker seed as seed + worker_index and partition `count`.
+# reproduces bit-identically on any platform. Each row reads its N uniforms
+# in row-major order; the Szilard split first reads `count` uniforms for the
+# left-side counts b, then per row b uniforms for the left side followed by
+# N - b for the right. PCG64 `random(a)` then `random(b)` is `random(a + b)`
+# split at a, so drawing rows in chunks (of at most _CHUNK_DRAWS cells per
+# temporary) reads the same stream. Parallel use should derive the worker
+# seed as seed + worker_index and partition `count`.
 
 _CHUNK_DRAWS = 2**18
+
+
+def _categorical_counts(u: np.ndarray, probs: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the per-row colour counts of categorical inversion
+    over a (rows, draws) block: each uniform picks the first colour c with
+    u < cdf[c], where the cdf is summed left to right and its last entry set
+    to 1. Entries of u at or above 1 pick no colour."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    below = 0
+    for c, edge in enumerate(cdf):
+        # einsum row sums stay fast on short rows, where count_nonzero is not
+        now = np.einsum("ij->i", u < edge, dtype=np.int64)
+        out[:, c] = now - below
+        below = now
 
 
 def _sample_multinomial_counts(
     rng: np.random.Generator, probs: np.ndarray, draws: int, count: int
 ) -> np.ndarray:
-    num_colors = probs.size
-    out = np.zeros((count, num_colors), dtype=np.int64)
+    out = np.zeros((count, probs.size), dtype=np.int64)
     if draws == 0 or count == 0:
         return out
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
     rows_per_chunk = max(1, _CHUNK_DRAWS // draws)
     for start in range(0, count, rows_per_chunk):
         m = min(rows_per_chunk, count - start)
-        u = rng.random((m, draws))
-        idx = np.searchsorted(cdf, u, side="right")
-        flat = (idx + (np.arange(m) * num_colors)[:, None]).ravel()
-        out[start : start + m] = np.bincount(
-            flat, minlength=m * num_colors
-        ).reshape(m, num_colors)
+        _categorical_counts(rng.random((m, draws)), probs, out[start : start + m])
     return out
 
 
 def _sample_mvhg_counts(
     rng: np.random.Generator, urn: OccupancyVector, draws: int, count: int
 ) -> np.ndarray:
+    """Sequential urn depletion: draw t of a row takes the first colour whose
+    cumulative remaining count exceeds u_t * (U - t), or the last colour if
+    none does. One array step per draw serves every row of a chunk."""
     num_colors = urn.num_colors
     out = np.zeros((count, num_colors), dtype=np.int64)
     if draws == 0 or count == 0:
         return out
-    base = list(urn.counts)
-    rows_per_chunk = max(1, _CHUNK_DRAWS // draws)
+    base = np.asarray(urn.counts, dtype=np.int64)
+    colour = np.arange(num_colors)[:, None]
+    remaining = urn.total - np.arange(draws)
+    rows_per_chunk = max(1, _CHUNK_DRAWS // max(draws, num_colors))
     for start in range(0, count, rows_per_chunk):
-        uniforms = rng.random((min(rows_per_chunk, count - start), draws))
-        for s, row in enumerate(uniforms):
-            rem = base.copy()
-            left = urn.total
-            tally = out[start + s]
-            for t in range(draws):
-                r = row[t] * left
-                acc = 0
-                for c in range(num_colors):
-                    acc += rem[c]
-                    if r < acc:
-                        break
-                tally[c] += 1
-                rem[c] -= 1
-                left -= 1
+        m = min(rows_per_chunk, count - start)
+        # row t holds u_t * (U - t) for every row of the chunk
+        targets = (rng.random((m, draws)) * remaining).T.copy()
+        # (colours, rows) cumulative remaining counts; int64 <= float64 is
+        # exact below 2**53
+        cum = np.repeat(np.cumsum(base)[:, None], m, axis=1)
+        for r in targets:
+            pick = np.minimum(np.count_nonzero(cum <= r, axis=0), num_colors - 1)
+            cum -= colour >= pick
+        out[start : start + m] = base - np.diff(cum, axis=0, prepend=0).T
+    return out
+
+
+def _sample_szilard_counts(
+    rng: np.random.Generator, d: "SzilardSplitDist", count: int
+) -> np.ndarray:
+    """Left-side counts b of every row by inversion of the binomial split,
+    then each row's left side from its first b uniforms and its right side
+    from the other N - b, as one block of N uniforms per row."""
+    split_cdf = np.cumsum(d.split_probabilities())
+    split_cdf[-1] = 1.0
+    b = np.searchsorted(split_cdf, rng.random(count), side="right")
+    out = np.zeros((count, d.num_colors), dtype=np.int64)
+    if d.N == 0 or count == 0:
+        return out
+    k = d.left_dist.num_colors
+    position = np.arange(d.N)
+    rows_per_chunk = max(1, _CHUNK_DRAWS // d.N)
+    for start in range(0, count, rows_per_chunk):
+        m = min(rows_per_chunk, count - start)
+        u = rng.random((m, d.N))
+        on_left = position < b[start : start + m, None]
+        # a uniform outside a side is moved to 2.0, where it picks no colour
+        rows = out[start : start + m]
+        _categorical_counts(np.where(on_left, u, 2.0), d.left_dist.probs, rows[:, :k])
+        _categorical_counts(np.where(on_left, 2.0, u), d.right_dist.probs, rows[:, k:])
     return out
 
 
@@ -418,24 +456,12 @@ def _sample_counts(
         raise ValueError("count must be non-negative")
     rng = np.random.default_rng(seed)
     if isinstance(d, MultinomialDist):
-        counts = _sample_multinomial_counts(rng, d.p.probs, d.N, count)
-    elif isinstance(d, MvhgDist):
-        counts = _sample_mvhg_counts(rng, d.urn, d.draw_count, count)
-    elif isinstance(d, SzilardSplitDist):
-        b_cdf = np.cumsum(d.split_probabilities())
-        b_cdf[-1] = 1.0
-        bs = np.searchsorted(b_cdf, rng.random(count), side="right")
-        k = d.left_dist.num_colors
-        counts = np.zeros((count, d.num_colors), dtype=np.int64)
-        for s in range(count):
-            b = int(bs[s])
-            counts[s, :k] = _sample_multinomial_counts(rng, d.left_dist.probs, b, 1)
-            counts[s, k:] = _sample_multinomial_counts(
-                rng, d.right_dist.probs, d.N - b, 1
-            )
-    else:
-        raise TypeError(f"cannot sample from {type(d).__name__}")
-    return counts
+        return _sample_multinomial_counts(rng, d.p.probs, d.N, count)
+    if isinstance(d, MvhgDist):
+        return _sample_mvhg_counts(rng, d.urn, d.draw_count, count)
+    if isinstance(d, SzilardSplitDist):
+        return _sample_szilard_counts(rng, d, count)
+    raise TypeError(f"cannot sample from {type(d).__name__}")
 
 
 # --- distances and convergence ----------------------------------------------

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import CapExceededError, OccupancyVector
-from .distributions import DEFAULT_SEED, OccupancyDistribution, sample
+from .distributions import DEFAULT_SEED, OccupancyDistribution, _sample_counts
 
 __all__ = [
     "ExactRational",
@@ -142,8 +142,12 @@ def mc_entropy_estimate(
     error; seed-reproducible bit for bit."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    draws = sample(d, samples, seed=seed)
-    vals = np.array([-d.log_pmf(x.counts) for x in draws], dtype=np.float64)
+    # the scalar log_pmf once per distinct draw, scattered back to every draw
+    distinct, which = np.unique(
+        _sample_counts(d, samples, seed), axis=0, return_inverse=True
+    )
+    vals = np.array([-d.log_pmf(row) for row in distinct], dtype=np.float64)
+    vals = vals[which.reshape(-1)]
     estimate = float(vals.mean())
     # leave-one-out means of the plug-in estimator
     loo = (vals.sum() - vals) / (samples - 1)

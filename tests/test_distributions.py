@@ -30,6 +30,83 @@ def uniform(n):
     return OneParticleDistribution(np.full(n, 1.0 / n))
 
 
+# --- scalar reference samplers -------------------------------------------------
+#
+# The per-draw and per-row loops the array samplers replaced. They define the
+# seeded streams: the array kernels must return the same rows bit for bit.
+
+
+def reference_multinomial(rng, probs, draws, count):
+    """Categorical inversion by searchsorted, N consecutive uniforms per row."""
+    out = np.zeros((count, probs.size), dtype=np.int64)
+    if draws == 0 or count == 0:
+        return out
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, rng.random((count, draws)), side="right")
+    for s in range(count):
+        out[s] = np.bincount(idx[s], minlength=probs.size)
+    return out
+
+
+def reference_mvhg(rng, urn, draws, count):
+    """Sequential urn depletion, one Python step per colour of every draw."""
+    out = np.zeros((count, urn.num_colors), dtype=np.int64)
+    if draws == 0 or count == 0:
+        return out
+    for s, row in enumerate(rng.random((count, draws))):
+        rem = list(urn.counts)
+        left = urn.total
+        for t in range(draws):
+            r = row[t] * left
+            acc = 0
+            for c in range(urn.num_colors):
+                acc += rem[c]
+                if r < acc:
+                    break
+            out[s, c] += 1
+            rem[c] -= 1
+            left -= 1
+    return out
+
+
+def reference_szilard(rng, d, count):
+    """All split counts b first, then per row the left side from the next b
+    uniforms and the right side from the N - b after them."""
+    b_cdf = np.cumsum(d.split_probabilities())
+    b_cdf[-1] = 1.0
+    bs = np.searchsorted(b_cdf, rng.random(count), side="right")
+    k = d.left_dist.num_colors
+    out = np.zeros((count, d.num_colors), dtype=np.int64)
+    for s in range(count):
+        b = int(bs[s])
+        out[s, :k] = reference_multinomial(rng, d.left_dist.probs, b, 1)
+        out[s, k:] = reference_multinomial(rng, d.right_dist.probs, d.N - b, 1)
+    return out
+
+
+class FixedUniforms:
+    """A stand-in generator whose random() hands out given values in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.used = 0
+
+    def random(self, shape):
+        n = int(np.prod(shape))
+        out = self.values[self.used : self.used + n].reshape(shape)
+        self.used += n
+        return out
+
+
+@st.composite
+def probs_with_zeros(draw, max_colors=12):
+    n = draw(st.integers(min_value=1, max_value=max_colors))
+    weight = st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1.0))
+    w = draw(st.lists(weight, min_size=n, max_size=n).filter(lambda ws: sum(ws) > 0))
+    return OneParticleDistribution.from_weights(w)
+
+
 @st.composite
 def small_probs(draw, max_colors=5):
     n = draw(st.integers(min_value=1, max_value=max_colors))
@@ -225,6 +302,11 @@ class TestSampling:
             MultinomialDist(9, OneParticleDistribution([0.6, 0.4])),
             MvhgDist(OccupancyVector((5, 3, 2)), 4),
             MvhgDist(OccupancyVector((6, 7)), 11),
+            MvhgDist(OccupancyVector(tuple((7 * c) % 13 for c in range(40))), 9),
+            SzilardSplitDist(5, 0.3, uniform(2), uniform(3)),
+            SzilardSplitDist(
+                12, 0.6, OneParticleDistribution([0.5, 0.0, 0.5]), uniform(4)
+            ),
         ]
         default = distributions._CHUNK_DRAWS
         for d in dists:
@@ -233,6 +315,23 @@ class TestSampling:
                 monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
                 rows[chunk] = sample(d, 40, seed=21)
             assert rows[7] == rows[default]
+
+    @pytest.mark.parametrize("seed", [0, 21, 2**40 + 3])
+    def test_pcg64_stream_splits_at_any_point(self, seed):
+        # random(a) then random(b) is random(a + b) split at a; chunked rows
+        # and the Szilard block (split uniforms, then b left and N - b right
+        # per row) rely on this
+        for a, b in [(0, 0), (0, 5), (1, 0), (1, 1), (3, 17), (1000, 1)]:
+            rng = np.random.default_rng(seed)
+            first, second = rng.random(a), rng.random(b)
+            whole = np.random.default_rng(seed).random(a + b)
+            assert np.array_equal(first, whole[:a])
+            assert np.array_equal(second, whole[a:])
+        rng = np.random.default_rng(seed)
+        block = rng.random((6, 4))
+        assert np.array_equal(
+            block.ravel(), np.random.default_rng(seed).random(24)
+        )
 
     def test_multinomial_mean_within_3_sigma(self):
         d = MultinomialDist(10**4, uniform(2))
@@ -274,6 +373,74 @@ class TestSampling:
         d = SzilardSplitDist(3, 0.5, uniform(2), uniform(2))
         for v in sample(d, 200, seed=8):
             assert v.total == 3
+
+
+class TestSamplersMatchScalarReferences:
+    @given(
+        st.lists(
+            st.one_of(st.just(0), st.integers(min_value=0, max_value=12)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=2**32),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_mvhg(self, counts, rows, seed, data):
+        urn = OccupancyVector(tuple(counts))
+        draws = data.draw(st.integers(min_value=0, max_value=urn.total))
+        got = distributions._sample_mvhg_counts(
+            np.random.default_rng(seed), urn, draws, rows
+        )
+        want = reference_mvhg(np.random.default_rng(seed), urn, draws, rows)
+        assert np.array_equal(got, want)
+
+    @given(
+        probs_with_zeros(),
+        st.integers(min_value=0, max_value=200),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_multinomial(self, p, draws, rows, seed):
+        got = distributions._sample_multinomial_counts(
+            np.random.default_rng(seed), p.probs, draws, rows
+        )
+        want = reference_multinomial(np.random.default_rng(seed), p.probs, draws, rows)
+        assert np.array_equal(got, want)
+
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.floats(min_value=0.001, max_value=0.999),
+        probs_with_zeros(max_colors=6),
+        probs_with_zeros(max_colors=6),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_szilard(self, N, fraction, left, right, rows, seed):
+        d = SzilardSplitDist(N, fraction, left, right)
+        got = distributions._sample_counts(d, rows, seed)
+        want = reference_szilard(np.random.default_rng(seed), d, rows)
+        assert np.array_equal(got, want)
+
+    def test_exact_ties_follow_the_references(self):
+        # uniforms on a grid of eighths land exactly on cumulative counts and
+        # cdf edges; a tie goes to the next colour, past zero-count colours
+        grid = np.random.default_rng(3).integers(0, 8, size=4000) / 8.0
+        urn = OccupancyVector((0, 2, 0, 2, 4, 0))
+        got = distributions._sample_mvhg_counts(FixedUniforms(grid), urn, 8, 50)
+        want = reference_mvhg(FixedUniforms(grid), urn, 8, 50)
+        assert np.array_equal(got, want)
+        probs = np.array([0.25, 0.0, 0.25, 0.5])
+        got = distributions._sample_multinomial_counts(FixedUniforms(grid), probs, 8, 50)
+        want = reference_multinomial(FixedUniforms(grid), probs, 8, 50)
+        assert np.array_equal(got, want)
+        d = SzilardSplitDist(8, 0.5, OneParticleDistribution(probs), uniform(4))
+        got = distributions._sample_szilard_counts(FixedUniforms(grid), d, 50)
+        want = reference_szilard(FixedUniforms(grid), d, 50)
+        assert np.array_equal(got, want)
 
 
 class TestSzilardSplit:
