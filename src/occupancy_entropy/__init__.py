@@ -21,8 +21,6 @@ from .distributions import (
     SzilardSplitDist,
     convergence_scan,
     marginal,
-    multinomial_pmf,
-    mvhg_pmf,
     sample,
     tv_distance,
 )
@@ -35,6 +33,7 @@ from .entropy import (
     mvhg_entropy,
     sackur_tetrode,
     sandwich_check,
+    szilard_split_entropy,
 )
 from .oracle import (
     ExactRational,
@@ -53,7 +52,6 @@ from .physics import (
     box_spectrum,
     ideal_gas_entropy,
     szilard_insertion,
-    szilard_split_pmf,
 )
 from .quantum import (
     BosonicDensityOperator,

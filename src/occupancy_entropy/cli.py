@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .combinatorics import CapExceededError, OccupancyVector, require_int
+from .combinatorics import DEFAULT_CAP, CapExceededError, OccupancyVector, require_int
 from .distributions import (
     DEFAULT_SEED,
     MultinomialDist,
@@ -29,9 +29,10 @@ from .distributions import (
     sample,  # noqa: F401  (perfbench's trace self-test restores cli.sample)
 )
 from .entropy import (
-    entropy_by_enumeration,
+    _unit_factor,
     multinomial_entropy,
     mvhg_entropy,
+    szilard_split_entropy,
 )
 from .oracle import brute_force_mvhg, brute_force_partial_trace, mc_entropy_estimate
 from .physics import BoxModel, SpectrumTruncation, ideal_gas_entropy, szilard_insertion
@@ -179,22 +180,12 @@ def cmd_entropy(args) -> int:
     elif isinstance(dist, MvhgDist):
         report = mvhg_entropy(dist)
     else:
-        total = entropy_by_enumeration(dist, cap=args.cap)
-        _emit_json(
-            {
-                "kind": "szilard",
-                "total": _convert(total, args.unit),
-                "unit": args.unit,
-            }
-        )
+        total = szilard_split_entropy(dist) * _unit_factor("nats", args.unit)
+        _emit_json({"kind": "szilard", "total": total, "unit": args.unit})
         return EXIT_OK
     report = report.in_unit(args.unit)
     _emit_json({"kind": type(dist).__name__, **report.as_dict()})
     return EXIT_OK
-
-
-def _convert(nats: float, unit: str) -> float:
-    return nats / np.log(2) if unit == "bits" else nats
 
 
 def cmd_converge(args) -> int:
@@ -252,7 +243,7 @@ def cmd_szilard(args) -> int:
     if model.dimensions != 1:
         raise InputSpecError("szilard: the box model must be 1-D")
     trunc = SpectrumTruncation(args.tail_bound, args.max_states)
-    result = szilard_insertion(model, args.particles, trunc, cap=args.cap)
+    result = szilard_insertion(model, args.particles, trunc)
     _emit_json(
         {
             "S_before_kB": result.s_before,
@@ -376,14 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("entropy", cmd_entropy, help="decomposed entropy of a distribution spec")
     p.add_argument("spec", help="inline JSON or path to a distribution spec")
     p.add_argument("--unit", choices=["nats", "bits", "kB"], default="nats")
-    p.add_argument("--cap", type=int, default=10**6)
 
     p = add("converge", cmd_converge, help="TV distance along scaled urns")
     p.add_argument("--base-urn", required=True, help="comma-separated counts")
     p.add_argument("--draws", type=int, required=True, help="system particle count N")
     p.add_argument("--scales", required=True, help="comma-separated urn multipliers")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     p = add("gas", cmd_gas, help="exact ideal-gas entropy vs the closed form")
     p.add_argument("--model", required=True, help="inline JSON or path to a box model")
@@ -396,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--particles", type=int, default=1)
     p.add_argument("--tail-bound", type=float, default=1e-14)
     p.add_argument("--max-states", type=int, default=4_000_000)
-    p.add_argument("--cap", type=int, default=10**6)
 
     p = add("holevo", cmd_holevo, help="Holevo bound on accessible information")
     p.add_argument("--universe-size", type=int, required=True)
@@ -406,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "monte_carlo"], default="exact")
     p.add_argument("--mc-samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     p = add("empirical-info", cmd_empirical_info,
             help="entropy gap of the empirical model over the exact draw")
@@ -432,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = osub.add_parser("ptrace")
     o.add_argument("--urn", required=True)
     o.add_argument("--draws", type=int, required=True)
-    o.add_argument("--cap", type=int, default=10**6)
+    o.add_argument("--cap", type=int, default=DEFAULT_CAP)
     o = osub.add_parser("mc-entropy")
     o.add_argument("spec")
     o.add_argument("--samples", type=int, required=True)

@@ -25,14 +25,24 @@ __all__ = [
     "log_multinomial_coeff",
     "enumerate_occupancies",
     "occupancy_count",
+    "DEFAULT_CAP",
     "DEFAULT_ENUMERATION_CAP",
 ]
 
+# Default cap on the occupancy vectors (or microstates) an exact path walks;
+# the lazy enumerate_occupancies keeps its own higher default.
+DEFAULT_CAP = 10**6
 DEFAULT_ENUMERATION_CAP = 10**8
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration or summation would exceed its configured size cap."""
+    """An enumeration or summation would exceed its configured size cap:
+    it needed ``required``, over ``cap``."""
+
+    def __init__(self, message: str, required: int | float, cap: int | float):
+        super().__init__(message)
+        self.required = required
+        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -159,6 +169,18 @@ def occupancy_count(total: int, num_colors: int) -> int:
     return math.comb(total + num_colors - 1, num_colors - 1)
 
 
+def _check_support(total: int, num_colors: int, cap: int, advice: str = "") -> int:
+    """:func:`occupancy_count`, or CapExceededError stating both numbers
+    and ``advice`` if it is over ``cap``."""
+    count = occupancy_count(total, num_colors)
+    if count > cap:
+        hint = f"; {advice}" if advice else ""
+        raise CapExceededError(
+            f"support of {count} occupancy vectors exceeds cap {cap}{hint}", count, cap
+        )
+    return count
+
+
 def enumerate_occupancies(
     total: int, num_colors: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[OccupancyVector]:
@@ -168,11 +190,7 @@ def enumerate_occupancies(
     (0,...,0,N) last. Refuses up front if the stars-and-bars count exceeds
     `cap`.
     """
-    count = occupancy_count(total, num_colors)
-    if count > cap:
-        raise CapExceededError(
-            f"support of {count} occupancy vectors exceeds cap {cap}"
-        )
+    _check_support(total, num_colors, cap)
     for t in _occupancy_tuples(total, num_colors):
         yield OccupancyVector(t)
 
@@ -187,17 +205,13 @@ def _occupancy_tuples(total: int, num_colors: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=256)
-def support_matrix(total: int, num_colors: int, cap: int = 10**6) -> np.ndarray:
+def support_matrix(total: int, num_colors: int, cap: int = DEFAULT_CAP) -> np.ndarray:
     """All occupancy vectors as a read-only (count, num_colors) int array.
 
     Same order as :func:`enumerate_occupancies`; cached because entropy and
     distance computations revisit the same small supports many times.
     """
-    count = occupancy_count(total, num_colors)
-    if count > cap:
-        raise CapExceededError(
-            f"support of {count} occupancy vectors exceeds cap {cap}"
-        )
+    count = _check_support(total, num_colors, cap)
     out = np.empty((count, num_colors), dtype=np.int64)
     for i, t in enumerate(_occupancy_tuples(total, num_colors)):
         out[i] = t

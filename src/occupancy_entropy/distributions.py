@@ -16,11 +16,11 @@ import numpy as np
 from scipy.special import gammaln
 
 from .combinatorics import (
-    CapExceededError,
+    DEFAULT_CAP,
     OccupancyVector,
+    _check_support,
     log_factorial,
     log_multinomial_coeff,
-    occupancy_count,
     support_matrix,
 )
 
@@ -29,8 +29,6 @@ __all__ = [
     "MultinomialDist",
     "MvhgDist",
     "SzilardSplitDist",
-    "multinomial_pmf",
-    "mvhg_pmf",
     "marginal",
     "sample",
     "tv_distance",
@@ -272,17 +270,6 @@ class SzilardSplitDist:
 OccupancyDistribution = Union[MultinomialDist, MvhgDist, SzilardSplitDist]
 
 
-def multinomial_pmf(d: MultinomialDist, n: Sequence[int]) -> float:
-    """P(n) for N draws with replacement; 0 off the sum(n)=N shell."""
-    return d.pmf(n)
-
-
-def mvhg_pmf(d: MvhgDist, n: Sequence[int]) -> float:
-    """P(n) for N draws without replacement; 0 wherever a count is
-    negative, exceeds its urn entry, or the total is off-shell."""
-    return d.pmf(n)
-
-
 def _binomial_pmf(N: int, p: float) -> np.ndarray:
     k = np.arange(N + 1)
     if p == 0.0:
@@ -466,11 +453,8 @@ def _sample_counts(
 
 # --- distances and convergence ----------------------------------------------
 
-DEFAULT_TV_CAP = 10**6
-
-
 def tv_distance(
-    d1: OccupancyDistribution, d2: OccupancyDistribution, cap: int = DEFAULT_TV_CAP
+    d1: OccupancyDistribution, d2: OccupancyDistribution, cap: int = DEFAULT_CAP
 ) -> float:
     """Total variation distance between two occupancy distributions
     sharing a color space and particle number."""
@@ -478,11 +462,7 @@ def tv_distance(
         raise ValueError("distributions live on different color spaces")
     if d1.N != d2.N:
         raise ValueError("distributions have different particle numbers")
-    if occupancy_count(d1.N, d1.num_colors) > cap:
-        raise CapExceededError(
-            "support too large to enumerate for an exact TV distance; "
-            "use Monte Carlo estimation instead"
-        )
+    _check_support(d1.N, d1.num_colors, cap, "use Monte Carlo estimation instead")
     counts = support_matrix(d1.N, d1.num_colors, cap=cap)
     p1 = np.exp(d1.log_pmf_batch(counts))
     p2 = np.exp(d2.log_pmf_batch(counts))
@@ -493,7 +473,7 @@ def convergence_scan(
     base_urn: OccupancyVector,
     N: int,
     scales: Iterable[int],
-    cap: int = DEFAULT_TV_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> list[tuple[int, float]]:
     """TV distance between the scaled-urn draw and its multinomial limit.
 

@@ -16,11 +16,11 @@ import numpy as np
 from scipy.special import gammaln, rel_entr, xlog1py, xlogy
 
 from .combinatorics import (
+    DEFAULT_CAP,
     CapExceededError,
     log_factorial,
     log_factorial_real,
     log_multinomial_coeff,
-    occupancy_count,
     support_matrix,
 )
 from .constants import BOLTZMANN_KB, LN2, PLANCK_H
@@ -28,6 +28,7 @@ from .distributions import (
     MultinomialDist,
     MvhgDist,
     OccupancyDistribution,
+    SzilardSplitDist,
 )
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "entropy_by_enumeration",
     "multinomial_entropy",
     "mvhg_entropy",
+    "szilard_split_entropy",
     "boltzmann_entropy",
     "sandwich_check",
     "sackur_tetrode",
@@ -109,13 +111,8 @@ class SandwichResult(NamedTuple):
     holds: bool
 
 
-def entropy_by_enumeration(d: OccupancyDistribution, cap: int = 10**6) -> float:
+def entropy_by_enumeration(d: OccupancyDistribution, cap: int = DEFAULT_CAP) -> float:
     """-sum p log p over the full enumerated support (reference path)."""
-    if occupancy_count(d.N, d.num_colors) > cap:
-        raise CapExceededError(
-            "support too large for enumeration entropy; use the decomposed "
-            "path or a Monte Carlo estimate"
-        )
     counts = support_matrix(d.N, d.num_colors, cap=cap)
     logp = d.log_pmf_batch(counts)
     mask = logp > -np.inf
@@ -236,7 +233,9 @@ def _expected_log_factorial_binomial(
     if flat.size * width > budget:
         raise CapExceededError(
             f"summation over {flat.size} levels x {width} counts needs "
-            f"{flat.size * width} cells, over the budget of {budget}"
+            f"{flat.size * width} cells, over the budget of {budget}",
+            flat.size * width,
+            budget,
         )
     with np.errstate(divide="ignore"):
         log_odds = np.log(flat) - np.log1p(-flat)
@@ -280,6 +279,23 @@ def multinomial_entropy(d: MultinomialDist) -> EntropyReport:
     """
     levels, multiplicity = np.unique(d.p.probs, return_counts=True)
     return _multinomial_report(d.N, levels, multiplicity)
+
+
+def szilard_split_entropy(d: SzilardSplitDist) -> float:
+    """Entropy of the split-box occupancy distribution by the chain rule.
+
+    The left-side count b is fixed by the occupancy vector, so
+    H = H(Bin(N, f)) + sum_b P(b) [H(Mult(b, left)) + H(Mult(N - b, right))],
+    summed by math.fsum: a plain dot product lands further from mpmath.
+    """
+    pb = d.split_probabilities()
+    terms = [-float(x) for x in xlogy(pb, pb)]
+    for b, q in enumerate(pb):
+        if q > 0.0:
+            left = multinomial_entropy(MultinomialDist(b, d.left_dist)).total
+            right = multinomial_entropy(MultinomialDist(d.N - b, d.right_dist)).total
+            terms.append(float(q) * (left + right))
+    return math.fsum(terms) + 0.0
 
 
 def _hypergeometric_log_expectations(

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import CapExceededError, OccupancyVector
+from .combinatorics import DEFAULT_CAP, CapExceededError, OccupancyVector
 from .distributions import DEFAULT_SEED, OccupancyDistribution, _sample_counts
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
 ExactRational = Fraction
 
 DEFAULT_URN_CAP = 10
-DEFAULT_MICROSTATE_CAP = 10**6
 
 
 def exact_multinomial_coeff(counts) -> int:
@@ -54,7 +53,9 @@ def brute_force_mvhg(
     share a tally. No binomial coefficients anywhere.
     """
     if urn.total > urn_cap:
-        raise CapExceededError(f"urn of {urn.total} exceeds oracle cap {urn_cap}")
+        raise CapExceededError(
+            f"urn of {urn.total} exceeds oracle cap {urn_cap}", urn.total, urn_cap
+        )
     if not 0 <= N <= urn.total:
         raise ValueError(f"draw count {N} outside [0, {urn.total}]")
     num_colors = urn.num_colors
@@ -94,8 +95,12 @@ def _prefix_tally_tables(
         if depth == total:
             leaves += 1
             if leaves > cap:
+                required = exact_multinomial_coeff(urn_counts)
                 raise CapExceededError(
-                    f"more than {cap} microstates share occupancy {urn_counts}"
+                    f"{required} microstates share occupancy {urn_counts}, "
+                    f"over the cap of {cap}",
+                    required,
+                    cap,
                 )
             tally = [0] * num_colors
             for d, color in enumerate(path):
@@ -118,7 +123,7 @@ def _prefix_tally_tables(
 
 
 def brute_force_partial_trace(
-    urn: OccupancyVector, N: int, microstate_cap: int = DEFAULT_MICROSTATE_CAP
+    urn: OccupancyVector, N: int, microstate_cap: int = DEFAULT_CAP
 ) -> dict[OccupancyVector, Fraction]:
     """Trace the environment out of the uniform microstate ensemble.
 

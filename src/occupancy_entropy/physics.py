@@ -23,9 +23,9 @@ from .distributions import (
 from .entropy import (
     EntropyReport,
     _multinomial_report,
-    entropy_by_enumeration,
     multinomial_entropy,
     sackur_tetrode,
+    szilard_split_entropy,
 )
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "boltzmann_distribution",
     "ideal_gas_entropy",
     "szilard_insertion",
-    "szilard_split_pmf",
 ]
 
 
@@ -140,7 +139,9 @@ def _axis_cutoff(alpha: float, trunc: SpectrumTruncation, axes: int) -> tuple[in
                 f"spectrum needs more than {trunc.max_states} states to reach "
                 f"relative tail bound {trunc.relative_tail_bound:g} "
                 f"(achieved {achieved:.3g} at cutoff {c}); raise max_states or "
-                "loosen the bound"
+                "loosen the bound",
+                c**axes,
+                trunc.max_states,
             )
 
 
@@ -152,7 +153,9 @@ def _cutoff(model: BoxModel, truncation: SpectrumTruncation) -> tuple[int, float
     if cutoff**model.dimensions > truncation.max_states:
         raise CapExceededError(
             f"{cutoff**model.dimensions} states exceed max_states="
-            f"{truncation.max_states}"
+            f"{truncation.max_states}",
+            cutoff**model.dimensions,
+            truncation.max_states,
         )
     return cutoff, achieved
 
@@ -279,13 +282,12 @@ def szilard_insertion(
     model: BoxModel,
     N: int = 1,
     truncation: SpectrumTruncation = DEFAULT_TRUNCATION,
-    cap: int = 10**6,
 ) -> SzilardResult:
     """Entropy before and after inserting a piston at the box midpoint.
 
     For a single particle the post-insertion entropy is exactly ln 2 (the
     equiprobable side choice) plus the half-box one-particle entropy. For
-    N > 1 the joint split distribution is enumerated under ``cap``.
+    N > 1 it is the chain-rule entropy of the joint split distribution.
     """
     if model.dimensions != 1:
         raise ValueError("piston insertion is modelled for 1-D boxes only")
@@ -302,8 +304,7 @@ def szilard_insertion(
         s_after = LN2 + s_half
     else:
         s_before = multinomial_entropy(MultinomialDist(N, p_full)).total
-        split = SzilardSplitDist(N, 0.5, p_half, p_half)
-        s_after = entropy_by_enumeration(split, cap=cap)
+        s_after = szilard_split_entropy(SzilardSplitDist(N, 0.5, p_half, p_half))
     return SzilardResult(
         s_before=s_before,
         s_half_box=s_half,
@@ -317,13 +318,3 @@ def szilard_insertion(
             spec_full.tail_bound_achieved, spec_half.tail_bound_achieved
         ),
     )
-
-
-def szilard_split_pmf(
-    N: int,
-    fraction: float,
-    left_dist: OneParticleDistribution,
-    right_dist: OneParticleDistribution,
-) -> SzilardSplitDist:
-    """Joint occupancy distribution over both sub-boxes after insertion."""
-    return SzilardSplitDist(N, fraction, left_dist, right_dist)

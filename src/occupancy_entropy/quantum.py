@@ -17,8 +17,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .combinatorics import (
+    DEFAULT_CAP,
     CapExceededError,
     OccupancyVector,
+    _check_support,
     log_multinomial_coeff,
     occupancy_count,
     require_int,
@@ -52,7 +54,6 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-10
-DEFAULT_EXACT_CAP = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +84,13 @@ class BosonicDensityOperator:
 
     @classmethod
     def canonical(
-        cls, N: int, p: OneParticleDistribution, cap: int = DEFAULT_EXACT_CAP
+        cls, N: int, p: OneParticleDistribution, cap: int = DEFAULT_CAP
     ) -> "BosonicDensityOperator":
         d = MultinomialDist(N, p)
         return cls(_weights_from(d, cap), N, "canonical")
 
     @classmethod
-    def empirical(cls, urn: OccupancyVector, N: int, cap: int = DEFAULT_EXACT_CAP):
+    def empirical(cls, urn: OccupancyVector, N: int, cap: int = DEFAULT_CAP):
         d = MultinomialDist(N, OneParticleDistribution.empirical_from_urn(urn))
         return cls(_weights_from(d, cap), N, "empirical")
 
@@ -99,19 +100,16 @@ class BosonicDensityOperator:
         U: int,
         N: int,
         p: OneParticleDistribution,
-        cap: int = DEFAULT_EXACT_CAP,
+        cap: int = DEFAULT_CAP,
     ) -> "BosonicDensityOperator":
         """Mixture over multinomially distributed universes of the traced
         operators; analytically this is again the canonical operator."""
-        prior = MultinomialDist(U, p)
-        weights: dict[OccupancyVector, float] = {}
-        for urn_row in support_matrix(U, p.num_colors, cap=cap):
-            urn = OccupancyVector(tuple(int(x) for x in urn_row))
-            pu = prior.pmf(urn.counts)
-            if pu == 0.0:
-                continue
-            for key, w in _weights_from(MvhgDist(urn, N), cap).items():
-                weights[key] = weights.get(key, 0.0) + pu * w
+        system, mixed = _bayesian_mixture(U, N, p, cap)
+        weights = {
+            OccupancyVector(tuple(int(x) for x in row)): float(w)
+            for row, w in zip(system, mixed)
+            if w > 0.0
+        }
         return cls(weights, N, "bayesian_marginal")
 
 
@@ -125,8 +123,25 @@ def _weights_from(d, cap: int) -> dict[OccupancyVector, float]:
     return out
 
 
+def _bayesian_mixture(
+    U: int, N: int, p: OneParticleDistribution, cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The N-particle support and the prior-weighted sum over it of the
+    operators traced from each U-particle universe. All weights come from
+    batch log-pmfs, so at U == N the mixture is the prior bit for bit."""
+    system = support_matrix(N, p.num_colors, cap=cap)
+    urns = support_matrix(U, p.num_colors, cap=cap)
+    prior = np.exp(MultinomialDist(U, p).log_pmf_batch(urns))
+    mixed = np.zeros(system.shape[0])
+    for urn_row, pu in zip(urns, prior):
+        if pu > 0.0:
+            urn = OccupancyVector(tuple(int(x) for x in urn_row))
+            mixed += pu * np.exp(MvhgDist(urn, N).log_pmf_batch(system))
+    return system, mixed
+
+
 def trace_out_environment(
-    universe: OccupancyVector, N: int, cap: int = DEFAULT_EXACT_CAP
+    universe: OccupancyVector, N: int, cap: int = DEFAULT_CAP
 ) -> BosonicDensityOperator:
     """Reduce a pure occupancy eigenstate of U bosons to the mixed state of
     an N-boson subsystem; the weights are the without-replacement draw
@@ -140,26 +155,18 @@ def bayesian_marginal_check(
     U: int,
     N: int,
     p: OneParticleDistribution,
-    cap: int = DEFAULT_EXACT_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> float:
     """Max absolute gap between the prior-averaged traced weights and the
-    direct N-particle multinomial weights (analytically zero)."""
-    if occupancy_count(U, p.num_colors) * occupancy_count(N, p.num_colors) > cap:
-        raise CapExceededError("urn/system support product exceeds cap")
-    system = MultinomialDist(N, p)
-    system_support = support_matrix(N, p.num_colors, cap=cap)
-    urn_support = support_matrix(U, p.num_colors, cap=cap)
-    # same batch evaluation path for prior and direct term, so the U == N
-    # case (identity likelihood) cancels exactly, not just to rounding
-    prior_probs = np.exp(MultinomialDist(U, p).log_pmf_batch(urn_support))
-    mixed = np.zeros(system_support.shape[0])
-    for urn_row, pu in zip(urn_support, prior_probs):
-        if pu == 0.0:
-            continue
-        urn = OccupancyVector(tuple(int(x) for x in urn_row))
-        likelihood = np.exp(MvhgDist(urn, N).log_pmf_batch(system_support))
-        mixed += pu * likelihood
-    direct = np.exp(system.log_pmf_batch(system_support))
+    direct N-particle multinomial weights (analytically zero; exactly zero
+    at U == N)."""
+    required = occupancy_count(U, p.num_colors) * occupancy_count(N, p.num_colors)
+    if required > cap:
+        raise CapExceededError(
+            f"urn/system support product {required} exceeds cap {cap}", required, cap
+        )
+    system, mixed = _bayesian_mixture(U, N, p, cap)
+    direct = np.exp(MultinomialDist(N, p).log_pmf_batch(system))
     return float(np.abs(mixed - direct).max())
 
 
@@ -177,7 +184,7 @@ def holevo_chi(
     mode: str = "exact",
     mc_samples: int = 10_000,
     seed: int = DEFAULT_SEED,
-    cap: int = DEFAULT_EXACT_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> HolevoEstimate:
     """Upper bound on the information any measurement on the system can
     extract about the universe outcome:
@@ -194,10 +201,7 @@ def holevo_chi(
     if N > U:
         raise ValueError("system cannot hold more particles than the universe")
     if mode == "exact":
-        if occupancy_count(U, p.num_colors) > cap:
-            raise CapExceededError(
-                "universe support exceeds cap; use monte_carlo mode"
-            )
+        _check_support(U, p.num_colors, cap, "use monte_carlo mode")
         return HolevoEstimate(_closed_form_chi(U, N, p), None, "exact")
     if mode == "monte_carlo":
         if mc_samples < 2:

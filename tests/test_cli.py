@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from occupancy_entropy.cli import main
+from occupancy_entropy.constants import BOLTZMANN_KB, PLANCK_H
 
 ELECTRON_BOX_1D = '{"mass_kg":9.11e-31,"temperature_K":300,"side_m":20e-9,"dims":1}'
 ELECTRON_BOX_3D = '{"mass_kg":9.11e-31,"temperature_K":300,"side_m":20e-9,"dims":3}'
@@ -199,6 +200,55 @@ class TestSzilardCommand:
 
     def test_three_d_model_exit_2(self, capsys):
         assert run(capsys, "szilard", "--model", ELECTRON_BOX_3D)[0] == 2
+
+    def test_forty_particles_match_mpmath_chain_rule(self, capsys):
+        # enumerating the split support of 40 particles over 2 x 15 colours
+        # is far over any cap; the chain rule needs no enumeration
+        code, out = run(capsys, "szilard", "--model", ELECTRON_BOX_1D, "--particles", "40")
+        assert code == 0
+        payload = json.loads(out)
+        want = szilard_after_mp(40, 9.11e-31, 300.0, 10e-9, payload["states_half"])
+        assert payload["S_after_kB"] == pytest.approx(want, rel=1e-12)
+        assert payload["delta_kB"] == payload["S_before_kB"] - payload["S_after_kB"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["szilard", "--model", ELECTRON_BOX_1D, "--particles", "2", "--cap", "10"],
+            ["entropy", '{"kind":"multinomial","N":2,"probs":[0.5,0.5]}', "--cap", "10"],
+        ],
+        ids=["szilard", "entropy"],
+    )
+    def test_cap_flag_is_gone(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 2
+
+
+def szilard_after_mp(N, mass, temperature, half_side, states):
+    """Entropy after a midpoint piston insertion, for N particles of a 1-D
+    box whose half has ``states`` retained levels, by the chain rule
+    H(Bin(N, 1/2)) + sum_b P(b) [S(b) + S(N - b)] in 30-digit arithmetic,
+    with S(n) = n H(p) - ln n! + sum_c E{ln n_c!} over Bin(n, p_c)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        unit = mp.mpf(PLANCK_H) ** 2 / (8 * mp.mpf(mass) * mp.mpf(half_side) ** 2)
+        alpha = unit / (mp.mpf(BOLTZMANN_KB) * mp.mpf(temperature))
+        w = [mp.exp(-alpha * (k * k - 1)) for k in range(1, states + 1)]
+        p = [x / mp.fsum(w) for x in w]
+        h = -mp.fsum(x * mp.log(x) for x in p)
+
+        def binom(n, q):
+            return [mp.binomial(n, k) * q**k * (1 - q) ** (n - k) for k in range(n + 1)]
+
+        side = [
+            n * h
+            - mp.loggamma(n + 1)
+            + mp.fsum(b * mp.loggamma(k + 1) for q in p for k, b in enumerate(binom(n, q)))
+            for n in range(N + 1)
+        ]
+        split = binom(N, mp.mpf(1) / 2)
+        h_split = -mp.fsum(q * mp.log(q) for q in split)
+        mixed = mp.fsum(q * (side[b] + side[N - b]) for b, q in enumerate(split))
+        return float(h_split + mixed)
 
 
 class TestHolevoCommand:

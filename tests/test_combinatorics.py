@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,16 @@ from occupancy_entropy.combinatorics import (
     occupancy_count,
     support_matrix,
 )
+from occupancy_entropy.distributions import (
+    MultinomialDist,
+    OneParticleDistribution,
+    tv_distance,
+)
+from occupancy_entropy.entropy import entropy_by_enumeration
+from occupancy_entropy.quantum import bayesian_marginal_check, holevo_chi
+
+QUARTER_FOUR = OneParticleDistribution([0.25] * 4)
+FIVE_COLOURS_20 = MultinomialDist(20, OneParticleDistribution([0.2] * 5))
 
 
 class TestLogFactorial:
@@ -171,3 +182,42 @@ class TestEnumerateOccupancies:
         stream = np.array([v.counts for v in enumerate_occupancies(3, 3)])
         assert np.array_equal(mat, stream)
         assert not mat.flags.writeable
+
+
+class TestCapExceededError:
+    # every exact path refuses up front and states what it needed and its cap
+    @pytest.mark.parametrize(
+        "call, required, cap",
+        [
+            pytest.param(
+                lambda: tv_distance(FIVE_COLOURS_20, FIVE_COLOURS_20, cap=1000),
+                occupancy_count(20, 5),
+                1000,
+                id="tv_distance",
+            ),
+            pytest.param(
+                lambda: entropy_by_enumeration(FIVE_COLOURS_20, cap=1000),
+                occupancy_count(20, 5),
+                1000,
+                id="entropy_by_enumeration",
+            ),
+            pytest.param(
+                lambda: bayesian_marginal_check(40, 20, QUARTER_FOUR, cap=10),
+                occupancy_count(40, 4) * occupancy_count(20, 4),
+                10,
+                id="bayesian_marginal_check",
+            ),
+            pytest.param(
+                lambda: holevo_chi(200, 2, QUARTER_FOUR, cap=100),
+                occupancy_count(200, 4),
+                100,
+                id="holevo_chi_exact",
+            ),
+        ],
+    )
+    def test_states_required_and_cap(self, call, required, cap):
+        with pytest.raises(CapExceededError) as info:
+            call()
+        assert (info.value.required, info.value.cap) == (required, cap)
+        assert re.search(rf"\b{required}\b", str(info.value))
+        assert re.search(rf"\b{cap}\b", str(info.value))

@@ -19,8 +19,6 @@ from occupancy_entropy.distributions import (
     SzilardSplitDist,
     convergence_scan,
     marginal,
-    multinomial_pmf,
-    mvhg_pmf,
     sample,
     tv_distance,
 )
@@ -165,26 +163,26 @@ class TestOneParticleDistribution:
 class TestMultinomialPmf:
     def test_fair_coin(self):
         d = MultinomialDist(2, uniform(2))
-        assert multinomial_pmf(d, (1, 1)) == pytest.approx(0.5, abs=1e-14)
-        assert multinomial_pmf(d, (2, 0)) == pytest.approx(0.25, abs=1e-14)
+        assert d.pmf((1, 1)) == pytest.approx(0.5, abs=1e-14)
+        assert d.pmf((2, 0)) == pytest.approx(0.25, abs=1e-14)
 
     def test_three_colors(self):
         d = MultinomialDist(3, OneParticleDistribution([0.2, 0.3, 0.5]))
-        assert multinomial_pmf(d, (1, 1, 1)) == pytest.approx(0.18, abs=1e-14)
+        assert d.pmf((1, 1, 1)) == pytest.approx(0.18, abs=1e-14)
 
     def test_off_shell_is_zero(self):
         d = MultinomialDist(2, uniform(2))
-        assert multinomial_pmf(d, (1, 0)) == 0.0
-        assert multinomial_pmf(d, (3, -1)) == 0.0
+        assert d.pmf((1, 0)) == 0.0
+        assert d.pmf((3, -1)) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            multinomial_pmf(MultinomialDist(2, uniform(2)), (1, 1, 0))
+            MultinomialDist(2, uniform(2)).pmf((1, 1, 0))
 
     def test_zero_prob_color_forces_zero_count(self):
         d = MultinomialDist(2, OneParticleDistribution([1.0, 0.0]))
-        assert multinomial_pmf(d, (2, 0)) == pytest.approx(1.0, abs=1e-14)
-        assert multinomial_pmf(d, (1, 1)) == 0.0
+        assert d.pmf((2, 0)) == pytest.approx(1.0, abs=1e-14)
+        assert d.pmf((1, 1)) == 0.0
 
     @given(small_probs(), st.integers(min_value=0, max_value=8))
     @settings(max_examples=150, deadline=None)
@@ -204,16 +202,16 @@ class TestMultinomialPmf:
 class TestMvhgPmf:
     def test_small_urn(self):
         d = MvhgDist(OccupancyVector((2, 2)), 2)
-        assert mvhg_pmf(d, (1, 1)) == pytest.approx(2 / 3, abs=1e-14)
-        assert mvhg_pmf(d, (2, 0)) == pytest.approx(1 / 6, abs=1e-14)
+        assert d.pmf((1, 1)) == pytest.approx(2 / 3, abs=1e-14)
+        assert d.pmf((2, 0)) == pytest.approx(1 / 6, abs=1e-14)
 
     def test_negative_entry_gives_zero(self):
         d = MvhgDist(OccupancyVector((2, 2)), 2)
-        assert mvhg_pmf(d, (3, -1)) == 0.0
+        assert d.pmf((3, -1)) == 0.0
 
     def test_count_above_urn_gives_zero(self):
         d = MvhgDist(OccupancyVector((2, 2)), 3)
-        assert mvhg_pmf(d, (3, 0)) == 0.0
+        assert d.pmf((3, 0)) == 0.0
 
     def test_draw_count_bounds(self):
         with pytest.raises(ValueError):
@@ -231,7 +229,7 @@ class TestMvhgPmf:
             total += d.pmf(v.counts)
             # system/environment exchange leaves the weight unchanged
             mirror = tuple(u - c for u, c in zip(urn, v.counts))
-            assert mvhg_pmf(MvhgDist(urn, urn.total - n), mirror) == pytest.approx(
+            assert MvhgDist(urn, urn.total - n).pmf(mirror) == pytest.approx(
                 d.pmf(v.counts), abs=1e-15
             )
         assert total == pytest.approx(1.0, abs=1e-10)

@@ -24,6 +24,7 @@ from occupancy_entropy.entropy import (
     mvhg_entropy,
     sackur_tetrode,
     sandwich_check,
+    szilard_split_entropy,
 )
 
 FAIR_TWO = OneParticleDistribution([0.5, 0.5])
@@ -337,20 +338,19 @@ class TestWindowedExpectation:
 
     def test_hypergeometric_window_matches_full_sum(self):
         U, u_c, N = 5000, 2100, 1400  # N above the full-sum cutoff
-        lo, hi = max(0, N - (U - u_c)), min(N, u_c)
-        k = np.arange(lo, hi + 1, dtype=np.float64)
-        log_pmf = (
-            gammaln(u_c + 1.0)
-            - gammaln(k + 1.0)
-            - gammaln(u_c - k + 1.0)
-            + gammaln(U - u_c + 1.0)
-            - gammaln(N - k + 1.0)
-            - gammaln(U - u_c - N + k + 1.0)
-            - (gammaln(U + 1.0) - gammaln(N + 1.0) - gammaln(U - N + 1.0))
-        )
-        pmf = np.exp(log_pmf)
-        full_sys = float(pmf @ gammaln(k + 1.0))
-        full_env = float(pmf @ gammaln(u_c - k + 1.0))
+        # 30-digit sums over the whole support: a gammaln reference is
+        # itself about 1e-13 off here
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ks = range(max(0, N - (U - u_c)), min(N, u_c) + 1)
+            pmf = [
+                mp.binomial(u_c, k) * mp.binomial(U - u_c, N - k) / mp.binomial(U, N)
+                for k in ks
+            ]
+            full_sys = float(mp.fsum(w * mp.loggamma(k + 1) for w, k in zip(pmf, ks)))
+            full_env = float(
+                mp.fsum(w * mp.loggamma(u_c - k + 1) for w, k in zip(pmf, ks))
+            )
         e_fact, e_binom = _hypergeometric_log_expectations(U, [u_c], N)
         # the kernel returns E{ln C(u_c, n)}; ln (u_c - n)! = ln u_c! - ln n! - ln C
         win_sys = float(e_fact[0])
@@ -375,3 +375,21 @@ class TestSzilardSplitEntropy:
         d = SzilardSplitDist(1, 0.5, left, left)
         expected = math.log(2) + left.entropy()
         assert entropy_by_enumeration(d) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("fraction", [0.5, 0.3])
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ([0.7, 0.3], [0.7, 0.3]),
+            ([0.5, 0.3, 0.2, 0.0], [0.6, 0.4]),
+            ([0.0, 1.0], [0.25, 0.0, 0.25, 0.5]),
+        ],
+    )
+    def test_chain_rule_matches_enumeration(self, N, fraction, left, right):
+        d = SzilardSplitDist(
+            N, fraction, OneParticleDistribution(left), OneParticleDistribution(right)
+        )
+        assert szilard_split_entropy(d) == pytest.approx(
+            entropy_by_enumeration(d), abs=1e-12
+        )

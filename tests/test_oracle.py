@@ -12,7 +12,6 @@ from occupancy_entropy.distributions import (
     MultinomialDist,
     MvhgDist,
     OneParticleDistribution,
-    mvhg_pmf,
 )
 from occupancy_entropy.entropy import multinomial_entropy, mvhg_entropy
 from occupancy_entropy.oracle import (
@@ -59,7 +58,7 @@ class TestBruteForceMvhg:
             table = brute_force_mvhg(urn, n)
             for v in enumerate_occupancies(n, 3):
                 expected = table.get(v, Fraction(0))
-                assert mvhg_pmf(d, v.counts) == pytest.approx(
+                assert d.pmf(v.counts) == pytest.approx(
                     float(expected), abs=1e-12
                 )
 

@@ -21,7 +21,6 @@ from occupancy_entropy.physics import (
     box_spectrum,
     ideal_gas_entropy,
     szilard_insertion,
-    szilard_split_pmf,
 )
 
 ELECTRON_MASS = 9.11e-31
@@ -285,11 +284,11 @@ class TestSzilardInsertion:
 class TestSzilardSplitPmf:
     def test_constructor_and_normalization(self):
         p = OneParticleDistribution([0.6, 0.4])
-        d = szilard_split_pmf(2, 0.5, p, p)
+        d = SzilardSplitDist(2, 0.5, p, p)
         assert isinstance(d, SzilardSplitDist)
         assert entropy_by_enumeration(d) > 0
 
     def test_equiprobable_single_particle_split(self):
         p = OneParticleDistribution([1.0])
-        d = szilard_split_pmf(1, 0.5, p, p)
+        d = SzilardSplitDist(1, 0.5, p, p)
         assert d.split_probabilities() == pytest.approx([0.5, 0.5])

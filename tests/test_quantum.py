@@ -13,7 +13,6 @@ from occupancy_entropy.distributions import (
     MultinomialDist,
     MvhgDist,
     OneParticleDistribution,
-    mvhg_pmf,
     sample,
 )
 from occupancy_entropy.entropy import (
@@ -54,7 +53,7 @@ class TestTraceOutEnvironment:
         op = trace_out_environment(urn, 3)
         d = MvhgDist(urn, 3)
         for key, w in op.weights.items():
-            assert w == pytest.approx(mvhg_pmf(d, key.counts), abs=1e-15)
+            assert w == pytest.approx(d.pmf(key.counts), abs=1e-15)
 
     def test_matches_microstate_enumeration_oracle(self):
         urn = OccupancyVector((4, 2, 2))
@@ -81,9 +80,13 @@ class TestBosonicDensityOperator:
         expected = -(2 / 3 * math.log(2 / 3) + 2 * (1 / 6) * math.log(1 / 6))
         assert op.entropy() == pytest.approx(expected, abs=1e-12)
 
-    def test_bayesian_marginal_equals_canonical(self):
-        canonical = BosonicDensityOperator.canonical(2, FAIR_TWO)
-        mixed = BosonicDensityOperator.bayesian_marginal(5, 2, FAIR_TWO)
+    @pytest.mark.parametrize(
+        "U, probs", [(5, [0.5, 0.5]), (6, [0.7, 0.3, 0.0])], ids=["fair", "zero_colour"]
+    )
+    def test_bayesian_marginal_equals_canonical(self, U, probs):
+        p = OneParticleDistribution(probs)
+        canonical = BosonicDensityOperator.canonical(2, p)
+        mixed = BosonicDensityOperator.bayesian_marginal(U, 2, p)
         assert set(canonical.weights) == set(mixed.weights)
         for key, w in canonical.weights.items():
             assert mixed.weights[key] == pytest.approx(w, abs=1e-12)
