@@ -157,6 +157,23 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
+def _sample_json(seed: int, counts: np.ndarray) -> str:
+    """The text of ``json.dumps({"schema_version", "seed", "samples"},
+    sort_keys=True, indent=2)`` for a (rows, colours) int array, written by
+    one %-format of every count instead of the pure-Python encoder."""
+    n, k = counts.shape
+    samples = "[]"
+    if n:
+        row = ("[\n" + ",\n".join(["      %d"] * k) + "\n    ]") if k else "[]"
+        rows = ",\n".join(["    " + row] * n) % tuple(counts.ravel().tolist())
+        samples = "[\n" + rows + "\n  ]"
+    return '{\n  "samples": %s,\n  "schema_version": %d,\n  "seed": %d\n}' % (
+        samples,
+        SCHEMA_VERSION,
+        seed,
+    )
+
+
 def _emit_csv(header: list[str], rows: list[list]) -> None:
     out = [",".join(header)]
     for row in rows:
@@ -314,12 +331,12 @@ def cmd_ledger(args) -> int:
 
 def cmd_sample(args) -> int:
     dist = parse_distribution_spec(_load_json_arg(args.spec, "distribution spec"))
-    rows = _sample_counts(dist, args.count, seed=args.seed).tolist()
+    counts = _sample_counts(dist, args.count, seed=args.seed)
     if args.format == "csv":
         header = [f"n{i}" for i in range(dist.num_colors)]
-        _emit_csv(header, rows)
+        _emit_csv(header, counts.tolist())
     else:
-        _emit_json({"seed": args.seed, "samples": rows})
+        sys.stdout.write(_sample_json(args.seed, counts) + "\n")
     return EXIT_OK
 
 

@@ -378,26 +378,39 @@ def _sample_mvhg_counts(
 ) -> np.ndarray:
     """Sequential urn depletion: draw t of a row takes the first colour whose
     cumulative remaining count exceeds u_t * (U - t), or the last colour if
-    none does. One array step per draw serves every row of a chunk."""
+    none does.
+
+    The colours whose cumulative remaining count is at most u_t * (U - t)
+    form a prefix, so the cumulative count of colour c < k - 1 drops by one
+    exactly when it exceeds floor(u_t * (U - t)), and the last colour's
+    (always U - t) is never compared. With held_c = (cumulative remaining
+    count of c) + t, which grows by one when it does not drop, draw t is the
+    one integer step held += held <= floor(u_t * (U - t)) + t over the
+    (k - 1, rows) array of a chunk."""
     num_colors = urn.num_colors
     out = np.zeros((count, num_colors), dtype=np.int64)
     if draws == 0 or count == 0:
         return out
-    base = np.asarray(urn.counts, dtype=np.int64)
-    colour = np.arange(num_colors)[:, None]
+    edges = np.cumsum(np.asarray(urn.counts, dtype=np.int64))[:-1, None]
     remaining = urn.total - np.arange(draws)
+    step = np.arange(draws)[:, None]
     rows_per_chunk = max(1, _CHUNK_DRAWS // max(draws, num_colors))
     for start in range(0, count, rows_per_chunk):
         m = min(rows_per_chunk, count - start)
-        # row t holds u_t * (U - t) for every row of the chunk
-        targets = (rng.random((m, draws)) * remaining).T.copy()
-        # (colours, rows) cumulative remaining counts; int64 <= float64 is
-        # exact below 2**53
-        cum = np.repeat(np.cumsum(base)[:, None], m, axis=1)
-        for r in targets:
-            pick = np.minimum(np.count_nonzero(cum <= r, axis=0), num_colors - 1)
-            cum -= colour >= pick
-        out[start : start + m] = base - np.diff(cum, axis=0, prepend=0).T
+        # row t holds floor(u_t * (U - t)) + t for every row of the chunk;
+        # the cast truncates the non-negative product, exactly below 2**53
+        targets = (rng.random((m, draws)) * remaining).T.astype(np.int64, order="C")
+        targets += step
+        held = np.repeat(edges, m, axis=1)
+        kept = np.empty_like(held)
+        for t in range(draws):
+            np.less_equal(held, targets[t], out=kept)
+            held += kept
+        del targets  # freed before the next chunk's uniforms are drawn
+        # held - draws is each colour's cumulative remaining count, so the
+        # cumulative counts drawn are edges + draws - held, then draws
+        taken = np.diff(edges + draws - held, axis=0, prepend=0, append=draws)
+        out[start : start + m] = taken.T
     return out
 
 

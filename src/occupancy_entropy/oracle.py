@@ -140,6 +140,21 @@ def brute_force_partial_trace(
     }
 
 
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array in lexicographic order, and for each
+    row the index of its distinct row: what ``np.unique(rows, axis=0,
+    return_inverse=True)`` returns, by one lexsort."""
+    n, k = rows.shape
+    # lexsort takes its primary key last; rows without columns are all equal
+    order = np.lexsort(rows.T[::-1]) if k else np.arange(n)
+    ordered = rows[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def mc_entropy_estimate(
     d: OccupancyDistribution, samples: int, seed: int = DEFAULT_SEED
 ) -> tuple[float, float]:
@@ -148,11 +163,9 @@ def mc_entropy_estimate(
     if samples < 2:
         raise ValueError("need at least 2 samples")
     # the scalar log_pmf once per distinct draw, scattered back to every draw
-    distinct, which = np.unique(
-        _sample_counts(d, samples, seed), axis=0, return_inverse=True
-    )
+    distinct, which = _group_rows(_sample_counts(d, samples, seed))
     vals = np.array([-d.log_pmf(row) for row in distinct], dtype=np.float64)
-    vals = vals[which.reshape(-1)]
+    vals = vals[which]
     estimate = float(vals.mean())
     # leave-one-out means of the plug-in estimator
     loo = (vals.sum() - vals) / (samples - 1)

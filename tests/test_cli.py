@@ -3,9 +3,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from occupancy_entropy.cli import main
+from occupancy_entropy.cli import SCHEMA_VERSION, _sample_json, main
 from occupancy_entropy.constants import BOLTZMANN_KB, PLANCK_H
 
 ELECTRON_BOX_1D = '{"mass_kg":9.11e-31,"temperature_K":300,"side_m":20e-9,"dims":1}'
@@ -381,6 +384,26 @@ class TestSampleCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "n0,n1"
         assert len(lines) == 4
+
+    @given(
+        st.integers(min_value=0, max_value=50),
+        st.integers(min_value=0, max_value=40),
+        st.one_of(st.sampled_from([0, 2**31 - 2]), st.integers(0, 2**31 - 2)),
+        st.sampled_from([0, 1, 9, 10**6, 2**31, 2**62]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_row_emitter_matches_json_dumps(self, n, k, seed, high, data_seed):
+        counts = np.random.default_rng(data_seed).integers(
+            0, high, size=(n, k), endpoint=True
+        )
+        want = json.dumps(
+            {"schema_version": SCHEMA_VERSION, "seed": seed, "samples": counts.tolist()},
+            sort_keys=True,
+            indent=2,
+            allow_nan=False,
+        )
+        assert _sample_json(seed, counts) == want
 
 
 class TestOracleCommand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,6 +440,25 @@ class TestSamplersMatchScalarReferences:
         got = distributions._sample_szilard_counts(FixedUniforms(grid), d, 50)
         want = reference_szilard(FixedUniforms(grid), d, 50)
         assert np.array_equal(got, want)
+
+
+class TestMvhgChunkMemory:
+    # a chunk's uniforms, their scaled product and the integer targets are
+    # each at most _CHUNK_DRAWS cells, and never more than three of them live
+    @pytest.mark.parametrize(
+        "counts, draws, rows",
+        [((300, 200, 500), 500, 2000), ((20, 15, 25), 10, 20000)],
+    )
+    def test_peak_within_three_chunks_plus_output(self, counts, draws, rows):
+        urn = OccupancyVector(counts)
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            out = distributions._sample_mvhg_counts(rng, urn, draws, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * distributions._CHUNK_DRAWS * 8 + out.nbytes
 
 
 class TestSzilardSplit:

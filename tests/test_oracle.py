@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from occupancy_entropy.combinatorics import (
     CapExceededError,
@@ -12,14 +15,31 @@ from occupancy_entropy.distributions import (
     MultinomialDist,
     MvhgDist,
     OneParticleDistribution,
+    SzilardSplitDist,
+    _sample_counts,
 )
 from occupancy_entropy.entropy import multinomial_entropy, mvhg_entropy
 from occupancy_entropy.oracle import (
+    _group_rows,
     brute_force_mvhg,
     brute_force_partial_trace,
     exact_multinomial_coeff,
     mc_entropy_estimate,
 )
+
+
+def reference_mc_entropy_estimate(d, samples, seed):
+    """The estimator with its draws grouped by np.unique(axis=0), which the
+    lexsort grouping replaced; estimate and SE must match it bit for bit."""
+    distinct, which = np.unique(
+        _sample_counts(d, samples, seed), axis=0, return_inverse=True
+    )
+    vals = np.array([-d.log_pmf(row) for row in distinct], dtype=np.float64)
+    vals = vals[which.reshape(-1)]
+    estimate = float(vals.mean())
+    loo = (vals.sum() - vals) / (samples - 1)
+    se = math.sqrt((samples - 1) / samples * float(((loo - loo.mean()) ** 2).sum()))
+    return estimate, se
 
 
 class TestExactMultinomialCoeff:
@@ -132,3 +152,53 @@ class TestMcEntropyEstimate:
         classic = vals.std(ddof=1) / math.sqrt(n)
         _, se = mc_entropy_estimate(d, n, seed=17)
         assert se == pytest.approx(classic, rel=1e-10)
+
+
+class TestGroupRows:
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=2**62),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @example(n=1, k=0, high=0, seed=0)
+    @example(n=5, k=0, high=0, seed=0)
+    @example(n=1, k=3, high=9, seed=0)
+    @example(n=0, k=3, high=9, seed=0)
+    @example(n=0, k=0, high=0, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_unique_axis0(self, n, k, high, seed):
+        # a small high gives many repeated rows, a large one few
+        rows = np.random.default_rng(seed).integers(0, high, size=(n, k), endpoint=True)
+        want_rows, want_which = np.unique(rows, axis=0, return_inverse=True)
+        got_rows, got_which = _group_rows(rows)
+        assert got_rows.shape == want_rows.shape
+        assert np.array_equal(got_rows, want_rows)
+        assert np.array_equal(got_which, want_which.reshape(-1))
+
+
+class TestMcEntropyMatchesUniqueGrouping:
+    @pytest.mark.parametrize(
+        "d, samples, seed",
+        [
+            (MvhgDist(OccupancyVector((20, 15, 25)), 10), 20000, 3),
+            (MvhgDist(OccupancyVector((0, 2, 0, 2, 4, 0)), 5), 500, 8),
+            (MvhgDist(OccupancyVector(()), 0), 4, 7),
+            (MvhgDist(OccupancyVector((6,)), 4), 10, 1),
+            (MultinomialDist(6, OneParticleDistribution([0.2, 0.0, 0.3, 0.5])), 3000, 11),
+            (
+                SzilardSplitDist(
+                    7,
+                    0.4,
+                    OneParticleDistribution([0.5, 0.5]),
+                    OneParticleDistribution([0.2, 0.3, 0.5]),
+                ),
+                2000,
+                12,
+            ),
+        ],
+    )
+    def test_estimate_and_se_bit_identical(self, d, samples, seed):
+        assert mc_entropy_estimate(d, samples, seed) == reference_mc_entropy_estimate(
+            d, samples, seed
+        )
