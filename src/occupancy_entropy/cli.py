@@ -17,7 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .combinatorics import DEFAULT_CAP, CapExceededError, OccupancyVector, require_int
+from .combinatorics import (
+    DEFAULT_CAP,
+    CapExceededError,
+    OccupancyVector,
+    _require_fields,
+    require_int,
+)
 from .distributions import (
     DEFAULT_SEED,
     MultinomialDist,
@@ -77,15 +83,6 @@ def _load_json_arg(text: str, what: str) -> dict:
     return obj
 
 
-def _check_fields(obj: dict, required: set, optional: set, what: str) -> None:
-    missing = required - set(obj)
-    if missing:
-        raise InputSpecError(f"{what}: missing fields {sorted(missing)}")
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise InputSpecError(f"{what}: unknown fields {sorted(unknown)}")
-
-
 def _int_list(text: str, what: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok != ""]
@@ -114,15 +111,15 @@ def parse_distribution_spec(spec: dict):
     """Build a distribution from its JSON description."""
     kind = spec.get("kind")
     if kind == "multinomial":
-        _check_fields(spec, {"kind", "N", "probs"}, {"normalize"}, "multinomial spec")
+        _require_fields(spec, {"kind", "N", "probs"}, {"normalize"}, "multinomial spec")
         p = _one_particle(spec["probs"], bool(spec.get("normalize", False)), "probs")
         return MultinomialDist(require_int(spec["N"], "N"), p)
     if kind == "mvhg":
-        _check_fields(spec, {"kind", "N", "urn"}, set(), "mvhg spec")
+        _require_fields(spec, {"kind", "N", "urn"}, set(), "mvhg spec")
         urn = OccupancyVector(tuple(require_int(x, "urn") for x in spec["urn"]))
         return MvhgDist(urn, require_int(spec["N"], "N"))
     if kind == "szilard":
-        _check_fields(
+        _require_fields(
             spec,
             {"kind", "N", "volume_fraction", "left_probs", "right_probs"},
             {"normalize"},
@@ -139,7 +136,7 @@ def parse_distribution_spec(spec: dict):
 
 
 def parse_box_model(spec: dict) -> BoxModel:
-    _check_fields(spec, {"mass_kg", "temperature_K", "side_m"}, {"dims"}, "box model")
+    _require_fields(spec, {"mass_kg", "temperature_K", "side_m"}, {"dims"}, "box model")
     try:
         return BoxModel(
             mass=float(spec["mass_kg"]),
@@ -310,7 +307,7 @@ def cmd_empirical_info(args) -> int:
 
 def cmd_ledger(args) -> int:
     scenario = _load_json_arg(args.scenario, "scenario")
-    _check_fields(scenario, {"start", "steps"}, set(), "scenario")
+    _require_fields(scenario, {"start", "steps"}, set(), "scenario")
     ledger = measurement_ledger(scenario["start"], scenario["steps"])
     _emit_json(
         {

@@ -125,6 +125,17 @@ def require_int(value, what: str) -> int:
     return int(value)
 
 
+def _require_fields(obj: dict, required: set, optional: set, what: str) -> None:
+    """ValueError unless ``obj`` has every field of ``required`` and no
+    field outside ``required`` and ``optional``."""
+    missing = required - set(obj)
+    if missing:
+        raise ValueError(f"{what}: missing fields {sorted(missing)}")
+    unknown = set(obj) - required - optional
+    if unknown:
+        raise ValueError(f"{what}: unknown fields {sorted(unknown)}")
+
+
 def log_factorial(n: int) -> float:
     """ln(n!) for integer n >= 0."""
     if n < 0:

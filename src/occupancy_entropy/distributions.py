@@ -23,6 +23,12 @@ from .combinatorics import (
     log_multinomial_coeff,
     support_matrix,
 )
+from .marginals import (
+    _binomial_log_pmf,
+    _binomial_marginal,
+    _hypergeometric_marginal,
+    _log_choose,
+)
 
 __all__ = [
     "OneParticleDistribution",
@@ -198,13 +204,7 @@ class MvhgDist:
         U, N = self.urn.total, self.draw_count
         # product of per-color binomials over the total binomial
         with np.errstate(invalid="ignore"):
-            num = (
-                gammaln(u + 1.0)
-                - gammaln(counts + 1.0)
-                - gammaln(u - counts + 1.0)
-            ).sum(axis=1)
-        den = gammaln(U + 1.0) - gammaln(N + 1.0) - gammaln(U - N + 1.0)
-        out = num - den
+            out = _log_choose(u, counts).sum(axis=1) - _log_choose(U, N)
         bad = (
             (counts > u).any(axis=1)
             | (counts < 0).any(axis=1)
@@ -241,7 +241,7 @@ class SzilardSplitDist:
 
     def split_probabilities(self) -> np.ndarray:
         """Binomial law of the left-side particle count b over 0..N."""
-        return _binomial_pmf(self.N, self.volume_fraction)
+        return _binomial_marginal(self.N, self.volume_fraction)
 
     def log_pmf(self, n: Sequence[int]) -> float:
         _check_length(n, self.num_colors)
@@ -251,9 +251,7 @@ class SzilardSplitDist:
         k = self.left_dist.num_colors
         left, right = counts[:k], counts[k:]
         b = sum(left)
-        log_pb = _log_binomial_pmf_scalar(self.N, self.volume_fraction, b)
-        if log_pb == float("-inf"):
-            return float("-inf")
+        log_pb = float(_binomial_log_pmf(self.N, self.volume_fraction, b))
         lp_left = MultinomialDist(b, self.left_dist).log_pmf(left)
         lp_right = MultinomialDist(self.N - b, self.right_dist).log_pmf(right)
         return log_pb + lp_left + lp_right
@@ -270,62 +268,18 @@ class SzilardSplitDist:
 OccupancyDistribution = Union[MultinomialDist, MvhgDist, SzilardSplitDist]
 
 
-def _binomial_pmf(N: int, p: float) -> np.ndarray:
-    k = np.arange(N + 1)
-    if p == 0.0:
-        out = np.zeros(N + 1)
-        out[0] = 1.0
-        return out
-    if p == 1.0:
-        out = np.zeros(N + 1)
-        out[N] = 1.0
-        return out
-    logc = gammaln(N + 1.0) - gammaln(k + 1.0) - gammaln(N - k + 1.0)
-    return np.exp(logc + k * math.log(p) + (N - k) * math.log1p(-p))
-
-
-def _log_binomial_pmf_scalar(N: int, p: float, k: int) -> float:
-    if not 0 <= k <= N:
-        return float("-inf")
-    if p == 0.0:
-        return 0.0 if k == 0 else float("-inf")
-    if p == 1.0:
-        return 0.0 if k == N else float("-inf")
-    logc = log_factorial(N) - log_factorial(k) - log_factorial(N - k)
-    return logc + k * math.log(p) + (N - k) * math.log1p(-p)
-
-
-def _hypergeometric_pmf(U: int, u_c: int, N: int) -> np.ndarray:
-    """PMF of one color's count under N draws without replacement."""
-    k = np.arange(N + 1)
-    lo, hi = max(0, N - (U - u_c)), min(N, u_c)
-    out = np.zeros(N + 1)
-    kk = k[lo : hi + 1]
-    log_p = (
-        gammaln(u_c + 1.0)
-        - gammaln(kk + 1.0)
-        - gammaln(u_c - kk + 1.0)
-        + gammaln(U - u_c + 1.0)
-        - gammaln(N - kk + 1.0)
-        - gammaln(U - u_c - (N - kk) + 1.0)
-        - (gammaln(U + 1.0) - gammaln(N + 1.0) - gammaln(U - N + 1.0))
-    )
-    out[lo : hi + 1] = np.exp(log_p)
-    return out
-
-
 def marginal(d: MultinomialDist | MvhgDist, color: int) -> np.ndarray:
     """Per-color count distribution over {0..N}, as an array indexed by k.
 
     Binomial for draws with replacement, univariate hypergeometric for
-    draws without; either way it sums to 1 within 1e-12.
+    draws without; built from mode-anchored ratios, it sums to 1 within 1e-12.
     """
     if not 0 <= color < d.num_colors:
         raise IndexError(f"color {color} out of range for {d.num_colors} colors")
     if isinstance(d, MultinomialDist):
-        return _binomial_pmf(d.N, float(d.p.probs[color]))
+        return _binomial_marginal(d.N, float(d.p.probs[color]))
     if isinstance(d, MvhgDist):
-        return _hypergeometric_pmf(d.urn.total, d.urn[color], d.draw_count)
+        return _hypergeometric_marginal(d.urn.total, d.urn[color], d.draw_count)
     raise TypeError(f"no closed-form marginal for {type(d).__name__}")
 
 

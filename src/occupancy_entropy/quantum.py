@@ -21,6 +21,7 @@ from .combinatorics import (
     CapExceededError,
     OccupancyVector,
     _check_support,
+    _require_fields,
     log_multinomial_coeff,
     occupancy_count,
     require_int,
@@ -31,14 +32,13 @@ from .distributions import (
     MultinomialDist,
     MvhgDist,
     OneParticleDistribution,
-    _binomial_pmf,
     _sample_counts,
 )
-from .entropy import (
+from .entropy import multinomial_entropy, mvhg_entropy
+from .marginals import (
     _BLOCK_CELLS,
+    _binomial_marginal,
     _hypergeometric_log_expectations,
-    multinomial_entropy,
-    mvhg_entropy,
 )
 
 __all__ = [
@@ -223,7 +223,7 @@ def _closed_form_chi(U: int, N: int, p: OneParticleDistribution) -> float:
     ln(A + j) over j = 1..B, so
     chi = N H(p) - sum_{j=U-N+1..U} ln j
           + sum_c sum_{j=1..N} P(B_c >= j) E{ln(A_c + j)}.
-    Both pmfs are normalised by their sums and their zero entries
+    Both pmfs come from the count-marginal kernel with their zero entries
     dropped; the (a x j) grid is built in blocks of at most _BLOCK_CELLS.
     """
     if p.num_colors == 1:
@@ -232,16 +232,13 @@ def _closed_form_chi(U: int, N: int, p: OneParticleDistribution) -> float:
     log_ratio = float(np.log(np.arange(U - N + 1, U + 1, dtype=np.float64)).sum())
     acc = 0.0
     for pc in p.probs:
-        if pc == 0.0:
-            continue
         if pc == 1.0:
             acc += log_ratio
             continue
-        a_pmf = _binomial_pmf(U - N, float(pc))
-        b_pmf = _binomial_pmf(N, float(pc))
-        a_pmf /= a_pmf.sum()
+        a_pmf = _binomial_marginal(U - N, float(pc))
+        b_pmf = _binomial_marginal(N, float(pc))
         # P(B >= j) for j = 1..N
-        survival = np.cumsum(b_pmf[::-1] / b_pmf.sum())[::-1][1:]
+        survival = np.cumsum(b_pmf[::-1])[::-1][1:]
         a = np.flatnonzero(a_pmf)
         j = np.flatnonzero(survival)
         a_w, s_w = a_pmf[a], survival[j]
@@ -311,15 +308,6 @@ class MeasurementLedger:
         return total
 
 
-def _require_keys(obj: dict, required: set, optional: set, what: str) -> None:
-    keys = set(obj)
-    if not required <= keys:
-        raise ValueError(f"{what} missing fields {sorted(required - keys)}")
-    unknown = keys - required - optional
-    if unknown:
-        raise ValueError(f"{what} has unknown fields {sorted(unknown)}")
-
-
 def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
     """Run a measurement scenario and account for every entropy collapse.
 
@@ -337,18 +325,18 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
     ends the scenario. Under an agnostic start the first gain is undefined
     (None), never a sentinel number.
     """
-    _require_keys(start, {"kind"}, {"N", "probs", "urn"}, "scenario start")
+    _require_fields(start, {"kind"}, {"N", "probs", "urn"}, "scenario start")
     kind = start["kind"]
     if kind not in _START_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}")
     declared_urn: OccupancyVector | None = None
     if kind == "bayesian":
-        _require_keys(start, {"kind", "N", "probs"}, set(), "bayesian start")
+        _require_fields(start, {"kind", "N", "probs"}, set(), "bayesian start")
         N = require_int(start["N"], "N")
         p = OneParticleDistribution(np.asarray(start["probs"], dtype=np.float64))
         current: float | None = multinomial_entropy(MultinomialDist(N, p)).total
     elif kind == "empirical":
-        _require_keys(start, {"kind", "N", "urn"}, set(), "empirical start")
+        _require_fields(start, {"kind", "N", "urn"}, set(), "empirical start")
         N = require_int(start["N"], "N")
         declared_urn = OccupancyVector(
             tuple(require_int(x, "urn") for x in start["urn"])
@@ -358,7 +346,7 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
         )
         current = multinomial_entropy(model).total
     else:
-        _require_keys(start, {"kind", "N"}, set(), "agnostic start")
+        _require_fields(start, {"kind", "N"}, set(), "agnostic start")
         N = require_int(start["N"], "N")
         current = None
 
@@ -366,7 +354,7 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
     universe_measured = False
     collapsed = False
     for raw in steps:
-        _require_keys(raw, {"op"}, {"urn"}, "scenario step")
+        _require_fields(raw, {"op"}, {"urn"}, "scenario step")
         op = raw["op"]
         if op not in _STEP_OPS:
             raise ValueError(f"unknown step op {op!r}")

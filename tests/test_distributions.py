@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -275,6 +276,67 @@ class TestMarginal:
         for v in enumerate_occupancies(n, urn.num_colors):
             exact[v[color]] += d.pmf(v.counts)
         np.testing.assert_allclose(m, exact, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "d, color",
+        [
+            (MultinomialDist(10**4, OneParticleDistribution([0.3, 0.7])), 0),
+            (MultinomialDist(10**4, OneParticleDistribution([0.3, 0.7])), 1),
+            (MultinomialDist(10**5, OneParticleDistribution([0.3, 0.7])), 0),
+            (MultinomialDist(10**5, OneParticleDistribution([0.3, 0.7])), 1),
+            (MvhgDist(OccupancyVector((50_000, 50_000)), 50_000), 0),
+        ],
+        ids=["bin_1e4_0.3", "bin_1e4_0.7", "bin_1e5_0.3", "bin_1e5_0.7", "hyp_5e4"],
+    )
+    def test_sums_to_one_at_large_n(self, d, color):
+        # gammaln-built pmfs were 3.5e-12 to 2.9e-10 off 1 here
+        assert abs(math.fsum(marginal(d, color)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.3, 1e-7])
+    def test_binomial_matches_mpmath_at_large_n(self, p):
+        # gammaln-built pmfs were up to 1.3e-10 relative off here
+        mp = pytest.importorskip("mpmath")
+        N = 10**5
+        m = marginal(MultinomialDist(N, OneParticleDistribution([p, 1.0 - p])), 0)
+        mode = math.floor((N + 1) * p)
+        with mp.workdps(40):
+            q = mp.mpf(p)
+            for k in {0, 1, 2, mode, mode - 1000, mode + 1000}:
+                if not 0 <= k <= N:
+                    continue
+                exact = mp.binomial(N, k) * q**k * (1 - q) ** (N - k)
+                if float(exact) == 0.0:
+                    assert m[k] == 0.0
+                else:
+                    assert abs(m[k] / exact - 1) <= 1e-12, k
+
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_binomial_matches_fractions(self, N, p):
+        q = Fraction(p)
+        exact = [
+            float(math.comb(N, k) * q**k * (1 - q) ** (N - k)) for k in range(N + 1)
+        ]
+        got = marginal(MultinomialDist(N, OneParticleDistribution([p, 1.0 - p])), 0)
+        # an entry exp(-L) built in the log domain is off by about L ulps,
+        # within 1e-12 relative for every entry above the smallest normal
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=np.finfo(float).tiny)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hypergeometric_matches_fractions(self, data):
+        U = data.draw(st.integers(min_value=0, max_value=12))
+        u = data.draw(st.integers(min_value=0, max_value=U))
+        N = data.draw(st.integers(min_value=0, max_value=U))
+        exact = [
+            float(Fraction(math.comb(u, k) * math.comb(U - u, N - k), math.comb(U, N)))
+            for k in range(N + 1)
+        ]
+        got = marginal(MvhgDist(OccupancyVector((u, U - u)), N), 0)
+        np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0.0)
 
 
 class TestSampling:

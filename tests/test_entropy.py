@@ -307,13 +307,13 @@ class TestWindowedExpectation:
     @pytest.mark.parametrize("N, U", [(300, 1200), (1001, 100_000)])
     def test_window_matches_whole_grid(self, monkeypatch, N, U):
         # small grids skip the window search; both ways give the same sums
-        import occupancy_entropy.entropy as ent
+        import occupancy_entropy.marginals as marginals
 
         p = np.array([0.0, 1e-9, 1e-6, 0.003, 0.37, 1.0])
         counts = [0, 3, 10, 300, U]
         runs = []
         for cells in (math.inf, 0):
-            monkeypatch.setattr(ent, "_WHOLE_GRID_CELLS", cells)
+            monkeypatch.setattr(marginals, "_WHOLE_GRID_CELLS", cells)
             runs.append(
                 (_expected_log_factorial_binomial(N, p),)
                 + _hypergeometric_log_expectations(U, counts, N)
