@@ -50,17 +50,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
-PUBLIC_COMMANDS = (
-    "entropy",
-    "converge",
-    "gas",
-    "szilard",
-    "holevo",
-    "empirical-info",
-    "ledger",
-    "sample",
-)
-
 
 class InputSpecError(ValueError):
     """Malformed command input (maps to exit code 2)."""
@@ -362,7 +351,69 @@ def cmd_oracle(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_SPEC = _arg("spec", help="inline JSON or path to a distribution spec")
+_MODEL = _arg("--model", required=True, help="inline JSON or path to a box model")
+_TRUNCATION = [_arg("--tail-bound", type=float, default=1e-14),
+               _arg("--max-states", type=int, default=4_000_000)]
+_DRAWS = _arg("--draws", type=int, required=True)
+_SEED = _arg("--seed", type=int, default=DEFAULT_SEED)
+_CAP = _arg("--cap", type=int, default=DEFAULT_CAP)
+
+# name -> (handler, help, arguments); a dict of arguments holds subcommands.
+# "oracle", a debugging aid without help, is left out of the advertised list.
+COMMANDS = {
+    "entropy": (cmd_entropy, "decomposed entropy of a distribution spec",
+                [_SPEC, _arg("--unit", choices=["nats", "bits", "kB"], default="nats")]),
+    "converge": (cmd_converge, "TV distance along scaled urns", [
+        _arg("--base-urn", required=True, help="comma-separated counts"),
+        _arg("--draws", type=int, required=True, help="system particle count N"),
+        _arg("--scales", required=True, help="comma-separated urn multipliers"),
+        _arg("--format", choices=["csv", "json"], default="csv"), _CAP]),
+    "gas": (cmd_gas, "exact ideal-gas entropy vs the closed form",
+            [_MODEL, _arg("--particles", type=int, required=True), *_TRUNCATION]),
+    "szilard": (cmd_szilard, "piston-insertion entropy ledger",
+                [_MODEL, _arg("--particles", type=int, default=1), *_TRUNCATION]),
+    "holevo": (cmd_holevo, "Holevo bound on accessible information", [
+        _arg("--universe-size", type=int, required=True), _DRAWS,
+        _arg("--probs", required=True, help="comma-separated probabilities"),
+        _arg("--normalize", action="store_true"),
+        _arg("--mode", choices=["exact", "monte_carlo"], default="exact"),
+        _arg("--mc-samples", type=int, default=10_000), _SEED, _CAP]),
+    "empirical-info": (cmd_empirical_info,
+                       "entropy gap of the empirical model over the exact draw",
+                       [_arg("--urn", required=True, help="comma-separated counts"), _DRAWS]),
+    "ledger": (cmd_ledger, "measurement scenario entropy ledger",
+               [_arg("scenario", help="inline JSON or path to a scenario file")]),
+    "sample": (cmd_sample, "seeded occupancy samples", [
+        _SPEC, _arg("--count", type=int, required=True), _SEED,
+        _arg("--format", choices=["json", "csv"], default="json")]),
+    "oracle": (cmd_oracle, None, {
+        "mvhg": [_arg("--urn", required=True), _DRAWS, _arg("--cap", type=int, default=10)],
+        "ptrace": [_arg("--urn", required=True), _DRAWS, _CAP],
+        "mc-entropy": [_arg("spec"), _arg("--samples", type=int, required=True), _SEED]}),
+}
+PUBLIC_COMMANDS = tuple(name for name, (_, help_text, _) in COMMANDS.items() if help_text)
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str, arguments) -> None:
+    if isinstance(arguments, dict):
+        sub = parser.add_subparsers(dest=f"{name}_command")
+        for sub_name, sub_arguments in arguments.items():
+            _add_arguments(sub.add_parser(sub_name), sub_name, sub_arguments)
+        return
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's argument parser. When ``command`` names one of COMMANDS,
+    only that command's subparser is built, which parses and documents its
+    arguments as the full tree does; otherwise every subparser is built,
+    for the top-level help and the usage errors."""
     parser = argparse.ArgumentParser(
         prog="occupancy-entropy",
         description="Exact occupancy-number distributions and entropies "
@@ -372,80 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", metavar="{" + ",".join(PUBLIC_COMMANDS) + "}"
     )
     sub.required = True
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name in [command] if command in COMMANDS else COMMANDS:
+        func, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, **({"help": help_text} if help_text else {}))
         p.set_defaults(func=func)
-        return p
-
-    p = add("entropy", cmd_entropy, help="decomposed entropy of a distribution spec")
-    p.add_argument("spec", help="inline JSON or path to a distribution spec")
-    p.add_argument("--unit", choices=["nats", "bits", "kB"], default="nats")
-
-    p = add("converge", cmd_converge, help="TV distance along scaled urns")
-    p.add_argument("--base-urn", required=True, help="comma-separated counts")
-    p.add_argument("--draws", type=int, required=True, help="system particle count N")
-    p.add_argument("--scales", required=True, help="comma-separated urn multipliers")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-
-    p = add("gas", cmd_gas, help="exact ideal-gas entropy vs the closed form")
-    p.add_argument("--model", required=True, help="inline JSON or path to a box model")
-    p.add_argument("--particles", type=int, required=True)
-    p.add_argument("--tail-bound", type=float, default=1e-14)
-    p.add_argument("--max-states", type=int, default=4_000_000)
-
-    p = add("szilard", cmd_szilard, help="piston-insertion entropy ledger")
-    p.add_argument("--model", required=True, help="inline JSON or path to a box model")
-    p.add_argument("--particles", type=int, default=1)
-    p.add_argument("--tail-bound", type=float, default=1e-14)
-    p.add_argument("--max-states", type=int, default=4_000_000)
-
-    p = add("holevo", cmd_holevo, help="Holevo bound on accessible information")
-    p.add_argument("--universe-size", type=int, required=True)
-    p.add_argument("--draws", type=int, required=True)
-    p.add_argument("--probs", required=True, help="comma-separated probabilities")
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--mode", choices=["exact", "monte_carlo"], default="exact")
-    p.add_argument("--mc-samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-
-    p = add("empirical-info", cmd_empirical_info,
-            help="entropy gap of the empirical model over the exact draw")
-    p.add_argument("--urn", required=True, help="comma-separated counts")
-    p.add_argument("--draws", type=int, required=True)
-
-    p = add("ledger", cmd_ledger, help="measurement scenario entropy ledger")
-    p.add_argument("scenario", help="inline JSON or path to a scenario file")
-
-    p = add("sample", cmd_sample, help="seeded occupancy samples")
-    p.add_argument("spec", help="inline JSON or path to a distribution spec")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    # debugging aid, deliberately absent from the advertised command list
-    p = add("oracle", cmd_oracle)
-    osub = p.add_subparsers(dest="oracle_command")
-    o = osub.add_parser("mvhg")
-    o.add_argument("--urn", required=True)
-    o.add_argument("--draws", type=int, required=True)
-    o.add_argument("--cap", type=int, default=10)
-    o = osub.add_parser("ptrace")
-    o.add_argument("--urn", required=True)
-    o.add_argument("--draws", type=int, required=True)
-    o.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    o = osub.add_parser("mc-entropy")
-    o.add_argument("spec")
-    o.add_argument("--samples", type=int, required=True)
-    o.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
+        _add_arguments(p, name, arguments)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -200,18 +200,22 @@ class MvhgDist:
 
     def log_pmf_batch(self, counts: np.ndarray) -> np.ndarray:
         counts = np.asarray(counts)
-        u = np.asarray(self.urn.counts)
-        U, N = self.urn.total, self.draw_count
-        # product of per-color binomials over the total binomial
-        with np.errstate(invalid="ignore"):
-            out = _log_choose(u, counts).sum(axis=1) - _log_choose(U, N)
-        bad = (
-            (counts > u).any(axis=1)
-            | (counts < 0).any(axis=1)
-            | (counts.sum(axis=1) != N)
-        )
-        out[bad] = -np.inf
+        u = np.asarray(self.urn.counts)[None, :]
+        out = _mvhg_log_pmf_grid(u, counts, self.urn.total, self.draw_count)[0]
+        out[(counts < 0).any(axis=1) | (counts.sum(axis=1) != self.draw_count)] = -np.inf
         return out
+
+
+def _mvhg_log_pmf_grid(urns: np.ndarray, counts: np.ndarray, U: int, N: int) -> np.ndarray:
+    """ln P(n | u) of N draws without replacement from urn u, over every
+    urn row u of U balls and every count row n of N draws: the (urns x
+    counts) grid of sum_c ln C(u_c, n_c) - ln C(U, N), -inf where some
+    n_c > u_c. Rows that are not of U balls or N draws are not checked."""
+    u, n = urns[:, None, :], counts[None, :, :]
+    with np.errstate(invalid="ignore"):
+        out = _log_choose(u, n).sum(axis=-1) - _log_choose(U, N)
+    out[(n > u).any(axis=-1)] = -np.inf
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,19 +303,21 @@ def marginal(d: MultinomialDist | MvhgDist, color: int) -> np.ndarray:
 _CHUNK_DRAWS = 2**18
 
 
-def _categorical_counts(u: np.ndarray, probs: np.ndarray, out: np.ndarray) -> None:
+def _categorical_counts(u: np.ndarray, probs: np.ndarray, total, out: np.ndarray) -> None:
     """Write into ``out`` the per-row colour counts of categorical inversion
     over a (rows, draws) block: each uniform picks the first colour c with
     u < cdf[c], where the cdf is summed left to right and its last entry set
-    to 1. Entries of u at or above 1 pick no colour."""
+    to 1. Entries of u at or above 1 pick no colour, and ``total`` counts
+    those below 1 in each row, so the last colour takes ``total`` less the
+    count below cdf[-2] without a pass of its own."""
     cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
     below = 0
-    for c, edge in enumerate(cdf):
+    for c, edge in enumerate(cdf[:-1]):
         # einsum row sums stay fast on short rows, where count_nonzero is not
         now = np.einsum("ij->i", u < edge, dtype=np.int64)
         out[:, c] = now - below
         below = now
+    out[:, -1] = total - below
 
 
 def _sample_multinomial_counts(
@@ -323,7 +329,7 @@ def _sample_multinomial_counts(
     rows_per_chunk = max(1, _CHUNK_DRAWS // draws)
     for start in range(0, count, rows_per_chunk):
         m = min(rows_per_chunk, count - start)
-        _categorical_counts(rng.random((m, draws)), probs, out[start : start + m])
+        _categorical_counts(rng.random((m, draws)), probs, draws, out[start : start + m])
     return out
 
 
@@ -386,11 +392,13 @@ def _sample_szilard_counts(
     for start in range(0, count, rows_per_chunk):
         m = min(rows_per_chunk, count - start)
         u = rng.random((m, d.N))
-        on_left = position < b[start : start + m, None]
+        left = b[start : start + m]
+        on_left = position < left[:, None]
         # a uniform outside a side is moved to 2.0, where it picks no colour
         rows = out[start : start + m]
-        _categorical_counts(np.where(on_left, u, 2.0), d.left_dist.probs, rows[:, :k])
-        _categorical_counts(np.where(on_left, 2.0, u), d.right_dist.probs, rows[:, k:])
+        _categorical_counts(np.where(on_left, u, 2.0), d.left_dist.probs, left, rows[:, :k])
+        _categorical_counts(
+            np.where(on_left, 2.0, u), d.right_dist.probs, d.N - left, rows[:, k:])
     return out
 
 

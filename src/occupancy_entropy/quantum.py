@@ -32,6 +32,7 @@ from .distributions import (
     MultinomialDist,
     MvhgDist,
     OneParticleDistribution,
+    _mvhg_log_pmf_grid,
     _sample_counts,
 )
 from .entropy import multinomial_entropy, mvhg_entropy
@@ -127,16 +128,23 @@ def _bayesian_mixture(
     U: int, N: int, p: OneParticleDistribution, cap: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The N-particle support and the prior-weighted sum over it of the
-    operators traced from each U-particle universe. All weights come from
-    batch log-pmfs, so at U == N the mixture is the prior bit for bit."""
+    operators traced from each U-particle universe, from the MVHG log-pmf
+    grid in (urns x system) blocks of at most _BLOCK_CELLS (urn, system,
+    colour) cells. Each block is added urn after urn (np.add.accumulate),
+    so the sum does not depend on the block size, and at U == N the
+    mixture is the prior bit for bit."""
     system = support_matrix(N, p.num_colors, cap=cap)
     urns = support_matrix(U, p.num_colors, cap=cap)
     prior = np.exp(MultinomialDist(U, p).log_pmf_batch(urns))
     mixed = np.zeros(system.shape[0])
-    for urn_row, pu in zip(urns, prior):
-        if pu > 0.0:
-            urn = OccupancyVector(tuple(int(x) for x in urn_row))
-            mixed += pu * np.exp(MvhgDist(urn, N).log_pmf_batch(system))
+    cols = max(1, min(system.shape[0], _BLOCK_CELLS // p.num_colors))
+    rows = max(1, _BLOCK_CELLS // (cols * p.num_colors))
+    for c in range(0, system.shape[0], cols):
+        for r in range(0, urns.shape[0], rows):
+            grid = _mvhg_log_pmf_grid(urns[r : r + rows], system[c : c + cols], U, N)
+            terms = prior[r : r + rows, None] * np.exp(grid)
+            terms[0] += mixed[c : c + cols]
+            mixed[c : c + cols] = np.add.accumulate(terms)[-1]
     return system, mixed
 
 
@@ -193,10 +201,13 @@ def holevo_chi(
     Exact mode evaluates the closed form
     chi = H(Mult(U, p)) - H(Mult(U - N, p)), which holds because the
     environment's draws are independent of the system's; ``cap`` still
-    bounds the number of universe occupancies it stands for. Monte Carlo
-    mode samples the universes from the prior and only estimates the
-    conditional term (the unconditional entropy is analytic either way),
-    reporting the standard error of the estimate.
+    bounds the number of universe occupancies it stands for. Its terms
+    cancel sums of size N ln U, so its relative error grows with U: within
+    1e-10 of a 30-digit reference at the tested U <= 3,000, 4.9e-10 at
+    U = 100,100, N = 100, p = (0.3, 0.7), within the 1e-9 the tests hold
+    up to that U. Monte Carlo mode samples the universes from the prior
+    and only estimates the conditional term (the unconditional entropy is
+    analytic either way), reporting the standard error of the estimate.
     """
     if N > U:
         raise ValueError("system cannot hold more particles than the universe")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occupancy_entropy.cli import SCHEMA_VERSION, _sample_json, main
+from occupancy_entropy.cli import (
+    COMMANDS,
+    PUBLIC_COMMANDS,
+    SCHEMA_VERSION,
+    _sample_json,
+    build_parser,
+    main,
+)
 from occupancy_entropy.constants import BOLTZMANN_KB, PLANCK_H
 
 ELECTRON_BOX_1D = '{"mass_kg":9.11e-31,"temperature_K":300,"side_m":20e-9,"dims":1}'
@@ -435,9 +443,48 @@ class TestOracleCommand:
         assert "oracle" not in out
 
 
+def subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 class TestParsing:
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [[], ["nosuch"], ["entropy"]], ids=str)
+    def test_usage_errors_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "usage: occupancy-entropy" in capsys.readouterr().err
+
+    def test_help_lists_every_public_command(self, capsys):
+        public = ["entropy", "converge", "gas", "szilard", "holevo",
+                  "empirical-info", "ledger", "sample"]
+        assert list(PUBLIC_COMMANDS) == public
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(public) + "}" in out
+        for name in public:
+            assert f"\n    {name} " in out
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_single_command_parser_matches_the_full_tree(self, name):
+        # compared within one process, so the terminal width is the same
+        full = subparsers(build_parser())
+        single = subparsers(build_parser(name))
+        assert list(single) == [name]
+        pairs = [(full[name], single[name])]
+        if name == "oracle":
+            nested_full, nested_single = subparsers(full[name]), subparsers(single[name])
+            assert list(nested_single) == ["mvhg", "ptrace", "mc-entropy"]
+            pairs += [(nested_full[n], nested_single[n]) for n in nested_full]
+        for want, got in pairs:
+            assert got.format_help() == want.format_help()
+            assert got.format_usage() == want.format_usage()
+
+    def test_unknown_word_builds_the_full_tree(self):
+        assert list(subparsers(build_parser("nosuch"))) == list(COMMANDS)
+        assert subparsers(build_parser()).keys() == subparsers(build_parser("-h")).keys()
 
     def test_console_script_wiring(self):
         proc = subprocess.run(

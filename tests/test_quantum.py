@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from occupancy_entropy import quantum
 from occupancy_entropy.combinatorics import (
     CapExceededError,
     OccupancyVector,
     enumerate_occupancies,
+    support_matrix,
 )
 from occupancy_entropy.distributions import (
     MultinomialDist,
@@ -33,6 +36,31 @@ from occupancy_entropy.quantum import (
 )
 
 FAIR_TWO = OneParticleDistribution([0.5, 0.5])
+
+
+def reference_bayesian_mixture(U, N, p):
+    """The per-urn loop the blocked mixture replaced: one MVHG distribution
+    and one batch log-pmf over the system support for each urn."""
+    system = support_matrix(N, p.num_colors)
+    urns = support_matrix(U, p.num_colors)
+    prior = np.exp(MultinomialDist(U, p).log_pmf_batch(urns))
+    mixed = np.zeros(system.shape[0])
+    for urn_row, pu in zip(urns, prior):
+        if pu > 0.0:
+            urn = OccupancyVector(tuple(int(x) for x in urn_row))
+            mixed += pu * np.exp(MvhgDist(urn, N).log_pmf_batch(system))
+    return system, mixed
+
+
+@st.composite
+def mixture_cases(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    weight = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0))
+    w = draw(st.lists(weight, min_size=k, max_size=k).filter(lambda ws: sum(ws) > 0))
+    # four colours at U = 30 hold 5,456 urns; keep the grid small enough
+    U = draw(st.integers(min_value=0, max_value=30 if k < 4 else 16))
+    N = draw(st.integers(min_value=0, max_value=U))
+    return U, N, OneParticleDistribution.from_weights(w)
 
 
 class TestTraceOutEnvironment:
@@ -117,17 +145,52 @@ class TestBayesianMarginalCheck:
             bayesian_marginal_check(40, 20, OneParticleDistribution([0.25] * 4), cap=10)
 
 
-def multinomial_entropy_mp(n, probs):
-    """n H(p) - ln n! + sum_c E{ln X_c!} with X_c ~ Bin(n, p_c), every term
-    of the binomial sums kept, in 30-digit arithmetic."""
+class TestBayesianMixture:
+    @given(mixture_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_urn_loop(self, case):
+        U, N, p = case
+        system, mixed = quantum._bayesian_mixture(U, N, p, cap=10**6)
+        want_system, want = reference_bayesian_mixture(U, N, p)
+        assert np.array_equal(system, want_system)
+        assert np.abs(mixed - want).max() <= 1e-15
+        if U == N:
+            prior = np.exp(MultinomialDist(N, p).log_pmf_batch(system))
+            assert np.array_equal(mixed, prior)
+
+    @pytest.mark.parametrize(
+        "U, N, probs",
+        [(30, 6, [0.2, 0.3, 0.5]), (9, 4, [0.5, 0.0, 0.5]), (12, 12, [0.1, 0.9]),
+         (7, 0, [0.3, 0.7]), (5, 3, [1.0]), (8, 3, [0.1, 0.2, 0.3, 0.4])],
+    )
+    def test_block_size_does_not_change_the_weights(self, monkeypatch, U, N, probs):
+        p = OneParticleDistribution(probs)
+        _, whole = quantum._bayesian_mixture(U, N, p, cap=10**6)
+        monkeypatch.setattr(quantum, "_BLOCK_CELLS", 7)
+        _, blocked = quantum._bayesian_mixture(U, N, p, cap=10**6)
+        assert np.array_equal(blocked, whole)
+
+
+def multinomial_entropy_mp(n, probs, sds=None):
+    """n H(p) - ln n! + sum_c E{ln X_c!} with X_c ~ Bin(n, p_c), in 30-digit
+    arithmetic. Every term of the binomial sums is kept, or with ``sds``
+    only those within that many standard deviations of the mean: past 40
+    the omitted tails are below exp(-3200 p (1 - p)) (Hoeffding)."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         p = [mp.mpf(x) for x in probs if x > 0]
         acc = -n * mp.fsum(x * mp.log(x) for x in p) - mp.loggamma(n + 1)
         for pc in p:
-            term = (1 - pc) ** n  # P(X_c = 0), then P(X_c = k) by recurrence
-            log_fact = mp.mpf(0)
-            for k in range(1, n + 1):
+            lo, hi = 0, n
+            if sds is not None:
+                mean, half = n * float(pc), sds * math.sqrt(n * float(pc * (1 - pc)))
+                lo, hi = max(0, math.floor(mean - half)), min(n, math.ceil(mean + half))
+            # P(X_c = lo), then P(X_c = k) by recurrence
+            log_fact = mp.loggamma(lo + 1)
+            term = mp.exp(mp.loggamma(n + 1) - log_fact - mp.loggamma(n - lo + 1))
+            term *= pc**lo * (1 - pc) ** (n - lo)
+            acc += term * log_fact
+            for k in range(lo + 1, hi + 1):
                 term *= (n - k + 1) * pc / (k * (1 - pc))
                 log_fact += mp.log(k)
                 acc += term * log_fact
@@ -152,6 +215,19 @@ class TestHolevoChi:
         )
         got = holevo_chi(U, N, OneParticleDistribution(probs)).chi
         assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("U", [20_100, 100_100])
+    def test_exact_matches_mpmath_at_large_universe(self, U):
+        # the form cancels -sum ln j (about N ln U) against sums of the same
+        # size, so its relative error grows with U: 1.5e-10 at U = 20,100
+        # and 4.9e-10 at U = 100,100, under the 1e-9 the README states
+        N, probs = 100, (0.3, 0.7)
+        want = float(
+            multinomial_entropy_mp(U, probs, sds=40)
+            - multinomial_entropy_mp(U - N, probs, sds=40)
+        )
+        got = holevo_chi(U, N, OneParticleDistribution(probs)).chi
+        assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize(
         "U, N, probs", [(5, 0, [0.5, 0.5]), (7, 3, [1.0]), (7, 3, [0.0, 1.0])]
