@@ -1,7 +1,7 @@
 """Fold the benchmark reports of alternating parent/change runs into one
 BENCH file.
 
-    python3 tools/bench_record.py PARENT_DIR CHANGE_DIR --out BENCH_<PR>.json \\
+    python3 tools/bench_record.py PARENT_DIR CHANGE_DIR --out BENCH_<number>.json \\
         --parent-rev REV --change-rev REV --seconds S
 
 PARENT_DIR and CHANGE_DIR are source checkouts of the two commits, each
