@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, rel_entr, xlog1py, xlogy
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .combinatorics import CapExceededError
 from .constants import LN2
@@ -94,21 +94,51 @@ def _count_window(
     # one nat is kept for the rounding in log_term
     with np.errstate(divide="ignore"):
         need = np.log(np.maximum(max_f, LN2)) + 1.0 - _LOG_REL_TOL - log_term(k0)
+        log_p, log_q = np.log(p), np.log1p(-p)
+    # a row at p = 0 or 1 has a one-count support, which clips its window
+    # whatever the search finds, so its infinite log is zeroed
+    log_p[p == 0.0] = 0.0
+    log_q[p == 1.0] = 0.0
+
+    # n KL(k/n || p) = [k ln k + (n - k) ln(n - k) - n ln n]
+    #                  - k ln p - (n - k) ln(1 - p);
+    # the bracket is tabled over 0..n once, unless the table would be
+    # longer than the rows that query it
+    n_log_n = float(xlogy(n, n))
+
+    def count_part(k, m):
+        return xlogy(k, k) + xlogy(m, m) - n_log_n
+
+    table = None
+    if n + 1.0 <= p.size:
+        ks = np.arange(n + 1.0)
+        table = count_part(ks, n - ks)
 
     def negligible(k):
-        a = k / n
-        return n * (rel_entr(a, p) + rel_entr(1.0 - a, 1.0 - p)) >= need
+        if table is not None:
+            # rows that have converged still query mid +- 1 past 0..n
+            k = np.clip(k, 0.0, n)
+        m = n - k
+        part = count_part(k, m) if table is None else table[k.astype(np.intp)]
+        return part - k * log_p - m * log_q >= need
 
+    # Pinsker's n KL(k/n || p) >= 2 (k - n p)^2 / n makes every count more
+    # than `reach` from the mean negligible, so the searches start there; as
+    # the tests are monotone on each side of the mean, they find the same
+    # counts as from the ends of the support (0 x inf at n = 0 is nan, which
+    # np.fmin and np.fmax pass over)
+    with np.errstate(invalid="ignore"):
+        reach = np.sqrt(n * need / 2.0) + 1.0
     # smallest hi >= floor(mean) whose upper tail P(X >= hi + 1) is negligible
-    a, b = np.floor(mean), np.full_like(mean, n)
-    while np.any(a < b):
+    a, b = np.floor(mean), np.fmin(n, np.ceil(mean + reach))
+    while (a < b).any():
         mid = np.floor((a + b) / 2.0)
         ok = negligible(mid + 1.0)
         a, b = np.where(ok, a, mid + 1.0), np.where(ok, mid, b)
     hi = b
     # largest lo <= ceil(mean) whose lower tail P(X <= lo - 1) is negligible
-    a, b = np.zeros_like(mean), np.ceil(mean)
-    while np.any(a < b):
+    a, b = np.fmax(0.0, np.floor(mean - reach)), np.ceil(mean)
+    while (a < b).any():
         mid = np.ceil((a + b) / 2.0)
         ok = negligible(mid - 1.0)
         a, b = np.where(ok, mid, a), np.where(ok, b, mid - 1.0)
@@ -138,20 +168,37 @@ def _mode_weights(lo, hi, steps, log_step) -> tuple[np.ndarray, np.ndarray]:
     return k, weights
 
 
-def _window_means(lo, hi, log_step, *fs) -> list[np.ndarray]:
+def _width_classes(lo, hi) -> list[tuple[np.ndarray, int]]:
+    """Rows grouped by the class ceil(log2 width) of their windows [lo, hi],
+    each group with the width of its widest window; one group when padding
+    every row to the widest window takes at most _WHOLE_GRID_CELLS cells."""
+    width = (hi - lo + 1.0).astype(np.int64)
+    widest = int(width.max(initial=1))
+    if width.size * widest <= _WHOLE_GRID_CELLS:
+        return [(np.arange(width.size), widest)]
+    cls = np.frexp(width - 1)[1]
+    groups = [np.flatnonzero(cls == c) for c in np.flatnonzero(np.bincount(cls))]
+    return [(rows, int(width[rows].max())) for rows in groups]
+
+
+def _window_means(classes, lo, hi, log_step, *fs) -> list[np.ndarray]:
     """Means of each f(rows, k) under pmfs known on [lo, hi] per row
     through their ratios log_step(rows, k), each built by _mode_weights and
-    normalised by its own window mass, in (rows x k) blocks of at most
-    _BLOCK_CELLS cells."""
-    steps = np.arange(int((hi - lo).max(initial=0.0)) + 1, dtype=np.float64)
+    normalised by its own window mass. The rows of each of the
+    _width_classes(lo, hi) groups are padded only to its widest window, in
+    (rows x k) blocks of at most _BLOCK_CELLS cells."""
     means = [np.empty(lo.size) for _ in fs]
-    block = max(1, _BLOCK_CELLS // steps.size)
-    for start in range(0, lo.size, block):
-        rows = slice(start, start + block)
-        k, pmf = _mode_weights(lo[rows], hi[rows], steps, lambda k: log_step(rows, k))
-        mass = pmf.sum(axis=1)
-        for mean, f in zip(means, fs):
-            mean[rows] = (pmf * f(rows, k)).sum(axis=1) / mass
+    for group, width in classes:
+        steps = np.arange(width, dtype=np.float64)
+        block = max(1, _BLOCK_CELLS // width)
+        for start in range(0, group.size, block):
+            rows = group[start : start + block]
+            k, pmf = _mode_weights(
+                lo[rows], hi[rows], steps, lambda k: log_step(rows, k)
+            )
+            mass = pmf.sum(axis=1)
+            for mean, f in zip(means, fs):
+                mean[rows] = (pmf * f(rows, k)).sum(axis=1) / mass
     return means
 
 
@@ -181,8 +228,8 @@ def _expected_log_factorial_binomial(
     """E{ln n!} for n ~ Binomial(N, p), elementwise over an array of p.
 
     Each expectation is summed over the _count_window of its p, which
-    leaves out under 1e-17 of it. CapExceededError if the (p x window)
-    grid would exceed ``budget`` cells.
+    leaves out under 1e-17 of it. CapExceededError if the cells that
+    _window_means builds over those windows would exceed ``budget``.
     """
     p = np.asarray(p, dtype=np.float64)
     flat = p.ravel()
@@ -192,15 +239,19 @@ def _expected_log_factorial_binomial(
         return _binomial_log_pmf(N, flat, k) + np.log(gammaln(k + 1.0))
 
     lo, hi = _count_window(N, flat, first, last, log_term, gammaln(N + 1.0))
-    width = int((hi - lo).max(initial=0.0)) + 1
-    if flat.size * width > budget:
+    classes = _width_classes(lo, hi)
+    cells = sum(rows.size * width for rows, width in classes)
+    if cells > budget:
+        widest = max(width for _, width in classes)
         raise CapExceededError(
-            f"summation over {flat.size} levels x {width} counts needs "
-            f"{flat.size * width} cells, over the budget of {budget}",
-            flat.size * width,
+            f"summation over {flat.size} levels x up to {widest} counts needs "
+            f"{cells} cells, over the budget of {budget}",
+            cells,
             budget,
         )
-    (e_fact,) = _window_means(lo, hi, log_step, lambda rows, k: gammaln(k + 1.0))
+    (e_fact,) = _window_means(
+        classes, lo, hi, log_step, lambda rows, k: gammaln(k + 1.0)
+    )
     return e_fact.reshape(p.shape)
 
 
@@ -228,6 +279,7 @@ def _hypergeometric_log_expectations(
 
     lo, hi = _count_window(N, frac, first, last, log_term, gammaln(u + 1.0))
     e_fact, e_binom = _window_means(
+        _width_classes(lo, hi),
         lo,
         hi,
         log_step,

@@ -112,6 +112,20 @@ class BoxSpectrum:
             yield self[i]
 
 
+# Past max_states the cutoff the tail bound needs is still found, from
+# partial sums in chunks of this many cutoffs, for at most this many chunks.
+_CUTOFF_CHUNK = 2**16
+_EXACT_CHUNKS = 64
+
+
+def _achieved(z, tail, axes: int):
+    """Omitted weight over retained weight of a kept cube [1, c]^axes whose
+    per-axis retained sum is z and per-axis tail bound is tail."""
+    if axes == 1:
+        return tail / z
+    return ((z + tail) ** 3 - z**3) / z**3
+
+
 def _axis_cutoff(alpha: float, trunc: SpectrumTruncation, axes: int) -> tuple[int, float]:
     """Smallest per-axis cutoff whose omitted weight bound meets the target.
 
@@ -119,7 +133,8 @@ def _axis_cutoff(alpha: float, trunc: SpectrumTruncation, axes: int) -> tuple[in
     <= exp(-alpha c^2) / (2 alpha c). For 3 axes the kept cube [1,c]^3 omits
     (z+t)^3 - z^3 of the full weight, with z the retained per-axis sum and
     t the per-axis tail bound. Everything is scaled by the ground-state
-    weight so deep-cold spectra do not underflow.
+    weight so deep-cold spectra do not underflow. A spectrum over
+    max_states is refused with the states the bound needs (_needed_cutoff).
     """
     z = 0.0
     c = 0
@@ -127,22 +142,54 @@ def _axis_cutoff(alpha: float, trunc: SpectrumTruncation, axes: int) -> tuple[in
         c += 1
         w = math.exp(-alpha * (c * c - 1.0))
         z += w
-        tail = w / (2.0 * alpha * c)
-        if axes == 1:
-            achieved = tail / z
-        else:
-            achieved = ((z + tail) ** 3 - z**3) / z**3
+        achieved = _achieved(z, w / (2.0 * alpha * c), axes)
         if achieved <= trunc.relative_tail_bound:
             return c, achieved
         if c**axes > trunc.max_states:
+            needed = _needed_cutoff(alpha, trunc.relative_tail_bound, axes, c, z)
             raise CapExceededError(
-                f"spectrum needs more than {trunc.max_states} states to reach "
-                f"relative tail bound {trunc.relative_tail_bound:g} "
-                f"(achieved {achieved:.3g} at cutoff {c}); raise max_states or "
-                "loosen the bound",
-                c**axes,
+                f"spectrum needs {needed**axes} states (cutoff {needed}) to reach "
+                f"relative tail bound {trunc.relative_tail_bound:g}, over "
+                f"max_states={trunc.max_states} (achieved {achieved:.3g} at "
+                f"cutoff {c}); raise max_states or loosen the bound",
+                needed**axes,
                 trunc.max_states,
             )
+
+
+def _needed_cutoff(alpha: float, bound: float, axes: int, c: int, z: float) -> int:
+    """The cutoff _axis_cutoff would reach past cutoff c, whose retained
+    per-axis sum is z, with no cap on the states.
+
+    The weights are added in chunks by np.add.accumulate, in the loop's
+    order. Past _EXACT_CHUNKS chunks (over 4 million cutoffs per axis) the
+    retained sum is bounded below by its integral instead, which can only
+    overstate the cutoff; it is then bisected for.
+    """
+    for _ in range(_EXACT_CHUNKS):
+        k = np.arange(c + 1, c + 1 + _CUTOFF_CHUNK, dtype=np.float64)
+        w = np.exp(-alpha * (k * k - 1.0))
+        sums = np.add.accumulate(np.concatenate(([z], w)))[1:]
+        met = np.flatnonzero(_achieved(sums, w / (2.0 * alpha * k), axes) <= bound)
+        if met.size:
+            return c + 1 + int(met[0])
+        c, z = c + _CUTOFF_CHUNK, float(sums[-1])
+    root = math.sqrt(alpha)
+
+    def meets(k: int) -> bool:
+        # sum_{c < j <= k} w_j >= integral_{c+1}^{k+1} w(x) dx
+        gained = math.erfc((c + 1) * root) - math.erfc((k + 1) * root)
+        z_k = z + math.exp(alpha) * math.sqrt(math.pi) / (2.0 * root) * gained
+        tail = math.exp(-alpha * (k * k - 1.0)) / (2.0 * alpha * k)
+        return _achieved(z_k, tail, axes) <= bound
+
+    lo, hi = c, 2 * c
+    while not meets(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    return hi
 
 
 def _cutoff(model: BoxModel, truncation: SpectrumTruncation) -> tuple[int, float]:
@@ -241,7 +288,8 @@ def ideal_gas_entropy(
     The exact path stays non-negative everywhere, including in the regime
     where the approximation has already gone negative. It is evaluated per
     distinct energy level, weighted by degeneracy, and ``budget`` caps the
-    levels x counts cells the binomial expectations are summed over.
+    (level, count) cells the binomial expectations are summed over: each
+    level padded to the widest count window of its width class.
     """
     if model.dimensions != 3:
         raise ValueError("ideal gas entropy requires a 3-D box model")

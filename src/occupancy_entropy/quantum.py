@@ -132,7 +132,13 @@ def _bayesian_mixture(
     grid in (urns x system) blocks of at most _BLOCK_CELLS (urn, system,
     colour) cells. Each block is added urn after urn (np.add.accumulate),
     so the sum does not depend on the block size, and at U == N the
-    mixture is the prior bit for bit."""
+    mixture is the prior bit for bit. CapExceededError if the urn and
+    system supports have more than ``cap`` pairs."""
+    required = occupancy_count(U, p.num_colors) * occupancy_count(N, p.num_colors)
+    if required > cap:
+        raise CapExceededError(
+            f"urn/system support product {required} exceeds cap {cap}", required, cap
+        )
     system = support_matrix(N, p.num_colors, cap=cap)
     urns = support_matrix(U, p.num_colors, cap=cap)
     prior = np.exp(MultinomialDist(U, p).log_pmf_batch(urns))
@@ -168,11 +174,6 @@ def bayesian_marginal_check(
     """Max absolute gap between the prior-averaged traced weights and the
     direct N-particle multinomial weights (analytically zero; exactly zero
     at U == N)."""
-    required = occupancy_count(U, p.num_colors) * occupancy_count(N, p.num_colors)
-    if required > cap:
-        raise CapExceededError(
-            f"urn/system support product {required} exceeds cap {cap}", required, cap
-        )
     system, mixed = _bayesian_mixture(U, N, p, cap)
     direct = np.exp(MultinomialDist(N, p).log_pmf_batch(system))
     return float(np.abs(mixed - direct).max())

@@ -369,6 +369,235 @@ class TestWindowedExpectation:
         assert e_binom[0] == pytest.approx(want_binom, rel=1e-12)
 
 
+def _count_window_reference(n, p, first, last, log_term, max_f):
+    """The window search with n KL(k/n || p) from two rel_entr calls per
+    row and step, as before the table-driven form."""
+    from scipy.special import rel_entr
+
+    import occupancy_entropy.marginals as marginals
+
+    n = float(n)
+    p = np.asarray(p, dtype=np.float64)
+    if p.size * (n + 1.0) <= marginals._WHOLE_GRID_CELLS:
+        return first, last
+    mean = n * p
+    k0 = np.clip(np.maximum(2.0, np.rint(mean)), first, last)
+    with np.errstate(divide="ignore"):
+        need = (
+            np.log(np.maximum(max_f, math.log(2.0)))
+            + 1.0
+            - marginals._LOG_REL_TOL
+            - log_term(k0)
+        )
+
+    def negligible(k):
+        a = k / n
+        return n * (rel_entr(a, p) + rel_entr(1.0 - a, 1.0 - p)) >= need
+
+    a, b = np.floor(mean), np.full_like(mean, n)
+    while np.any(a < b):
+        mid = np.floor((a + b) / 2.0)
+        ok = negligible(mid + 1.0)
+        a, b = np.where(ok, a, mid + 1.0), np.where(ok, mid, b)
+    hi = b
+    a, b = np.zeros_like(mean), np.ceil(mean)
+    while np.any(a < b):
+        mid = np.ceil((a + b) / 2.0)
+        ok = negligible(mid - 1.0)
+        a, b = np.where(ok, mid, a), np.where(ok, b, mid - 1.0)
+    return np.maximum(a, first), np.minimum(hi, last)
+
+
+def _window_means_padded(lo, hi, log_step, *fs):
+    """Window means with every row padded to the widest window, in blocks
+    of at most _BLOCK_CELLS cells, as before the ragged grid."""
+    import occupancy_entropy.marginals as marginals
+
+    steps = np.arange(int((hi - lo).max(initial=0.0)) + 1, dtype=np.float64)
+    means = [np.empty(lo.size) for _ in fs]
+    block = max(1, marginals._BLOCK_CELLS // steps.size)
+    for start in range(0, lo.size, block):
+        rows = slice(start, start + block)
+        k, pmf = marginals._mode_weights(
+            lo[rows], hi[rows], steps, lambda k: log_step(rows, k)
+        )
+        mass = pmf.sum(axis=1)
+        for mean, f in zip(means, fs):
+            mean[rows] = (pmf * f(rows, k)).sum(axis=1) / mass
+    return means
+
+
+def _binomial_windows(N, p, count_window):
+    """(lo, hi, log_step) of the binomial E{ln n!} kernel for the search
+    ``count_window``."""
+    import occupancy_entropy.marginals as marginals
+
+    first, last, log_step = marginals._binomial(N, p)
+
+    def log_term(k):
+        return marginals._binomial_log_pmf(N, p, k) + np.log(gammaln(k + 1.0))
+
+    lo, hi = count_window(N, p, first, last, log_term, gammaln(N + 1.0))
+    return lo, hi, log_step
+
+
+def _expected_log_factorial_reference(N, p):
+    """E{ln n!} over the rel_entr windows on the padded grid."""
+    lo, hi, log_step = _binomial_windows(N, p, _count_window_reference)
+    (e_fact,) = _window_means_padded(
+        lo, hi, log_step, lambda rows, k: gammaln(k + 1.0)
+    )
+    return e_fact
+
+
+# tiny, near-1, exactly 0 and exactly 1 probabilities beside uniform ones
+_KERNEL_PROBS = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e-300, 1e-12, 1.0 - 1e-12, 1.0 - 2.0**-53, 0.5]),
+    st.floats(1e-300, 1e-6),
+    st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestTableDrivenRaggedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(0, 3000),
+        p=st.lists(_KERNEL_PROBS, min_size=1, max_size=8),
+        table=st.booleans(),
+    )
+    def test_matches_rel_entr_windows_and_padded_grid(self, N, p, table):
+        from unittest import mock
+
+        import occupancy_entropy.marginals as marginals
+
+        p = np.array(p)
+        if table:
+            # at least N + 1 rows: the count part is read from its table
+            p = np.resize(p, N + 1)
+        with mock.patch.object(marginals, "_WHOLE_GRID_CELLS", 0):
+            want_lo, want_hi, _ = _binomial_windows(N, p, _count_window_reference)
+            lo, hi, _ = _binomial_windows(N, p, marginals._count_window)
+            want = _expected_log_factorial_reference(N, p)
+            got = _expected_log_factorial_binomial(N, p)
+        assert np.array_equal(lo, want_lo)
+        assert np.array_equal(hi, want_hi)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("N, rows", [(2000, 3), (2000, 2001)])
+    def test_subnormal_probability_window_holds_the_reference(self, N, rows):
+        # k / (n p) overflows at subnormal p, so the rel_entr search calls
+        # every count past 0 negligible; the table form keeps a few more
+        import occupancy_entropy.marginals as marginals
+
+        p = np.resize(np.array([5e-324, 1e-310, 0.4]), rows)
+        want_lo, want_hi, _ = _binomial_windows(N, p, _count_window_reference)
+        lo, hi, _ = _binomial_windows(N, p, marginals._count_window)
+        assert np.all(lo <= want_lo) and np.all(hi >= want_hi)
+        np.testing.assert_array_equal(
+            _expected_log_factorial_binomial(N, p),
+            _expected_log_factorial_reference(N, p),
+        )
+
+    def test_converged_rows_query_past_the_support(self):
+        # N + 1 rows build the table; p = 1 rows converge at hi = N and
+        # still query N + 1 while other rows search
+        import occupancy_entropy.marginals as marginals
+
+        N = 5000
+        p = np.resize(np.array([1.0, 0.3, 1.0 - 1e-9, 0.0]), N + 1)
+        lo, hi, _ = _binomial_windows(N, p, marginals._count_window)
+        want_lo, want_hi, _ = _binomial_windows(N, p, _count_window_reference)
+        np.testing.assert_array_equal(lo, want_lo)
+        np.testing.assert_array_equal(hi, want_hi)
+
+    def test_width_classes_partition_the_rows(self):
+        import occupancy_entropy.marginals as marginals
+
+        rng = np.random.default_rng(3)
+        lo = rng.integers(0, 50, 5000).astype(np.float64)
+        hi = lo + rng.integers(0, 300, 5000)
+        classes = marginals._width_classes(lo, hi)
+        rows = np.sort(np.concatenate([r for r, _ in classes]))
+        np.testing.assert_array_equal(rows, np.arange(lo.size))
+        width = hi - lo + 1.0
+        for r, widest in classes:
+            assert widest == width[r].max()
+            # every row of a group is wider than half the group's widest
+            assert np.all(2.0 * width[r] > widest) or widest == 1
+
+    @pytest.mark.parametrize("N", [0, 40, 2000, 98_000])
+    def test_hypergeometric_kernel_matches_the_references(self, N):
+        # thousands of distinct colour counts, so the windows are searched
+        # and grouped by width class
+        import occupancy_entropy.marginals as marginals
+
+        U = 100_000
+        u = np.unique(np.random.default_rng(N).integers(0, U + 1, 6000)).astype(float)
+        first, last, log_step = marginals._hypergeometric(U, u, N)
+
+        def log_term(k):
+            smaller_f = np.minimum(gammaln(k + 1.0), marginals._log_choose(u, k))
+            return marginals._hypergeometric_log_pmf(U, u, N, k) + np.log(
+                smaller_f.clip(0.0)
+            )
+
+        with np.errstate(divide="ignore"):
+            args = (N, u / U, first, last, log_term, gammaln(u + 1.0))
+            want_lo, want_hi = _count_window_reference(*args)
+            lo, hi = marginals._count_window(*args)
+        np.testing.assert_array_equal(lo, want_lo)
+        np.testing.assert_array_equal(hi, want_hi)
+        fs = (
+            lambda rows, k: gammaln(k + 1.0),
+            lambda rows, k: marginals._log_choose(u[rows, None], k),
+        )
+        want = _window_means_padded(lo, hi, log_step, *fs)
+        got = marginals._hypergeometric_log_expectations(U, u.astype(np.int64), N)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "temperature, side, N",
+        [(300.0, 20e-9, 1000), (3.0, 20e-9, 100), (300.0, 60e-9, 100)],
+    )
+    def test_gas_workload_boxes_match_mpmath(self, temperature, side, N):
+        # the benchmark's three gas boxes, per distinct level, against
+        # 30-digit sums over the same level probabilities
+        from occupancy_entropy.physics import (
+            BoxModel,
+            _boltzmann_weights,
+            _cutoff,
+            _square_sum_levels,
+            DEFAULT_TRUNCATION,
+        )
+
+        mp = pytest.importorskip("mpmath")
+        model = BoxModel(9.1093837015e-31, temperature, side)
+        cutoff, _ = _cutoff(model, DEFAULT_TRUNCATION)
+        levels, multiplicity = _square_sum_levels(cutoff)
+        probs, _ = _boltzmann_weights(
+            model.energy_unit * levels.astype(np.float64), model, multiplicity
+        )
+        got = _expected_log_factorial_binomial(N, probs)
+        want = []
+        with mp.workdps(30):
+            for q in probs.tolist():
+                q = mp.mpf(q)
+                term, log_fact, acc = (1 - q) ** N, mp.mpf(0), mp.mpf(0)
+                for k in range(1, N + 1):
+                    term = term * (N - k + 1) / k * q / (1 - q)
+                    log_fact += mp.log(k)
+                    acc += term * log_fact
+                    # past twice the mean the terms fall geometrically
+                    if k > 2 * N * q + 2 and term * log_fact < acc * mp.mpf(1e-30):
+                        break
+                want.append(float(acc))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        total = float(mp.fsum(mp.mpf(g) * w for g, w in zip(multiplicity.tolist(), want)))
+        assert float((multiplicity * got).sum()) == pytest.approx(total, rel=1e-12)
+
+
 class TestSzilardSplitEntropy:
     def test_single_particle_value(self):
         left = OneParticleDistribution([0.7, 0.3])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from occupancy_entropy.entropy import entropy_by_enumeration, multinomial_entrop
 from occupancy_entropy.physics import (
     BoxModel,
     SpectrumTruncation,
+    _axis_cutoff,
     _square_sum_levels,
     boltzmann_distribution,
     box_spectrum,
@@ -107,6 +109,43 @@ class TestBoxSpectrum:
         with pytest.raises(CapExceededError, match="max_states"):
             box_spectrum(ELECTRON_20NM_1D, SpectrumTruncation(1e-14, max_states=3))
 
+    @pytest.mark.parametrize(
+        "side, temperature, dimensions, cap",
+        [
+            (20e-9, 300.0, 1, 3),
+            (1e-6, 300.0, 3, 1000),
+            (1e-6, 300.0, 3, 4_000_000),
+            (100e-9, 3.0, 3, 1),
+            (1e-4, 300.0, 1, 10),
+        ],
+    )
+    def test_refusal_states_what_the_bound_needs(self, side, temperature, dimensions, cap):
+        # the required size is the cube of the cutoff an uncapped search
+        # stops at, not the first cube over the cap
+        model = BoxModel(ELECTRON_MASS, temperature, side, dimensions=dimensions)
+        alpha = model.energy_unit / (BOLTZMANN_KB * temperature)
+        cutoff, _ = _axis_cutoff(alpha, SpectrumTruncation(1e-14, 10**30), dimensions)
+        with pytest.raises(CapExceededError) as err:
+            box_spectrum(model, SpectrumTruncation(1e-14, max_states=cap))
+        assert err.value.required == cutoff**dimensions
+        assert err.value.cap == cap
+        if cutoff**dimensions <= 4_000_000:
+            wide = SpectrumTruncation(1e-14, max_states=err.value.required)
+            assert len(box_spectrum(model, wide)) == err.value.required
+
+    def test_refusal_far_past_the_cap_bounds_the_sum_by_its_integral(self, monkeypatch):
+        # with no exact chunks the retained sum is bounded below by its
+        # integral; on a 0.1 mm box that lands on the same cutoff
+        import occupancy_entropy.physics as physics
+
+        model = BoxModel(ELECTRON_MASS, 300.0, 1e-4, dimensions=3)
+        alpha = model.energy_unit / (BOLTZMANN_KB * 300.0)
+        cutoff, _ = _axis_cutoff(alpha, SpectrumTruncation(1e-14, 10**30), 3)
+        monkeypatch.setattr(physics, "_EXACT_CHUNKS", 0)
+        with pytest.raises(CapExceededError) as err:
+            _axis_cutoff(alpha, SpectrumTruncation(1e-14, max_states=1000), 3)
+        assert err.value.required == cutoff**3
+
     def test_item_access(self):
         spec = box_spectrum(ELECTRON_20NM_1D)
         qn, energy = spec[1]
@@ -178,6 +217,22 @@ class TestIdealGasEntropy:
         assert res.exact.total > 0
         with pytest.raises(CapExceededError, match=r"needs \d+ cells, over the budget of 1000\b"):
             ideal_gas_entropy(model, 1000, budget=1000)
+
+    def test_budget_counts_the_ragged_cells(self):
+        # the windows are padded per width class, not all to the widest
+        model = BoxModel(ELECTRON_MASS, 300.0, 60e-9, dimensions=3)
+        with pytest.raises(CapExceededError) as err:
+            ideal_gas_entropy(model, 100, budget=0)
+        cells = err.value.required
+        levels, widest = map(
+            int,
+            re.search(r"over (\d+) levels x up to (\d+) counts", str(err.value)).groups(),
+        )
+        assert levels == _square_sum_levels(box_spectrum(model).quantum_numbers.max())[0].size
+        assert cells < levels * widest
+        assert ideal_gas_entropy(model, 100, budget=cells).exact.total > 0
+        with pytest.raises(CapExceededError, match=f"needs {cells} cells, over the budget of {cells - 1}$"):
+            ideal_gas_entropy(model, 100, budget=cells - 1)
 
     @pytest.mark.parametrize("temperature", [300.0, 3.0])
     def test_level_multiplicities_count_box_states(self, temperature):

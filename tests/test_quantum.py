@@ -144,6 +144,17 @@ class TestBayesianMarginalCheck:
         with pytest.raises(CapExceededError):
             bayesian_marginal_check(40, 20, OneParticleDistribution([0.25] * 4), cap=10)
 
+    def test_operator_and_check_refuse_the_same_support_product(self):
+        # each support is under the cap, their product is not
+        p = OneParticleDistribution([0.2, 0.3, 0.5])
+        for run in (BosonicDensityOperator.bayesian_marginal, bayesian_marginal_check):
+            with pytest.raises(
+                CapExceededError,
+                match="urn/system support product 13957471 exceeds cap 1000000",
+            ) as err:
+                run(120, 60, p)
+            assert (err.value.required, err.value.cap) == (13_957_471, 1_000_000)
+
 
 class TestBayesianMixture:
     @given(mixture_cases())
