@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, rel_entr
 
+import occupancy_entropy.marginals as marginals
 from occupancy_entropy.combinatorics import OccupancyVector
 from occupancy_entropy.distributions import (
     MultinomialDist,
@@ -372,10 +373,6 @@ class TestWindowedExpectation:
 def _count_window_reference(n, p, first, last, log_term, max_f):
     """The window search with n KL(k/n || p) from two rel_entr calls per
     row and step, as before the table-driven form."""
-    from scipy.special import rel_entr
-
-    import occupancy_entropy.marginals as marginals
-
     n = float(n)
     p = np.asarray(p, dtype=np.float64)
     if p.size * (n + 1.0) <= marginals._WHOLE_GRID_CELLS:
@@ -411,8 +408,6 @@ def _count_window_reference(n, p, first, last, log_term, max_f):
 def _window_means_padded(lo, hi, log_step, *fs):
     """Window means with every row padded to the widest window, in blocks
     of at most _BLOCK_CELLS cells, as before the ragged grid."""
-    import occupancy_entropy.marginals as marginals
-
     steps = np.arange(int((hi - lo).max(initial=0.0)) + 1, dtype=np.float64)
     means = [np.empty(lo.size) for _ in fs]
     block = max(1, marginals._BLOCK_CELLS // steps.size)
@@ -430,8 +425,6 @@ def _window_means_padded(lo, hi, log_step, *fs):
 def _binomial_windows(N, p, count_window):
     """(lo, hi, log_step) of the binomial E{ln n!} kernel for the search
     ``count_window``."""
-    import occupancy_entropy.marginals as marginals
-
     first, last, log_step = marginals._binomial(N, p)
 
     def log_term(k):
@@ -469,8 +462,6 @@ class TestTableDrivenRaggedKernel:
     def test_matches_rel_entr_windows_and_padded_grid(self, N, p, table):
         from unittest import mock
 
-        import occupancy_entropy.marginals as marginals
-
         p = np.array(p)
         if table:
             # at least N + 1 rows: the count part is read from its table
@@ -488,8 +479,6 @@ class TestTableDrivenRaggedKernel:
     def test_subnormal_probability_window_holds_the_reference(self, N, rows):
         # k / (n p) overflows at subnormal p, so the rel_entr search calls
         # every count past 0 negligible; the table form keeps a few more
-        import occupancy_entropy.marginals as marginals
-
         p = np.resize(np.array([5e-324, 1e-310, 0.4]), rows)
         want_lo, want_hi, _ = _binomial_windows(N, p, _count_window_reference)
         lo, hi, _ = _binomial_windows(N, p, marginals._count_window)
@@ -502,8 +491,6 @@ class TestTableDrivenRaggedKernel:
     def test_converged_rows_query_past_the_support(self):
         # N + 1 rows build the table; p = 1 rows converge at hi = N and
         # still query N + 1 while other rows search
-        import occupancy_entropy.marginals as marginals
-
         N = 5000
         p = np.resize(np.array([1.0, 0.3, 1.0 - 1e-9, 0.0]), N + 1)
         lo, hi, _ = _binomial_windows(N, p, marginals._count_window)
@@ -512,8 +499,6 @@ class TestTableDrivenRaggedKernel:
         np.testing.assert_array_equal(hi, want_hi)
 
     def test_width_classes_partition_the_rows(self):
-        import occupancy_entropy.marginals as marginals
-
         rng = np.random.default_rng(3)
         lo = rng.integers(0, 50, 5000).astype(np.float64)
         hi = lo + rng.integers(0, 300, 5000)
@@ -530,8 +515,6 @@ class TestTableDrivenRaggedKernel:
     def test_hypergeometric_kernel_matches_the_references(self, N):
         # thousands of distinct colour counts, so the windows are searched
         # and grouped by width class
-        import occupancy_entropy.marginals as marginals
-
         U = 100_000
         u = np.unique(np.random.default_rng(N).integers(0, U + 1, 6000)).astype(float)
         first, last, log_step = marginals._hypergeometric(U, u, N)
