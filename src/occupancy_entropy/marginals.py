@@ -115,9 +115,6 @@ def _count_window(
         table = count_part(ks, n - ks)
 
     def negligible(k):
-        if table is not None:
-            # rows that have converged still query mid +- 1 past 0..n
-            k = np.clip(k, 0.0, n)
         m = n - k
         part = count_part(k, m) if table is None else table[k.astype(np.intp)]
         return part - k * log_p - m * log_q >= need
@@ -126,21 +123,22 @@ def _count_window(
     # than `reach` from the mean negligible, so the searches start there; as
     # the tests are monotone on each side of the mean, they find the same
     # counts as from the ends of the support (0 x inf at n = 0 is nan, which
-    # np.fmin and np.fmax pass over)
+    # np.fmin and np.fmax pass over); rows that have converged at 0 or n
+    # still query mid -+ 1, so the queries are held to 0..n
     with np.errstate(invalid="ignore"):
         reach = np.sqrt(n * need / 2.0) + 1.0
     # smallest hi >= floor(mean) whose upper tail P(X >= hi + 1) is negligible
     a, b = np.floor(mean), np.fmin(n, np.ceil(mean + reach))
     while (a < b).any():
         mid = np.floor((a + b) / 2.0)
-        ok = negligible(mid + 1.0)
+        ok = negligible(np.minimum(mid + 1.0, n))
         a, b = np.where(ok, a, mid + 1.0), np.where(ok, mid, b)
     hi = b
     # largest lo <= ceil(mean) whose lower tail P(X <= lo - 1) is negligible
     a, b = np.fmax(0.0, np.floor(mean - reach)), np.ceil(mean)
     while (a < b).any():
         mid = np.ceil((a + b) / 2.0)
-        ok = negligible(mid - 1.0)
+        ok = negligible(np.maximum(mid - 1.0, 0.0))
         a, b = np.where(ok, mid, a), np.where(ok, b, mid - 1.0)
     return np.maximum(a, first), np.minimum(hi, last)
 
@@ -191,8 +189,11 @@ def _window_means(classes, lo, hi, log_step, *fs) -> list[np.ndarray]:
     for group, width in classes:
         steps = np.arange(width, dtype=np.float64)
         block = max(1, _BLOCK_CELLS // width)
+        # a group of every row is sliced rather than gathered
+        whole = group.size == lo.size
         for start in range(0, group.size, block):
-            rows = group[start : start + block]
+            stop = start + block
+            rows = slice(start, stop) if whole else group[start:stop]
             k, pmf = _mode_weights(
                 lo[rows], hi[rows], steps, lambda k: log_step(rows, k)
             )

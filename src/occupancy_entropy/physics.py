@@ -134,7 +134,8 @@ def _axis_cutoff(alpha: float, trunc: SpectrumTruncation, axes: int) -> tuple[in
     (z+t)^3 - z^3 of the full weight, with z the retained per-axis sum and
     t the per-axis tail bound. Everything is scaled by the ground-state
     weight so deep-cold spectra do not underflow. A spectrum over
-    max_states is refused with the states the bound needs (_needed_cutoff).
+    max_states is refused with the states the bound needs (_needed_cutoff);
+    past about 4 million cutoffs per axis that count is an upper bound.
     """
     z = 0.0
     c = 0

@@ -498,6 +498,32 @@ class TestTableDrivenRaggedKernel:
         np.testing.assert_array_equal(lo, want_lo)
         np.testing.assert_array_equal(hi, want_hi)
 
+    @pytest.mark.parametrize("N, rows", [(10**6, 3), (5000, 5001)])
+    def test_converged_rows_query_only_the_support(self, N, rows):
+        # p = 0 and p = 1 rows converge at once and still query mid -+ 1
+        # while the p = 0.3 rows search; per query (3 rows) and from the
+        # table (N + 1 rows) the counts queried stay in 0..N
+        import warnings
+        from unittest import mock
+
+        from scipy.special import xlogy
+
+        queried = []
+
+        def spy(x, y):
+            queried.append(np.ravel(x))
+            return xlogy(x, y)
+
+        p = np.resize(np.array([0.0, 0.3, 1.0]), rows)
+        with mock.patch.object(marginals, "xlogy", spy), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi, _ = _binomial_windows(N, p, marginals._count_window)
+        seen = np.concatenate(queried)
+        assert seen.min() >= 0.0 and seen.max() <= N
+        want_lo, want_hi, _ = _binomial_windows(N, p, _count_window_reference)
+        np.testing.assert_array_equal(lo, want_lo)
+        np.testing.assert_array_equal(hi, want_hi)
+
     def test_width_classes_partition_the_rows(self):
         rng = np.random.default_rng(3)
         lo = rng.integers(0, 50, 5000).astype(np.float64)
