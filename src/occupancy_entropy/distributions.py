@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -24,7 +25,6 @@ from .combinatorics import (
     support_matrix,
 )
 from .marginals import (
-    _binomial_log_pmf,
     _binomial_marginal,
     _hypergeometric_marginal,
     _log_choose,
@@ -247,26 +247,23 @@ class SzilardSplitDist:
         """Binomial law of the left-side particle count b over 0..N."""
         return _binomial_marginal(self.N, self.volume_fraction)
 
+    @cached_property
+    def _multinomial(self) -> MultinomialDist:
+        """The same law as one multinomial, as each particle picks its side,
+        then its colour, independently: Mult(N, (f left, (1 - f) right)),
+        renormalised, as each side sums to 1 only within _PROB_SUM_TOL."""
+        f = self.volume_fraction
+        weights = np.concatenate((f * self.left_dist.probs, (1 - f) * self.right_dist.probs))
+        return MultinomialDist(self.N, OneParticleDistribution.from_weights(weights))
+
     def log_pmf(self, n: Sequence[int]) -> float:
-        _check_length(n, self.num_colors)
-        counts = [int(c) for c in n]
-        if any(c < 0 for c in counts) or sum(counts) != self.N:
-            return float("-inf")
-        k = self.left_dist.num_colors
-        left, right = counts[:k], counts[k:]
-        b = sum(left)
-        log_pb = float(_binomial_log_pmf(self.N, self.volume_fraction, b))
-        lp_left = MultinomialDist(b, self.left_dist).log_pmf(left)
-        lp_right = MultinomialDist(self.N - b, self.right_dist).log_pmf(right)
-        return log_pb + lp_left + lp_right
+        return self._multinomial.log_pmf(n)
 
     def pmf(self, n: Sequence[int]) -> float:
-        lp = self.log_pmf(n)
-        return math.exp(lp) if lp > float("-inf") else 0.0
+        return self._multinomial.pmf(n)
 
     def log_pmf_batch(self, counts: np.ndarray) -> np.ndarray:
-        counts = np.asarray(counts)
-        return np.array([self.log_pmf(row) for row in counts], dtype=np.float64)
+        return self._multinomial.log_pmf_batch(counts)
 
 
 OccupancyDistribution = Union[MultinomialDist, MvhgDist, SzilardSplitDist]

@@ -30,8 +30,9 @@ from .distributions import (
     SzilardSplitDist,
 )
 from .marginals import (
-    _expected_log_factorial_binomial,
+    _binomial_log_factorial_gap,
     _hypergeometric_log_expectations,
+    _stirling_remainder,
 )
 
 __all__ = [
@@ -120,21 +121,27 @@ def _multinomial_report(
     """Decomposed entropy of N draws over levels of equally likely colours:
     multiplicity[i] colours have probability probs[i] each.
 
-    The microstate term is N times the one-particle Shannon entropy; the
-    indistinguishability term is ln N! minus the per-colour expectations of
-    ln n_c! over the binomial marginals, each level's computed once.
+    With m_c = N p_c and g_c = E{ln n_c!} - ln Gamma(m_c + 1), each level's
+    computed once, boltzmann = ln N! - sum_c ln Gamma(m_c + 1),
+    expected_logW = boltzmann - sum_c g_c and total = N H(p) -
+    expected_logW. Unless N H(p) >= ln N!, as in a dilute gas,
+    ln x! = tau(x) + x ln x - x (tau the Stirling remainder) rewrites them
+    without terms of size ln N!: total = sum_c [tau(m_c) + g_c] - tau(N)
+    and boltzmann = tau(N) + sum_c [m_c ln(N / m_c) - tau(m_c)].
     """
     probs = np.asarray(probs, dtype=np.float64)
+    mean = N * probs
     micro = N * float(-(multiplicity * xlogy(probs, probs)).sum())
-    e_fact = _expected_log_factorial_binomial(N, probs, budget)
-    expected_logW = log_factorial(N) - float((multiplicity * e_fact).sum())
-    return EntropyReport(
-        microstate_term=micro,
-        expected_logW=expected_logW,
-        total=micro - expected_logW,
-        boltzmann=_log_multiplicity(N * probs, multiplicity),
-        unit="nats",
-    )
+    gaps = multiplicity * _binomial_log_factorial_gap(N, probs, budget)
+    if micro >= log_factorial(N):
+        log_gamma = multiplicity * gammaln(mean + 1.0)
+        expected_logW = log_factorial(N) - float((log_gamma + gaps).sum())
+        boltzmann = log_factorial(N) - float(log_gamma.sum())
+        return EntropyReport(micro, expected_logW, micro - expected_logW, boltzmann)
+    tau, tau_n = multiplicity * _stirling_remainder(mean), float(_stirling_remainder(N))
+    boltzmann = tau_n + float((-multiplicity * xlogy(mean, probs) - tau).sum())
+    total = float(tau.sum()) - tau_n + float(gaps.sum())
+    return EntropyReport(micro, boltzmann - float(gaps.sum()), total, boltzmann)
 
 
 def multinomial_entropy(d: MultinomialDist) -> EntropyReport:
@@ -148,20 +155,8 @@ def multinomial_entropy(d: MultinomialDist) -> EntropyReport:
 
 
 def szilard_split_entropy(d: SzilardSplitDist) -> float:
-    """Entropy of the split-box occupancy distribution by the chain rule.
-
-    The left-side count b is fixed by the occupancy vector, so
-    H = H(Bin(N, f)) + sum_b P(b) [H(Mult(b, left)) + H(Mult(N - b, right))],
-    summed by math.fsum: a plain dot product lands further from mpmath.
-    """
-    pb = d.split_probabilities()
-    terms = [-float(x) for x in xlogy(pb, pb)]
-    for b, q in enumerate(pb):
-        if q > 0.0:
-            left = multinomial_entropy(MultinomialDist(b, d.left_dist)).total
-            right = multinomial_entropy(MultinomialDist(d.N - b, d.right_dist)).total
-            terms.append(float(q) * (left + right))
-    return math.fsum(terms) + 0.0
+    """Entropy of the split-box occupancy distribution, one multinomial."""
+    return multinomial_entropy(d._multinomial).total
 
 
 def mvhg_entropy(d: MvhgDist) -> EntropyReport:
@@ -188,18 +183,13 @@ def mvhg_entropy(d: MvhgDist) -> EntropyReport:
     )
 
 
-def _log_multiplicity(mean: np.ndarray, multiplicity) -> float:
-    total = float((multiplicity * mean).sum())
-    return log_factorial_real(total) - float((multiplicity * gammaln(mean + 1.0)).sum())
-
-
 def boltzmann_entropy(mean_occupancy: Sequence[float]) -> float:
     """ln of the Gamma-extended multiplicity of a (real-valued) mean
     occupancy vector."""
     mean = np.asarray(mean_occupancy, dtype=np.float64)
     if np.any(mean < 0):
         raise ValueError("mean occupancies must be non-negative")
-    return _log_multiplicity(mean, 1)
+    return log_factorial_real(float(mean.sum())) - float(gammaln(mean + 1.0).sum())
 
 
 def sandwich_check(d: MultinomialDist, tol: float = 1e-9) -> SandwichResult:

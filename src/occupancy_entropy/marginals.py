@@ -21,6 +21,35 @@ _LOG_REL_TOL = math.log(1e-17)
 # for its windows.
 _WHOLE_GRID_CELLS = 2**12
 _BLOCK_CELLS = 2**18
+# Stirling coefficients B_2j / (2j (2j - 1)) of ln Gamma(x + 1) for j = 1..8;
+# from _STIRLING_FROM on, the first term left out is below 2e-18
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+_STIRLING_FROM = 10
+# tau(k) for k = 0..9, rounded from 50-digit values: formed directly,
+# ln k! - k ln k + k loses up to 2e-15 to cancellation
+_TAU_INTEGERS = np.array([
+    0.0, 1.0, 1.3068528194400546, 1.4959226032237258, 1.6328763858683832,
+    1.7403021806115442, 1.828694396641771, 1.9037903176782212, 1.9690705693065629,
+    2.0268062840554952,
+])
+
+
+def _stirling_remainder(x) -> np.ndarray:
+    """tau(x) = ln Gamma(x + 1) - x ln x + x, elementwise over x >= 0, about
+    1/2 ln 2 pi x: the Stirling series from _STIRLING_FROM on,
+    _TAU_INTEGERS at the integers below it and the direct form elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.maximum(x, _STIRLING_FROM)
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = c + series / (y * y)
+    out = np.array(0.5 * np.log(2.0 * math.pi * y) + series / y)
+    whole = (x < _STIRLING_FROM) & (x == np.floor(x))
+    out[whole] = _TAU_INTEGERS[x[whole].astype(np.intp)]
+    xs = x[(x < _STIRLING_FROM) & ~whole]
+    out[(x < _STIRLING_FROM) & ~whole] = gammaln(xs + 1.0) + xs * (1.0 - np.log(xs))
+    return out
 
 
 def _log_choose(n, k):
@@ -124,9 +153,10 @@ def _count_window(
     # the tests are monotone on each side of the mean, they find the same
     # counts as from the ends of the support (0 x inf at n = 0 is nan, which
     # np.fmin and np.fmax pass over); rows that have converged at 0 or n
-    # still query mid -+ 1, so the queries are held to 0..n
+    # still query mid -+ 1, so the queries are held to 0..n; a one-count
+    # support (p = 0 or 1) is searched no further than its mean
     with np.errstate(invalid="ignore"):
-        reach = np.sqrt(n * need / 2.0) + 1.0
+        reach = np.where(first == last, 0.0, np.sqrt(n * need / 2.0) + 1.0)
     # smallest hi >= floor(mean) whose upper tail P(X >= hi + 1) is negligible
     a, b = np.floor(mean), np.fmin(n, np.ceil(mean + reach))
     while (a < b).any():
@@ -223,14 +253,18 @@ def _hypergeometric_marginal(U: int, u: int, N: int) -> np.ndarray:
     return _full_pmf(N, *_hypergeometric(U, np.array([u], dtype=np.float64), N))
 
 
-def _expected_log_factorial_binomial(
+def _binomial_log_factorial_gap(
     N: int, p: np.ndarray, budget: float = math.inf
 ) -> np.ndarray:
-    """E{ln n!} for n ~ Binomial(N, p), elementwise over an array of p.
-
-    Each expectation is summed over the _count_window of its p, which
-    leaves out under 1e-17 of it. CapExceededError if the cells that
-    _window_means builds over those windows would exceed ``budget``.
+    """g = E{ln n!} - ln Gamma(m + 1) for n ~ Binomial(N, p) with mean
+    m = N p, elementwise over an array of p. From m = 1 on it is the mean of
+    tau(n) - tau(m) + n log1p((n - m) / m) - (n - m) (tau is
+    _stirling_remainder), which is ln n! - ln Gamma(m + 1) less (n - m) ln m
+    of mean zero: terms small near the mean, none of size N ln N. Below
+    m = 1, where n ln(n / m) would cancel against tau(m), it is E{ln n!}
+    less ln Gamma(m + 1). Each mean is summed over the _count_window of
+    E{ln n!}, which leaves out under 1e-17 of it; CapExceededError if the
+    cells _window_means builds over those windows would exceed ``budget``.
     """
     p = np.asarray(p, dtype=np.float64)
     flat = p.ravel()
@@ -240,20 +274,36 @@ def _expected_log_factorial_binomial(
         return _binomial_log_pmf(N, flat, k) + np.log(gammaln(k + 1.0))
 
     lo, hi = _count_window(N, flat, first, last, log_term, gammaln(N + 1.0))
-    classes = _width_classes(lo, hi)
-    cells = sum(rows.size * width for rows, width in classes)
-    if cells > budget:
-        widest = max(width for _, width in classes)
+    mean = N * flat
+    small = mean < 1.0
+    # the rows below and from one mean count, each grouped by width class
+    classes = [
+        [(rows[group], width) for group, width in _width_classes(lo[rows], hi[rows])]
+        for rows in (np.flatnonzero(small), np.flatnonzero(~small))
+    ]
+    cells = [sum(rows.size * width for rows, width in kind) for kind in classes]
+    if sum(cells) > budget:
+        widest = max(width for kind in classes for _, width in kind)
         raise CapExceededError(
             f"summation over {flat.size} levels x up to {widest} counts needs "
-            f"{cells} cells, over the budget of {budget}",
-            cells,
-            budget,
+            f"{sum(cells)} cells, over the budget of {budget}", sum(cells), budget
         )
+    log_fact = gammaln(np.arange(hi[small].max(initial=0.0) + 1.0) + 1.0)
     (e_fact,) = _window_means(
-        classes, lo, hi, log_step, lambda rows, k: gammaln(k + 1.0)
-    )
-    return e_fact.reshape(p.shape)
+        classes[0], lo, hi, log_step, lambda rows, k: log_fact[k.astype(np.intp)])
+    tau_mean = _stirling_remainder(np.maximum(mean, 1.0))  # read from m = 1 on
+    # tau(n) over 0..max n, unless that is longer than the cells
+    top = float(hi[~small].max(initial=0.0))
+    table = _stirling_remainder(np.arange(top + 1.0)) if top < cells[1] else None
+
+    def term(rows, k):
+        m = mean[rows, None]
+        tau = _stirling_remainder(k) if table is None else table[k.astype(np.intp)]
+        return tau - tau_mean[rows, None] + xlog1py(k, (k - m) / m) - (k - m)
+
+    (gap,) = _window_means(classes[1], lo, hi, log_step, term)
+    gap[small] = e_fact[small] - gammaln(mean[small] + 1.0)
+    return gap.reshape(p.shape)
 
 
 def _hypergeometric_log_expectations(

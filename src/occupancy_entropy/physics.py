@@ -336,7 +336,7 @@ def szilard_insertion(
 
     For a single particle the post-insertion entropy is exactly ln 2 (the
     equiprobable side choice) plus the half-box one-particle entropy. For
-    N > 1 it is the chain-rule entropy of the joint split distribution.
+    N > 1 it is the entropy of the split distribution, one multinomial.
     """
     if model.dimensions != 1:
         raise ValueError("piston insertion is modelled for 1-D boxes only")

@@ -36,11 +36,7 @@ from .distributions import (
     _sample_counts,
 )
 from .entropy import multinomial_entropy, mvhg_entropy
-from .marginals import (
-    _BLOCK_CELLS,
-    _binomial_marginal,
-    _hypergeometric_log_expectations,
-)
+from .marginals import _BLOCK_CELLS, _hypergeometric_log_expectations
 
 __all__ = [
     "BosonicDensityOperator",
@@ -202,11 +198,11 @@ def holevo_chi(
     Exact mode evaluates the closed form
     chi = H(Mult(U, p)) - H(Mult(U - N, p)), which holds because the
     environment's draws are independent of the system's; ``cap`` still
-    bounds the number of universe occupancies it stands for. Its terms
-    cancel sums of size N ln U, so its relative error grows with U: within
-    1e-10 of a 30-digit reference at the tested U <= 3,000, 4.9e-10 at
-    U = 100,100, N = 100, p = (0.3, 0.7), within the 1e-9 the tests hold
-    up to that U. Monte Carlo mode samples the universes from the prior
+    bounds the number of universe occupancies it stands for. Each entropy
+    is within a few eps of itself, so chi is within about eps H / chi: at
+    U = 100,100, N = 100, p = (0.3, 0.7), where chi is 5e-4 and each H
+    6.4 nats, 1.1e-12 of a 40-digit reference, within the 1e-11 the tests
+    hold. Monte Carlo mode samples the universes from the prior
     and only estimates the conditional term (the unconditional entropy is
     analytic either way), reporting the standard error of the estimate.
     """
@@ -214,7 +210,8 @@ def holevo_chi(
         raise ValueError("system cannot hold more particles than the universe")
     if mode == "exact":
         _check_support(U, p.num_colors, cap, "use monte_carlo mode")
-        return HolevoEstimate(_closed_form_chi(U, N, p), None, "exact")
+        whole, rest = (multinomial_entropy(MultinomialDist(n, p)).total for n in (U, U - N))
+        return HolevoEstimate(whole - rest, None, "exact")
     if mode == "monte_carlo":
         if mc_samples < 2:
             raise ValueError("monte_carlo mode needs at least 2 samples")
@@ -225,41 +222,6 @@ def holevo_chi(
         se = float(vals.std(ddof=1) / math.sqrt(mc_samples))
         return HolevoEstimate(s_system - float(vals.mean()), se, "monte_carlo")
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _closed_form_chi(U: int, N: int, p: OneParticleDistribution) -> float:
-    """H(Mult(U, p)) - H(Mult(U - N, p)) without U ln U-sized terms.
-
-    Each colour's universe count is A + B with A ~ Bin(U - N, p_c) and
-    B ~ Bin(N, p_c) independent, and ln (A + B)! - ln A! is the sum of
-    ln(A + j) over j = 1..B, so
-    chi = N H(p) - sum_{j=U-N+1..U} ln j
-          + sum_c sum_{j=1..N} P(B_c >= j) E{ln(A_c + j)}.
-    Both pmfs come from the count-marginal kernel with their zero entries
-    dropped; the (a x j) grid is built in blocks of at most _BLOCK_CELLS.
-    """
-    if p.num_colors == 1:
-        # the only universe is (U,), whatever U; the cap does not bound U here
-        return 0.0
-    log_ratio = float(np.log(np.arange(U - N + 1, U + 1, dtype=np.float64)).sum())
-    acc = 0.0
-    for pc in p.probs:
-        if pc == 1.0:
-            acc += log_ratio
-            continue
-        a_pmf = _binomial_marginal(U - N, float(pc))
-        b_pmf = _binomial_marginal(N, float(pc))
-        # P(B >= j) for j = 1..N
-        survival = np.cumsum(b_pmf[::-1])[::-1][1:]
-        a = np.flatnonzero(a_pmf)
-        j = np.flatnonzero(survival)
-        a_w, s_w = a_pmf[a], survival[j]
-        shifts = j + 1.0
-        rows = max(1, _BLOCK_CELLS // max(j.size, 1))
-        for start in range(0, a.size, rows):
-            b = slice(start, start + rows)
-            acc += float(a_w[b] @ (np.log(a[b, None] + shifts) @ s_w))
-    return N * p.entropy() - log_ratio + acc + 0.0
 
 
 def empirical_information(universe: OccupancyVector, N: int) -> float:

@@ -29,6 +29,99 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+# values that no spec field accepts as a count, and most refuse as a
+# probability: NaN, infinities, bools, non-integers, strings, nulls,
+# negatives and containers
+_BAD_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, True, False, 2.5, -1, "3", None, [1], {}]
+)
+_PARTICLES = st.one_of(
+    st.integers(0, 12), st.sampled_from([1000, 54_321, 10**5]), st.integers(0, 10**5)
+)
+
+
+@st.composite
+def _simplex(draw):
+    """Probabilities with zeros among them, or (with normalize) weights."""
+    weights = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1e-300, 1e-9, 0.1, 1.0, 3.0]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    total = math.fsum(weights)
+    if total == 0.0 or draw(st.booleans()):
+        return weights, True
+    return [w / total for w in weights], False
+
+
+@st.composite
+def _entropy_specs(draw):
+    """A well-formed multinomial, mvhg or szilard spec, kept as it is or
+    with one field or list element replaced by a bad value, one field
+    dropped, or the kind unknown."""
+    kind = draw(st.sampled_from(["multinomial", "mvhg", "szilard"]))
+    spec = {"kind": kind}
+    if kind == "mvhg":
+        spec["urn"] = draw(st.lists(st.integers(0, 400), max_size=5))
+        spec["N"] = draw(st.integers(0, sum(spec["urn"])))
+    else:
+        spec["N"] = draw(_PARTICLES)
+        keys = ["probs"] if kind == "multinomial" else ["left_probs", "right_probs"]
+        normalize = False
+        for key in keys:
+            spec[key], needs = draw(_simplex())
+            normalize |= needs
+        if normalize or draw(st.booleans()):
+            spec["normalize"] = normalize
+        if kind == "szilard":
+            spec["volume_fraction"] = draw(
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+            )
+    how = draw(st.sampled_from(["keep", "keep", "field", "element", "drop", "kind"]))
+    key = draw(st.sampled_from(sorted(k for k in spec if k != "kind")))
+    if how == "field":
+        spec[key] = draw(_BAD_VALUES)
+    elif how == "element" and isinstance(spec[key], list) and spec[key]:
+        spec[key][draw(st.integers(0, len(spec[key]) - 1))] = draw(_BAD_VALUES)
+    elif how == "drop":
+        del spec[key]
+    elif how == "kind":
+        spec["kind"] = draw(st.one_of(st.sampled_from(["bogus", ""]), _BAD_VALUES))
+    return spec
+
+
+def _finite_numbers(obj) -> bool:
+    if isinstance(obj, dict):
+        return all(_finite_numbers(v) for v in obj.values())
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    return True
+
+
+class TestEntropyFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_entropy_specs(), unit=st.sampled_from(["nats", "bits", "kB"]))
+    def test_exits_cleanly_with_finite_numbers_or_a_message(self, spec, unit):
+        # json.dumps writes NaN and Infinity tokens, which the CLI parses
+        import contextlib
+        import io
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["entropy", json.dumps(spec), "--unit", unit])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+            assert _finite_numbers(json.loads(out.getvalue()))
+            assert err.getvalue() == ""
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert "Traceback" not in err.getvalue()
+
+
 class TestEntropyCommand:
     def test_multinomial(self, capsys):
         code, out = run(
@@ -219,7 +312,7 @@ class TestSzilardCommand:
         assert code == 0
         payload = json.loads(out)
         want = szilard_after_mp(40, 9.11e-31, 300.0, 10e-9, payload["states_half"])
-        assert payload["S_after_kB"] == pytest.approx(want, rel=1e-12)
+        assert payload["S_after_kB"] == pytest.approx(want, rel=1e-14)
         assert payload["delta_kB"] == payload["S_before_kB"] - payload["S_after_kB"]
 
     @pytest.mark.parametrize(

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, rel_entr
+from scipy.special import gammaln, rel_entr, xlogy
 
 import occupancy_entropy.marginals as marginals
-from occupancy_entropy.combinatorics import OccupancyVector
+from occupancy_entropy.combinatorics import OccupancyVector, support_matrix
 from occupancy_entropy.distributions import (
     MultinomialDist,
     MvhgDist,
@@ -17,7 +17,6 @@ from occupancy_entropy.distributions import (
 )
 from occupancy_entropy.entropy import (
     EntropyReport,
-    _expected_log_factorial_binomial,
     _hypergeometric_log_expectations,
     boltzmann_entropy,
     entropy_by_enumeration,
@@ -27,6 +26,8 @@ from occupancy_entropy.entropy import (
     sandwich_check,
     szilard_split_entropy,
 )
+from occupancy_entropy.marginals import _binomial_log_factorial_gap
+from test_quantum import multinomial_entropy_mp
 
 FAIR_TWO = OneParticleDistribution([0.5, 0.5])
 
@@ -181,6 +182,89 @@ class TestMvhgPrecision:
         assert got == pytest.approx(want, rel=1e-9)
 
 
+class TestStirlingRemainder:
+    @pytest.mark.parametrize(
+        "xs, rtol, atol",
+        [
+            # the table below 10 and the series from 10 on
+            (np.concatenate((np.arange(40.0), [10.5, 13.7, 2997.0, 7e4, 1e5, 1e9])), 3e-16, 0),
+            # the direct form between the integers below 10, where ln Gamma(x + 1)
+            # and x ln x - x cancel to about eps x ln x, and ln Gamma(1 + x)
+            # loses about 0.58 x the rounding of 1 + x
+            ([1e-300, 1e-5, 0.3, 0.999, 1.5, 6.000000000000001, 9.999], 0, 2e-15),
+        ],
+    )
+    def test_matches_mpmath(self, xs, rtol, atol):
+        mp = pytest.importorskip("mpmath")
+        xs = np.asarray(xs, dtype=np.float64)
+        with mp.workdps(40):
+            want = [float(mp.loggamma(x + 1) - x * mp.log(x) + x) if x else 0.0
+                    for x in map(mp.mpf, xs.tolist())]
+        got = marginals._stirling_remainder(xs)
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
+        assert marginals._stirling_remainder(1) == 1.0
+
+
+class TestMultinomialPrecision:
+    # ln N! less a sum of about ln N! lost about eps N ln N; the Stirling
+    # remainders keep every term near the size of the result
+    @pytest.mark.parametrize(
+        "N, probs, sds",
+        [
+            (10**4, (0.1, 0.2, 0.3, 0.4), 40),
+            (10**5, (0.3, 0.7), 40),
+            (3000, (0.999, 0.001), None),
+        ],
+    )
+    def test_matches_mpmath(self, N, probs, sds):
+        want = float(multinomial_entropy_mp(N, probs, sds=sds))
+        got = multinomial_entropy(MultinomialDist(N, OneParticleDistribution(probs)))
+        assert got.total == pytest.approx(want, rel=1e-14)
+
+    def test_cold_gas_box_matches_mpmath(self):
+        # the 20 nm box at 3 K, where one level holds nearly every particle,
+        # against 40-digit sums over the same level probabilities, normalised.
+        # expected_logW and boltzmann carry the microstate-sized terms
+        # -m_c ln p_c, which move by N (sum p - 1) = 2e-14 here, about 1e-12
+        # of these small values; the total does not
+        from occupancy_entropy.entropy import _multinomial_report
+        from occupancy_entropy.physics import (
+            DEFAULT_TRUNCATION,
+            BoxModel,
+            _boltzmann_weights,
+            _cutoff,
+            _square_sum_levels,
+        )
+
+        mp = pytest.importorskip("mpmath")
+        N = 100
+        model = BoxModel(9.1093837015e-31, 3.0, 20e-9)
+        levels, multiplicity = _square_sum_levels(_cutoff(model, DEFAULT_TRUNCATION)[0])
+        probs, _ = _boltzmann_weights(
+            model.energy_unit * levels.astype(np.float64), model, multiplicity
+        )
+        got = _multinomial_report(N, probs, multiplicity)
+        with mp.workdps(40):
+            g = [int(x) for x in multiplicity]
+            p = [mp.mpf(x) for x in probs.tolist()]
+            total = mp.fsum(gc * pc for gc, pc in zip(g, p))
+            p = [pc / total for pc in p]
+            micro = -N * mp.fsum(gc * pc * mp.log(pc) for gc, pc in zip(g, p))
+            log_gamma = mp.fsum(gc * mp.loggamma(N * pc + 1) for gc, pc in zip(g, p))
+            e_fact = mp.mpf(0)
+            for gc, pc in zip(g, p):
+                term, log_fact = (1 - pc) ** N, mp.mpf(0)
+                for k in range(1, N + 1):
+                    term = term * (N - k + 1) / k * pc / (1 - pc)
+                    log_fact += mp.log(k)
+                    e_fact += gc * term * log_fact
+            expected_logW = mp.loggamma(N + 1) - e_fact
+            boltzmann = mp.loggamma(N + 1) - log_gamma
+        assert got.total == pytest.approx(float(micro - expected_logW), rel=1e-14)
+        assert got.expected_logW == pytest.approx(float(expected_logW), rel=1e-12)
+        assert got.boltzmann == pytest.approx(float(boltzmann), rel=1e-12)
+
+
 class TestBoltzmannEntropy:
     def test_single_color(self):
         assert boltzmann_entropy((2, 0)) == pytest.approx(0.0, abs=1e-14)
@@ -268,7 +352,15 @@ def _mp_expected_log_factorial(N, p):
             term = term * (N - k + 1) / k * p / (1 - p)
             log_fact += mp.log(k)
             acc += term * log_fact
-        return float(acc)
+        return acc
+
+
+def _mp_log_factorial_gap(N, p):
+    """E{ln n!} - ln Gamma(N p + 1) for n ~ Binomial(N, p), in 30-digit
+    arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        return float(_mp_expected_log_factorial(N, p) - mp.loggamma(N * mp.mpf(p) + 1))
 
 
 def _mp_hypergeometric_log_expectations(U, u, N):
@@ -291,19 +383,19 @@ class TestWindowedExpectation:
         # N above the old full-sum cutoff of 1000: the windowed result must
         # agree with a sum over every count
         N, p = 1500, 0.37
-        full = _mp_expected_log_factorial(N, p)
-        assert _expected_log_factorial_binomial(N, p) == pytest.approx(
-            full, rel=1e-13
+        assert _binomial_log_factorial_gap(N, p) == pytest.approx(
+            _mp_log_factorial_gap(N, p), rel=1e-13
         )
 
     @pytest.mark.parametrize("N, p", [(1001, 1e-6), (5000, 1e-5), (100_000, 1e-7)])
     def test_poisson_like_binomial_matches_full_sum(self, N, p):
         # a mean +- 12 sigma window dropped most of these expectations
-        full = _mp_expected_log_factorial(N, p)
         if N == 1001:
-            assert full == pytest.approx(3.4687e-7, rel=1e-4)
-        got = _expected_log_factorial_binomial(N, p)
-        assert got == pytest.approx(full, rel=1e-12)
+            assert float(_mp_expected_log_factorial(N, p)) == pytest.approx(
+                3.4687e-7, rel=1e-4
+            )
+        got = _binomial_log_factorial_gap(N, p)
+        assert got == pytest.approx(_mp_log_factorial_gap(N, p), rel=1e-12)
 
     @pytest.mark.parametrize("N, U", [(300, 1200), (1001, 100_000)])
     def test_window_matches_whole_grid(self, monkeypatch, N, U):
@@ -316,7 +408,7 @@ class TestWindowedExpectation:
         for cells in (math.inf, 0):
             monkeypatch.setattr(marginals, "_WHOLE_GRID_CELLS", cells)
             runs.append(
-                (_expected_log_factorial_binomial(N, p),)
+                (_binomial_log_factorial_gap(N, p),)
                 + _hypergeometric_log_expectations(U, counts, N)
             )
         for whole, windowed in zip(*runs):
@@ -324,18 +416,17 @@ class TestWindowedExpectation:
 
     def test_levels_are_evaluated_elementwise(self):
         p = np.array([[0.0, 1e-9], [0.37, 1.0]])
-        got = _expected_log_factorial_binomial(1500, p)
+        got = _binomial_log_factorial_gap(1500, p)
         assert got.shape == p.shape
         for value, q in zip(got.ravel(), p.ravel()):
             assert value == pytest.approx(
-                _expected_log_factorial_binomial(1500, q), rel=1e-14
+                _binomial_log_factorial_gap(1500, q), rel=1e-14
             )
 
     def test_extreme_probabilities(self):
-        assert _expected_log_factorial_binomial(2000, 0.0) == 0.0
-        assert _expected_log_factorial_binomial(2000, 1.0) == pytest.approx(
-            math.lgamma(2001.0), rel=1e-14
-        )
+        # one count: E{ln n!} is ln Gamma(m + 1) itself
+        assert _binomial_log_factorial_gap(2000, 0.0) == 0.0
+        assert _binomial_log_factorial_gap(2000, 1.0) == 0.0
 
     def test_hypergeometric_window_matches_full_sum(self):
         U, u_c, N = 5000, 2100, 1400  # N above the full-sum cutoff
@@ -443,6 +534,25 @@ def _expected_log_factorial_reference(N, p):
     return e_fact
 
 
+def _expected_log_factorial_ragged(N, p):
+    """E{ln n!} over the kernel's windows, grouped by width class."""
+    lo, hi, log_step = _binomial_windows(N, p, marginals._count_window)
+    (e_fact,) = marginals._window_means(
+        marginals._width_classes(lo, hi), lo, hi, log_step,
+        lambda rows, k: gammaln(k + 1.0),
+    )
+    return e_fact
+
+
+def _assert_gap_near(gap, N, p, e_fact):
+    """The gap kernel against E{ln n!} - ln Gamma(N p + 1) formed from a
+    reference E{ln n!}, within a few eps of the two terms, which cancel."""
+    log_gamma = gammaln(N * p + 1.0)
+    err = np.abs(gap - (e_fact - log_gamma))
+    tol = 1e-15 * (1.0 + e_fact + np.abs(log_gamma))
+    assert np.all(err <= tol), (err.max(), gap, e_fact, log_gamma)
+
+
 # tiny, near-1, exactly 0 and exactly 1 probabilities beside uniform ones
 _KERNEL_PROBS = st.one_of(
     st.sampled_from([0.0, 1.0, 1e-300, 1e-12, 1.0 - 1e-12, 1.0 - 2.0**-53, 0.5]),
@@ -470,10 +580,12 @@ class TestTableDrivenRaggedKernel:
             want_lo, want_hi, _ = _binomial_windows(N, p, _count_window_reference)
             lo, hi, _ = _binomial_windows(N, p, marginals._count_window)
             want = _expected_log_factorial_reference(N, p)
-            got = _expected_log_factorial_binomial(N, p)
+            got = _expected_log_factorial_ragged(N, p)
+            gap = _binomial_log_factorial_gap(N, p)
         assert np.array_equal(lo, want_lo)
         assert np.array_equal(hi, want_hi)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        _assert_gap_near(gap, N, p, want)
 
     @pytest.mark.parametrize("N, rows", [(2000, 3), (2000, 2001)])
     def test_subnormal_probability_window_holds_the_reference(self, N, rows):
@@ -483,10 +595,10 @@ class TestTableDrivenRaggedKernel:
         want_lo, want_hi, _ = _binomial_windows(N, p, _count_window_reference)
         lo, hi, _ = _binomial_windows(N, p, marginals._count_window)
         assert np.all(lo <= want_lo) and np.all(hi >= want_hi)
-        np.testing.assert_array_equal(
-            _expected_log_factorial_binomial(N, p),
-            _expected_log_factorial_reference(N, p),
-        )
+        want = _expected_log_factorial_reference(N, p)
+        np.testing.assert_array_equal(_expected_log_factorial_ragged(N, p), want)
+        # (n - m) / m would overflow at these p: the gap stays finite
+        _assert_gap_near(_binomial_log_factorial_gap(N, p), N, p, want)
 
     @pytest.mark.parametrize("N, rows", [(10**6, 4), (5000, 5001)])
     def test_converged_rows_query_only_the_support(self, N, rows):
@@ -513,6 +625,36 @@ class TestTableDrivenRaggedKernel:
         want_lo, want_hi, _ = _binomial_windows(N, p, _count_window_reference)
         np.testing.assert_array_equal(lo, want_lo)
         np.testing.assert_array_equal(hi, want_hi)
+
+    def test_one_count_rows_add_no_search_step(self):
+        # a p = 0 row (support {0}) beside (0.3, 0.7) at N = 10^6: its window
+        # is [0, 0], the others' windows are unchanged, and the search makes
+        # the same number of queries as without it
+        from unittest import mock
+
+        from scipy.special import xlogy
+
+        def windows(p):
+            calls = []
+
+            def spy(x, y):
+                calls.append(1)
+                return xlogy(x, y)
+
+            with mock.patch.object(marginals, "xlogy", spy):
+                lo, hi, _ = _binomial_windows(10**6, np.array(p), marginals._count_window)
+            return lo, hi, len(calls)
+
+        lo, hi, queries = windows([0.3, 0.7])
+        lo0, hi0, queries0 = windows([0.3, 0.7, 0.0])
+        np.testing.assert_array_equal(lo0, np.append(lo, 0.0))
+        np.testing.assert_array_equal(hi0, np.append(hi, 0.0))
+        assert queries0 == queries
+        want_lo, want_hi, _ = _binomial_windows(
+            10**6, np.array([0.3, 0.7, 0.0]), _count_window_reference
+        )
+        np.testing.assert_array_equal(lo0, want_lo)
+        np.testing.assert_array_equal(hi0, want_hi)
 
     def test_width_classes_partition_the_rows(self):
         rng = np.random.default_rng(3)
@@ -562,7 +704,8 @@ class TestTableDrivenRaggedKernel:
     )
     def test_gas_workload_boxes_match_mpmath(self, temperature, side, N):
         # the benchmark's three gas boxes, per distinct level, against
-        # 30-digit sums over the same level probabilities
+        # 30-digit sums over the same level probabilities: the gap
+        # E{ln n!} - ln Gamma(N q + 1), and its sum over the states
         from occupancy_entropy.physics import (
             BoxModel,
             _boltzmann_weights,
@@ -578,7 +721,7 @@ class TestTableDrivenRaggedKernel:
         probs, _ = _boltzmann_weights(
             model.energy_unit * levels.astype(np.float64), model, multiplicity
         )
-        got = _expected_log_factorial_binomial(N, probs)
+        got = _binomial_log_factorial_gap(N, probs)
         want = []
         with mp.workdps(30):
             for q in probs.tolist():
@@ -591,10 +734,34 @@ class TestTableDrivenRaggedKernel:
                     # past twice the mean the terms fall geometrically
                     if k > 2 * N * q + 2 and term * log_fact < acc * mp.mpf(1e-30):
                         break
-                want.append(float(acc))
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        total = float(mp.fsum(mp.mpf(g) * w for g, w in zip(multiplicity.tolist(), want)))
-        assert float((multiplicity * got).sum()) == pytest.approx(total, rel=1e-12)
+                want.append(acc - mp.loggamma(N * q + 1))
+            total = float(mp.fsum(g * w for g, w in zip(multiplicity.tolist(), want)))
+        # ln Gamma(1 + m) of a level far below one count is off by up to
+        # 0.58 x the rounding of 1 + m, about 6e-17, whatever its size
+        np.testing.assert_allclose(got, [float(w) for w in want], rtol=1e-13, atol=1e-15)
+        assert float((multiplicity * got).sum()) == pytest.approx(total, rel=1e-13)
+
+
+def _chain_rule_entropy(d):
+    """The split-box entropy by the chain rule over the left-side count b,
+    which the occupancy vector fixes:
+    H = H(Bin(N, f)) + sum_b P(b) [H(Mult(b, left)) + H(Mult(N - b, right))],
+    summed by math.fsum."""
+    pb = d.split_probabilities()
+    terms = [-float(x) for x in xlogy(pb, pb)]
+    for b, q in enumerate(pb):
+        if q > 0.0:
+            left = multinomial_entropy(MultinomialDist(b, d.left_dist)).total
+            right = multinomial_entropy(MultinomialDist(d.N - b, d.right_dist)).total
+            terms.append(float(q) * (left + right))
+    return math.fsum(terms) + 0.0
+
+
+def _paper_half_box():
+    """One-particle law of the paper's 10 nm half box (electron, 300 K)."""
+    from occupancy_entropy.physics import BoxModel, boltzmann_distribution
+
+    return boltzmann_distribution(BoxModel(9.11e-31, 300.0, 10e-9, 1))[0]
 
 
 class TestSzilardSplitEntropy:
@@ -615,9 +782,41 @@ class TestSzilardSplitEntropy:
         ],
     )
     def test_chain_rule_matches_enumeration(self, N, fraction, left, right):
+        # the chain rule and the one multinomial both give the enumerated
+        # entropy
         d = SzilardSplitDist(
             N, fraction, OneParticleDistribution(left), OneParticleDistribution(right)
         )
+        want = entropy_by_enumeration(d)
+        assert _chain_rule_entropy(d) == pytest.approx(want, abs=1e-12)
+        assert szilard_split_entropy(d) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("N", [2, 3, 10, 40, 100, 200])
+    def test_one_multinomial_matches_the_chain_rule_on_the_paper_box(self, N):
+        half = _paper_half_box()
+        d = SzilardSplitDist(N, 0.5, half, half)
         assert szilard_split_entropy(d) == pytest.approx(
-            entropy_by_enumeration(d), abs=1e-12
+            _chain_rule_entropy(d), rel=1e-13
         )
+
+    def test_split_law_is_one_multinomial(self):
+        # pmf, log-pmf and the batch agree with the chain-rule law
+        # P(b) P(left | b) P(right | N - b) on every occupancy vector
+        left = OneParticleDistribution([0.5, 0.3, 0.2, 0.0])
+        right = OneParticleDistribution([0.6, 0.4])
+        d = SzilardSplitDist(4, 0.3, left, right)
+        counts = support_matrix(4, 6)
+        pb = d.split_probabilities()
+        want = []
+        for row in counts:
+            b = int(row[:4].sum())
+            want.append(
+                math.log(pb[b])
+                + MultinomialDist(b, left).log_pmf(row[:4])
+                + MultinomialDist(4 - b, right).log_pmf(row[4:])
+            )
+        want = np.array(want)
+        np.testing.assert_allclose(d.log_pmf_batch(counts), want, rtol=1e-13, atol=1e-13)
+        for row, w in zip(counts, want):
+            assert d.log_pmf(row) == pytest.approx(w, rel=1e-13, abs=1e-13)
+            assert d.pmf(row) == pytest.approx(math.exp(w), rel=1e-12, abs=0.0)

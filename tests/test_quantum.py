@@ -184,12 +184,16 @@ class TestBayesianMixture:
 
 def multinomial_entropy_mp(n, probs, sds=None):
     """n H(p) - ln n! + sum_c E{ln X_c!} with X_c ~ Bin(n, p_c), in 30-digit
-    arithmetic. Every term of the binomial sums is kept, or with ``sds``
+    arithmetic, for p normalised to sum to 1: the float probabilities sum
+    to 1 only within rounding, which moves the entropy by about that much
+    times n ln n. Every term of the binomial sums is kept, or with ``sds``
     only those within that many standard deviations of the mean: past 40
     the omitted tails are below exp(-3200 p (1 - p)) (Hoeffding)."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         p = [mp.mpf(x) for x in probs if x > 0]
+        total = mp.fsum(p)
+        p = [x / total for x in p]
         acc = -n * mp.fsum(x * mp.log(x) for x in p) - mp.loggamma(n + 1)
         for pc in p:
             lo, hi = 0, n
@@ -229,16 +233,16 @@ class TestHolevoChi:
 
     @pytest.mark.parametrize("U", [20_100, 100_100])
     def test_exact_matches_mpmath_at_large_universe(self, U):
-        # the form cancels -sum ln j (about N ln U) against sums of the same
-        # size, so its relative error grows with U: 1.5e-10 at U = 20,100
-        # and 4.9e-10 at U = 100,100, under the 1e-9 the README states
+        # chi (5e-4 at U = 100,100) is the difference of two entropies of
+        # about 6.4 nats, each within a few eps of itself, so a few eps of
+        # each is about 1e-12 of chi: 4.1e-13 at U = 20,100, 1.1e-12 here
         N, probs = 100, (0.3, 0.7)
         want = float(
             multinomial_entropy_mp(U, probs, sds=40)
             - multinomial_entropy_mp(U - N, probs, sds=40)
         )
         got = holevo_chi(U, N, OneParticleDistribution(probs)).chi
-        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize(
         "U, N, probs", [(5, 0, [0.5, 0.5]), (7, 3, [1.0]), (7, 3, [0.0, 1.0])]
