@@ -249,9 +249,8 @@ class SzilardSplitDist:
 
     @cached_property
     def _multinomial(self) -> MultinomialDist:
-        """The same law as one multinomial, as each particle picks its side,
-        then its colour, independently: Mult(N, (f left, (1 - f) right)),
-        renormalised, as each side sums to 1 only within _PROB_SUM_TOL."""
+        """Mult(N, (f left, (1 - f) right)), as each particle picks its side and then
+        its colour independently; renormalised: sides sum to 1 within _PROB_SUM_TOL."""
         f = self.volume_fraction
         weights = np.concatenate((f * self.left_dist.probs, (1 - f) * self.right_dist.probs))
         return MultinomialDist(self.N, OneParticleDistribution.from_weights(weights))

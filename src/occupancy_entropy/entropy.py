@@ -138,7 +138,8 @@ def _multinomial_report(
         expected_logW = log_factorial(N) - float((log_gamma + gaps).sum())
         boltzmann = log_factorial(N) - float(log_gamma.sum())
         return EntropyReport(micro, expected_logW, micro - expected_logW, boltzmann)
-    tau, tau_n = multiplicity * _stirling_remainder(mean), float(_stirling_remainder(N))
+    tau = _stirling_remainder(np.append(mean, N))
+    tau, tau_n = multiplicity * tau[:-1], float(tau[-1])
     boltzmann = tau_n + float((-multiplicity * xlogy(mean, probs) - tau).sum())
     total = float(tau.sum()) - tau_n + float(gaps.sum())
     return EntropyReport(micro, boltzmann - float(gaps.sum()), total, boltzmann)

@@ -36,14 +36,13 @@ _TAU_INTEGERS = np.array([
 
 
 def _stirling_remainder(x) -> np.ndarray:
-    """tau(x) = ln Gamma(x + 1) - x ln x + x, elementwise over x >= 0, about
-    1/2 ln 2 pi x: the Stirling series from _STIRLING_FROM on,
-    _TAU_INTEGERS at the integers below it and the direct form elsewhere."""
+    """tau(x) = ln Gamma(x + 1) - x ln x + x, about 1/2 ln 2 pi x, for x >= 0: the
+    Stirling series from _STIRLING_FROM on, _TAU_INTEGERS at smaller integers, else direct."""
     x = np.asarray(x, dtype=np.float64)
     y = np.maximum(x, _STIRLING_FROM)
-    series = 0.0
+    w, series = 1.0 / (y * y), 0.0
     for c in reversed(_STIRLING):
-        series = c + series / (y * y)
+        series = c + w * series
     out = np.array(0.5 * np.log(2.0 * math.pi * y) + series / y)
     whole = (x < _STIRLING_FROM) & (x == np.floor(x))
     out[whole] = _TAU_INTEGERS[x[whole].astype(np.intp)]
@@ -258,13 +257,13 @@ def _binomial_log_factorial_gap(
 ) -> np.ndarray:
     """g = E{ln n!} - ln Gamma(m + 1) for n ~ Binomial(N, p) with mean
     m = N p, elementwise over an array of p. From m = 1 on it is the mean of
-    tau(n) - tau(m) + n log1p((n - m) / m) - (n - m) (tau is
-    _stirling_remainder), which is ln n! - ln Gamma(m + 1) less (n - m) ln m
-    of mean zero: terms small near the mean, none of size N ln N. Below
-    m = 1, where n ln(n / m) would cancel against tau(m), it is E{ln n!}
-    less ln Gamma(m + 1). Each mean is summed over the _count_window of
-    E{ln n!}, which leaves out under 1e-17 of it; CapExceededError if the
-    cells _window_means builds over those windows would exceed ``budget``.
+    tau(n) - tau(m) + n log1p((n - m) / m) - (n - m) (tau is _stirling_remainder,
+    tabled over 0..max n unless longer than the cells), ln n! - ln Gamma(m + 1)
+    less (n - m) ln m of mean zero: small near the mean, never of size N ln N.
+    Below m = 1, where n ln(n / m) would cancel against tau(m), it is E{ln n!}
+    less ln Gamma(m + 1). Means are summed over the _count_window of E{ln n!},
+    which leaves out under 1e-17 of it; CapExceededError if the cells
+    _window_means builds over those windows would exceed ``budget``.
     """
     p = np.asarray(p, dtype=np.float64)
     flat = p.ravel()
@@ -291,8 +290,8 @@ def _binomial_log_factorial_gap(
     log_fact = gammaln(np.arange(hi[small].max(initial=0.0) + 1.0) + 1.0)
     (e_fact,) = _window_means(
         classes[0], lo, hi, log_step, lambda rows, k: log_fact[k.astype(np.intp)])
-    tau_mean = _stirling_remainder(np.maximum(mean, 1.0))  # read from m = 1 on
-    # tau(n) over 0..max n, unless that is longer than the cells
+    tau_mean = np.zeros_like(mean)
+    tau_mean[~small] = _stirling_remainder(mean[~small])
     top = float(hi[~small].max(initial=0.0))
     table = _stirling_remainder(np.arange(top + 1.0)) if top < cells[1] else None
 
