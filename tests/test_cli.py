@@ -120,6 +120,8 @@ class TestEntropyFuzz:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error: ")
             assert "Traceback" not in err.getvalue()
+            # a NaN or infinite result surfaces as json.dumps refusing it
+            assert "JSON compliant" not in err.getvalue()
 
 
 class TestEntropyCommand:
