@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .combinatorics import (
     DEFAULT_CAP,
     log_factorial,
     log_factorial_real,
-    log_multinomial_coeff,
     support_matrix,
 )
 from .constants import BOLTZMANN_KB, LN2, PLANCK_H
@@ -32,7 +31,7 @@ from .distributions import (
 from .marginals import (
     _binomial_log_factorial_gap,
     _hypergeometric_log_expectations,
-    _stirling_remainder,
+    _count_stirling_remainder,
 )
 
 __all__ = [
@@ -119,30 +118,42 @@ def _multinomial_report(
     N: int, probs: np.ndarray, multiplicity: np.ndarray, budget: float = math.inf
 ) -> EntropyReport:
     """Decomposed entropy of N draws over levels of equally likely colours:
-    multiplicity[i] colours have probability probs[i] each.
+    multiplicity[i] colours have probability probs[i] each, normalised by
+    their sum S, whose difference from 1 is formed exactly.
 
-    With m_c = N p_c and g_c = E{ln n_c!} - ln Gamma(m_c + 1), each level's
-    computed once, boltzmann = ln N! - sum_c ln Gamma(m_c + 1),
-    expected_logW = boltzmann - sum_c g_c and total = N H(p) -
-    expected_logW. Unless N H(p) >= ln N!, as in a dilute gas,
-    ln x! = tau(x) + x ln x - x (tau the Stirling remainder) rewrites them
-    without terms of size ln N!: total = sum_c [tau(m_c) + g_c] - tau(N)
-    and boltzmann = tau(N) + sum_c [m_c ln(N / m_c) - tau(m_c)].
+    With m_c = N p_c / S, tau(x) = ln Gamma(x + 1) - x ln x + x and
+    g_c = E{ln n_c!} - ln Gamma(m_c + 1), each level's computed once:
+    total = sum_c [tau(m_c) + g_c] - tau(N), boltzmann = N H(p) -
+    sum_c tau(m_c) + tau(N) and expected_logW = N H(p) - total, with
+    N H(p) = sum_c m_c ln(S / p_c): no term is of size ln N!.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    mean = N * probs
-    micro = N * float(-(multiplicity * xlogy(probs, probs)).sum())
-    gaps = multiplicity * _binomial_log_factorial_gap(N, probs, budget)
-    if micro >= log_factorial(N):
-        log_gamma = multiplicity * gammaln(mean + 1.0)
-        expected_logW = log_factorial(N) - float((log_gamma + gaps).sum())
-        boltzmann = log_factorial(N) - float(log_gamma.sum())
-        return EntropyReport(micro, expected_logW, micro - expected_logW, boltzmann)
-    tau = _stirling_remainder(np.append(mean, N))
-    tau, tau_n = multiplicity * tau[:-1], float(tau[-1])
-    boltzmann = tau_n + float((-multiplicity * xlogy(mean, probs) - tau).sum())
-    total = float(tau.sum()) - tau_n + float(gaps.sum())
-    return EntropyReport(micro, boltzmann - float(gaps.sum()), total, boltzmann)
+    excess = math.fsum((*_exact_sums(multiplicity * probs), -1.0))
+    probs_s = probs - probs * (excess / (1.0 + excess))
+    mean = N * probs_s
+    tau, gap = _binomial_log_factorial_gap(N, probs_s, budget)
+    terms = multiplicity * np.array((-xlogy(mean, probs), tau, gap))
+    micro, tau, gap = np.transpose(_exact_sums(terms))
+    scale = N * math.log1p(excess)
+    tau_n = float(_count_stirling_remainder(N))
+    boltzmann = (*micro, scale, *-tau, tau_n)
+    return EntropyReport(
+        microstate_term=math.fsum((*micro, scale)) + 0.0,
+        expected_logW=math.fsum((*boltzmann, *-gap)) + 0.0,
+        total=math.fsum((*tau, *gap, -tau_n)) + 0.0,
+        boltzmann=math.fsum(boltzmann) + 0.0,
+    )
+
+
+def _exact_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sums along the last axis as unrounded pairs (high, low): the high
+    parts, on a power-of-two grid of at least n 2^-53 times the largest term,
+    sum exactly; the low parts, within half a grid step, all but exactly."""
+    top = np.abs(terms).max(axis=-1, keepdims=True)
+    exponent = np.frexp(top)[1] + terms.shape[-1].bit_length() - 53
+    grid = np.ldexp(1.0, np.maximum(exponent, -1074))
+    high = np.rint(terms / grid) * grid
+    return high.sum(axis=-1), (terms - high).sum(axis=-1)
 
 
 def multinomial_entropy(d: MultinomialDist) -> EntropyReport:
@@ -167,13 +178,18 @@ def mvhg_entropy(d: MvhgDist) -> EntropyReport:
     total = ln C(U, N) - sum_c E{ln C(u_c, n_c)}, whose terms are of the
     size of the result rather than of ln U!, and
     expected_logW = ln N! - sum_c E{ln n_c!}.
-    The microstate term is reported as total + expected_logW.
+    ln C(U, N) = tau(U) - tau(N) - tau(U - N) + N ln(U / N)
+    + (U - N) ln(U / (U - N)), tau the Stirling remainder, has no term of
+    size ln U! either. The microstate term is reported as total + expected_logW.
     """
     urn, N = d.urn, d.draw_count
     U = urn.total
     e_fact, e_binom = _hypergeometric_log_expectations(U, urn.counts, N)
     expected_logW = log_factorial(N) - float(e_fact.sum())
-    total = log_multinomial_coeff((N, U - N)).value - float(e_binom.sum())
+    tau = _count_stirling_remainder([U, N, U - N])
+    drawn = N / U if U else 0.0
+    log_choose = tau[0] - tau[1] - tau[2] - xlogy(N, drawn) - xlog1py(U - N, -drawn)
+    total = float(log_choose - e_binom.sum())
     mean = N * np.asarray(urn.counts, dtype=np.float64) / U if U else np.zeros(len(urn))
     return EntropyReport(
         microstate_term=total + expected_logW,

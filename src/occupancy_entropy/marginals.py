@@ -44,11 +44,25 @@ def _stirling_remainder(x) -> np.ndarray:
     for c in reversed(_STIRLING):
         series = c + w * series
     out = np.array(0.5 * np.log(2.0 * math.pi * y) + series / y)
-    whole = (x < _STIRLING_FROM) & (x == np.floor(x))
-    out[whole] = _TAU_INTEGERS[x[whole].astype(np.intp)]
-    xs = x[(x < _STIRLING_FROM) & ~whole]
-    out[(x < _STIRLING_FROM) & ~whole] = gammaln(xs + 1.0) + xs * (1.0 - np.log(xs))
+    below = x < _STIRLING_FROM
+    if below.any():
+        xs = x[below]
+        whole = xs == np.floor(xs)
+        direct = gammaln(xs + 1.0) + xs * (1.0 - np.log(np.where(whole, 1.0, xs)))
+        out[below] = np.where(whole, _TAU_INTEGERS[np.where(whole, xs, 0).astype(np.intp)], direct)
     return out
+
+
+# tau at the counts 0..4095, tabled once
+_TAU_COUNTS = _stirling_remainder(np.arange(2.0**12))
+
+
+def _count_stirling_remainder(k) -> np.ndarray:
+    """_stirling_remainder at whole counts k, read from _TAU_COUNTS where they fit."""
+    k = np.asarray(k, dtype=np.float64)
+    if k.max(initial=0.0) < _TAU_COUNTS.size:
+        return _TAU_COUNTS[k.astype(np.intp)]
+    return _stirling_remainder(k)
 
 
 def _log_choose(n, k):
@@ -254,55 +268,50 @@ def _hypergeometric_marginal(U: int, u: int, N: int) -> np.ndarray:
 
 def _binomial_log_factorial_gap(
     N: int, p: np.ndarray, budget: float = math.inf
-) -> np.ndarray:
-    """g = E{ln n!} - ln Gamma(m + 1) for n ~ Binomial(N, p) with mean
-    m = N p, elementwise over an array of p. From m = 1 on it is the mean of
-    tau(n) - tau(m) + n log1p((n - m) / m) - (n - m) (tau is _stirling_remainder,
-    tabled over 0..max n unless longer than the cells), ln n! - ln Gamma(m + 1)
-    less (n - m) ln m of mean zero: small near the mean, never of size N ln N.
-    Below m = 1, where n ln(n / m) would cancel against tau(m), it is E{ln n!}
-    less ln Gamma(m + 1). Means are summed over the _count_window of E{ln n!},
-    which leaves out under 1e-17 of it; CapExceededError if the cells
-    _window_means builds over those windows would exceed ``budget``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """tau(m) and g = E{ln n!} - ln Gamma(m + 1) for n ~ Binomial(N, p) with
+    mean m = N p, elementwise over an array of p. From m = 1 on, g is the mean
+    of tau(n) - tau(m) + n log1p((n - m) / m) - (n - m), which is small near
+    the mean; below, where n ln(n / m) would cancel against tau(m), it is
+    E{ln n!} less ln Gamma(m + 1). Means are summed over the _count_window of
+    E{ln n!}, which leaves out under 1e-17 of it; CapExceededError if the
+    cells _window_means builds over those windows would exceed ``budget``.
     """
-    p = np.asarray(p, dtype=np.float64)
-    flat = p.ravel()
-    first, last, log_step = _binomial(N, flat)
+    shape = np.shape(p)
+    p = np.ravel(p).astype(np.float64)
+    first, last, log_step = _binomial(N, p)
 
     def log_term(k):
-        return _binomial_log_pmf(N, flat, k) + np.log(gammaln(k + 1.0))
+        return _binomial_log_pmf(N, p, k) + np.log(gammaln(k + 1.0))
 
-    lo, hi = _count_window(N, flat, first, last, log_term, gammaln(N + 1.0))
-    mean = N * flat
-    small = mean < 1.0
-    # the rows below and from one mean count, each grouped by width class
-    classes = [
-        [(rows[group], width) for group, width in _width_classes(lo[rows], hi[rows])]
-        for rows in (np.flatnonzero(small), np.flatnonzero(~small))
-    ]
-    cells = [sum(rows.size * width for rows, width in kind) for kind in classes]
-    if sum(cells) > budget:
-        widest = max(width for kind in classes for _, width in kind)
+    lo, hi = _count_window(N, p, first, last, log_term, gammaln(N + 1.0))
+    classes = _width_classes(lo, hi)
+    cells = sum(rows.size * width for rows, width in classes)
+    if cells > budget:
+        widest = max(width for _, width in classes)
         raise CapExceededError(
-            f"summation over {flat.size} levels x up to {widest} counts needs "
-            f"{sum(cells)} cells, over the budget of {budget}", sum(cells), budget
+            f"summation over {p.size} levels x up to {widest} counts needs "
+            f"{cells} cells, over the budget of {budget}", cells, budget
         )
+    mean = N * p
+    small = mean < 1.0
+    tau = _stirling_remainder(mean)
     log_fact = gammaln(np.arange(hi[small].max(initial=0.0) + 1.0) + 1.0)
-    (e_fact,) = _window_means(
-        classes[0], lo, hi, log_step, lambda rows, k: log_fact[k.astype(np.intp)])
-    tau_mean = np.zeros_like(mean)
-    tau_mean[~small] = _stirling_remainder(mean[~small])
-    top = float(hi[~small].max(initial=0.0))
-    table = _stirling_remainder(np.arange(top + 1.0)) if top < cells[1] else None
 
     def term(rows, k):
+        below = small[rows]
+        if below.all():
+            return log_fact[k.astype(np.intp)]
         m = mean[rows, None]
-        tau = _stirling_remainder(k) if table is None else table[k.astype(np.intp)]
-        return tau - tau_mean[rows, None] + xlog1py(k, (k - m) / m) - (k - m)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            gap = (_count_stirling_remainder(k) - tau[rows, None]
+                   + xlog1py(k, (k - m) / m) - (k - m))
+        k_below = np.minimum(k, log_fact.size - 1).astype(np.intp)
+        return np.where(below[:, None], log_fact[k_below], gap)
 
-    (gap,) = _window_means(classes[1], lo, hi, log_step, term)
-    gap[small] = e_fact[small] - gammaln(mean[small] + 1.0)
-    return gap.reshape(p.shape)
+    (gap,) = _window_means(classes, lo, hi, log_step, term)
+    gap[small] -= gammaln(mean[small] + 1.0)
+    return tau.reshape(shape), gap.reshape(shape)
 
 
 def _hypergeometric_log_expectations(

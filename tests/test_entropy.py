@@ -32,6 +32,11 @@ from test_quantum import multinomial_entropy_mp
 FAIR_TWO = OneParticleDistribution([0.5, 0.5])
 
 
+def _gap(N, p):
+    """g = E{ln n!} - ln Gamma(N p + 1) of the binomial kernel, without its tau."""
+    return _binomial_log_factorial_gap(N, p)[1]
+
+
 @st.composite
 def random_multinomials(draw, max_n=12, max_colors=5):
     n = draw(st.integers(min_value=0, max_value=max_n))
@@ -223,10 +228,11 @@ class TestMultinomialPrecision:
 
     def test_cold_gas_box_matches_mpmath(self):
         # the 20 nm box at 3 K, where one level holds nearly every particle,
-        # against 40-digit sums over the same level probabilities, normalised.
-        # expected_logW and boltzmann carry the microstate-sized terms
-        # -m_c ln p_c, which move by N (sum p - 1) = 2e-14 here, about 1e-12
-        # of these small values; the total does not
+        # against 40-digit sums over the same level probabilities, normalised
+        # as the kernel normalises them (they sum to 1 + 2.2e-16 as given).
+        # expected_logW and boltzmann hold tau(N) - tau(m) of the full level,
+        # a difference of two numbers of about 3.2, so they are good to a few
+        # eps of 3.2 (1.5e-14 relative); the total is not
         from occupancy_entropy.entropy import _multinomial_report
         from occupancy_entropy.physics import (
             DEFAULT_TRUNCATION,
@@ -261,8 +267,21 @@ class TestMultinomialPrecision:
             expected_logW = mp.loggamma(N + 1) - e_fact
             boltzmann = mp.loggamma(N + 1) - log_gamma
         assert got.total == pytest.approx(float(micro - expected_logW), rel=1e-14)
-        assert got.expected_logW == pytest.approx(float(expected_logW), rel=1e-12)
-        assert got.boltzmann == pytest.approx(float(boltzmann), rel=1e-12)
+        assert got.expected_logW == pytest.approx(float(expected_logW), rel=1e-13)
+        assert got.boltzmann == pytest.approx(float(boltzmann), rel=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([5e-324, -1e-310]),
+                    min_size=1, max_size=40))
+    def test_exact_sums_lose_almost_nothing(self, terms):
+        from fractions import Fraction
+
+        from occupancy_entropy.entropy import _exact_sums
+
+        high, low = _exact_sums(np.array(terms))
+        exact = sum(map(Fraction, terms))
+        error = abs(Fraction(high) + Fraction(low) - exact)
+        assert error <= Fraction(2) ** -80 * max(map(abs, terms))
 
 
 class TestBoltzmannEntropy:
@@ -383,7 +402,7 @@ class TestWindowedExpectation:
         # N above the old full-sum cutoff of 1000: the windowed result must
         # agree with a sum over every count
         N, p = 1500, 0.37
-        assert _binomial_log_factorial_gap(N, p) == pytest.approx(
+        assert _gap(N, p) == pytest.approx(
             _mp_log_factorial_gap(N, p), rel=1e-13
         )
 
@@ -394,7 +413,7 @@ class TestWindowedExpectation:
             assert float(_mp_expected_log_factorial(N, p)) == pytest.approx(
                 3.4687e-7, rel=1e-4
             )
-        got = _binomial_log_factorial_gap(N, p)
+        got = _gap(N, p)
         assert got == pytest.approx(_mp_log_factorial_gap(N, p), rel=1e-12)
 
     @pytest.mark.parametrize("N, U", [(300, 1200), (1001, 100_000)])
@@ -408,7 +427,7 @@ class TestWindowedExpectation:
         for cells in (math.inf, 0):
             monkeypatch.setattr(marginals, "_WHOLE_GRID_CELLS", cells)
             runs.append(
-                (_binomial_log_factorial_gap(N, p),)
+                (_gap(N, p),)
                 + _hypergeometric_log_expectations(U, counts, N)
             )
         for whole, windowed in zip(*runs):
@@ -416,17 +435,17 @@ class TestWindowedExpectation:
 
     def test_levels_are_evaluated_elementwise(self):
         p = np.array([[0.0, 1e-9], [0.37, 1.0]])
-        got = _binomial_log_factorial_gap(1500, p)
+        got = _gap(1500, p)
         assert got.shape == p.shape
         for value, q in zip(got.ravel(), p.ravel()):
             assert value == pytest.approx(
-                _binomial_log_factorial_gap(1500, q), rel=1e-14
+                _gap(1500, q), rel=1e-14
             )
 
     def test_extreme_probabilities(self):
         # one count: E{ln n!} is ln Gamma(m + 1) itself
-        assert _binomial_log_factorial_gap(2000, 0.0) == 0.0
-        assert _binomial_log_factorial_gap(2000, 1.0) == 0.0
+        assert _gap(2000, 0.0) == 0.0
+        assert _gap(2000, 1.0) == 0.0
 
     def test_hypergeometric_window_matches_full_sum(self):
         U, u_c, N = 5000, 2100, 1400  # N above the full-sum cutoff
@@ -581,7 +600,7 @@ class TestTableDrivenRaggedKernel:
             lo, hi, _ = _binomial_windows(N, p, marginals._count_window)
             want = _expected_log_factorial_reference(N, p)
             got = _expected_log_factorial_ragged(N, p)
-            gap = _binomial_log_factorial_gap(N, p)
+            gap = _gap(N, p)
         assert np.array_equal(lo, want_lo)
         assert np.array_equal(hi, want_hi)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
@@ -598,7 +617,7 @@ class TestTableDrivenRaggedKernel:
         want = _expected_log_factorial_reference(N, p)
         np.testing.assert_array_equal(_expected_log_factorial_ragged(N, p), want)
         # (n - m) / m would overflow at these p: the gap stays finite
-        _assert_gap_near(_binomial_log_factorial_gap(N, p), N, p, want)
+        _assert_gap_near(_gap(N, p), N, p, want)
 
     @pytest.mark.parametrize("N, rows", [(10**6, 4), (5000, 5001)])
     def test_converged_rows_query_only_the_support(self, N, rows):
@@ -704,8 +723,9 @@ class TestTableDrivenRaggedKernel:
     )
     def test_gas_workload_boxes_match_mpmath(self, temperature, side, N):
         # the benchmark's three gas boxes, per distinct level, against
-        # 30-digit sums over the same level probabilities: the gap
-        # E{ln n!} - ln Gamma(N q + 1), and its sum over the states
+        # 30-digit sums over the same level probabilities: the window means,
+        # E{ln n!} below one mean count and the gap E{ln n!} - ln Gamma(N q + 1)
+        # from one on, and the sum of the gaps over the states
         from occupancy_entropy.physics import (
             BoxModel,
             _boltzmann_weights,
@@ -721,8 +741,8 @@ class TestTableDrivenRaggedKernel:
         probs, _ = _boltzmann_weights(
             model.energy_unit * levels.astype(np.float64), model, multiplicity
         )
-        got = _binomial_log_factorial_gap(N, probs)
-        want = []
+        tau, got = _binomial_log_factorial_gap(N, probs)
+        e_fact, gaps = [], []
         with mp.workdps(30):
             for q in probs.tolist():
                 q = mp.mpf(q)
@@ -734,11 +754,22 @@ class TestTableDrivenRaggedKernel:
                     # past twice the mean the terms fall geometrically
                     if k > 2 * N * q + 2 and term * log_fact < acc * mp.mpf(1e-30):
                         break
-                want.append(acc - mp.loggamma(N * q + 1))
-            total = float(mp.fsum(g * w for g, w in zip(multiplicity.tolist(), want)))
-        # ln Gamma(1 + m) of a level far below one count is off by up to
-        # 0.58 x the rounding of 1 + m, about 6e-17, whatever its size
-        np.testing.assert_allclose(got, [float(w) for w in want], rtol=1e-13, atol=1e-15)
+                e_fact.append(float(acc))
+                gaps.append(acc - mp.loggamma(N * q + 1))
+            total = float(mp.fsum(g * w for g, w in zip(multiplicity.tolist(), gaps)))
+        # below one mean count the kernel forms E{ln n!} over the same windows
+        # as the ragged reference, then subtracts ln Gamma(m + 1)
+        small = N * probs < 1.0
+        means = _expected_log_factorial_ragged(N, probs)
+        np.testing.assert_allclose(means[small], np.array(e_fact)[small], rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(got[small], means[small] - gammaln(N * probs[small] + 1.0))
+        # from one count on, each cell's tau(n) - tau(m) is a difference of
+        # two numbers of about 1/2 ln 2 pi m, so a gap near 0 (a level that
+        # holds nearly every particle: 2.7e-5 in the cold box) is only good
+        # to a few eps of tau(m), 1.3e-16 there
+        gaps = np.array([float(g) for g in gaps])
+        err = np.abs(got - gaps)[~small]
+        assert np.all(err <= 1e-13 * np.abs(gaps[~small]) + 2e-16 * tau[~small]), err
         assert float((multiplicity * got).sum()) == pytest.approx(total, rel=1e-13)
 
 
