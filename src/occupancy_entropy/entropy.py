@@ -133,13 +133,13 @@ def _multinomial_report(
     mean = N * probs_s
     tau, gap = _binomial_log_factorial_gap(N, probs_s, budget)
     terms = multiplicity * np.array((-xlogy(mean, probs), tau, gap))
-    micro, tau, gap = np.transpose(_exact_sums(terms))
+    micro, tau, gap = np.transpose(_exact_sums(terms)).tolist()
     scale = N * math.log1p(excess)
     tau_n = float(_count_stirling_remainder(N))
-    boltzmann = (*micro, scale, *-tau, tau_n)
+    boltzmann = [*micro, scale, *(-t for t in tau), tau_n]
     return EntropyReport(
         microstate_term=math.fsum((*micro, scale)) + 0.0,
-        expected_logW=math.fsum((*boltzmann, *-gap)) + 0.0,
+        expected_logW=math.fsum((*boltzmann, *(-g for g in gap))) + 0.0,
         total=math.fsum((*tau, *gap, -tau_n)) + 0.0,
         boltzmann=math.fsum(boltzmann) + 0.0,
     )

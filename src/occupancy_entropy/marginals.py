@@ -39,17 +39,19 @@ def _stirling_remainder(x) -> np.ndarray:
     """tau(x) = ln Gamma(x + 1) - x ln x + x, about 1/2 ln 2 pi x, for x >= 0: the
     Stirling series from _STIRLING_FROM on, _TAU_INTEGERS at smaller integers, else direct."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.maximum(x, _STIRLING_FROM)
-    w, series = 1.0 / (y * y), 0.0
-    for c in reversed(_STIRLING):
-        series = c + w * series
-    out = np.array(0.5 * np.log(2.0 * math.pi * y) + series / y)
-    below = x < _STIRLING_FROM
-    if below.any():
-        xs = x[below]
+    out = np.empty(x.shape)
+    above = x >= _STIRLING_FROM
+    if above.any():
+        y = x[above]
+        w, series = 1.0 / (y * y), _STIRLING[-1]
+        for c in _STIRLING[-2::-1]:
+            series = c + w * series
+        out[above] = 0.5 * np.log(2.0 * math.pi * y) + series / y
+    if not above.all():
+        xs = x[~above]
         whole = xs == np.floor(xs)
         direct = gammaln(xs + 1.0) + xs * (1.0 - np.log(np.where(whole, 1.0, xs)))
-        out[below] = np.where(whole, _TAU_INTEGERS[np.where(whole, xs, 0).astype(np.intp)], direct)
+        out[~above] = np.where(whole, _TAU_INTEGERS[np.where(whole, xs, 0).astype(np.intp)], direct)
     return out
 
 
@@ -295,7 +297,13 @@ def _binomial_log_factorial_gap(
         )
     mean = N * p
     small = mean < 1.0
-    tau = _stirling_remainder(mean)
+    # below one count tau(m) is formed directly, and its ln Gamma(m + 1)
+    # turns the mean of ln n! into the gap
+    m = mean[small]
+    log_gamma = gammaln(m + 1.0)
+    tau = np.empty_like(mean)
+    tau[small] = log_gamma + m * (1.0 - np.log(np.where(m > 0.0, m, 1.0)))
+    tau[~small] = _stirling_remainder(mean[~small])
     log_fact = gammaln(np.arange(hi[small].max(initial=0.0) + 1.0) + 1.0)
 
     def term(rows, k):
@@ -310,7 +318,7 @@ def _binomial_log_factorial_gap(
         return np.where(below[:, None], log_fact[k_below], gap)
 
     (gap,) = _window_means(classes, lo, hi, log_step, term)
-    gap[small] -= gammaln(mean[small] + 1.0)
+    gap[small] -= log_gamma
     return tau.reshape(shape), gap.reshape(shape)
 
 
