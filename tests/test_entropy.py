@@ -742,6 +742,7 @@ class TestTableDrivenRaggedKernel:
             model.energy_unit * levels.astype(np.float64), model, multiplicity
         )
         tau, got = _binomial_log_factorial_gap(N, probs)
+        np.testing.assert_array_equal(tau, marginals._stirling_remainder(N * probs))
         e_fact, gaps = [], []
         with mp.workdps(30):
             for q in probs.tolist():
