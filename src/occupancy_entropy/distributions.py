@@ -206,15 +206,26 @@ class MvhgDist:
         return out
 
 
-def _mvhg_log_pmf_grid(urns: np.ndarray, counts: np.ndarray, U: int, N: int) -> np.ndarray:
+def _mvhg_log_pmf_grid(
+    urns: np.ndarray, counts: np.ndarray, U: int, N: int, log_factorials=None
+) -> np.ndarray:
     """ln P(n | u) of N draws without replacement from urn u, over every
     urn row u of U balls and every count row n of N draws: the (urns x
     counts) grid of sum_c ln C(u_c, n_c) - ln C(U, N), -inf where some
-    n_c > u_c. Rows that are not of U balls or N draws are not checked."""
+    n_c > u_c. Rows that are not of U balls or N draws are not checked.
+    Given ``log_factorials``, gammaln(k + 1) for k = 0..U, each ln k! is
+    read from it at the integer counts, with the same bits as evaluated."""
     u, n = urns[:, None, :], counts[None, :, :]
+    impossible = n > u
     with np.errstate(invalid="ignore"):
-        out = _log_choose(u, n).sum(axis=-1) - _log_choose(U, N)
-    out[(n > u).any(axis=-1)] = -np.inf
+        if log_factorials is None:
+            terms = _log_choose(u, n)
+        else:
+            # the rows with some n_c > u_c are set to -inf below, whatever they read
+            rest = np.where(impossible, 0, u - n)
+            terms = log_factorials[u] - log_factorials[n] - log_factorials[rest]
+        out = terms.sum(axis=-1) - _log_choose(U, N)
+    out[impossible.any(axis=-1)] = -np.inf
     return out
 
 
@@ -292,8 +303,13 @@ def marginal(d: MultinomialDist | MvhgDist, color: int) -> np.ndarray:
 # in row-major order; the Szilard split first reads `count` uniforms for the
 # left-side counts b, then per row b uniforms for the left side followed by
 # N - b for the right. PCG64 `random(a)` then `random(b)` is `random(a + b)`
-# split at a, so drawing rows in chunks (of at most _CHUNK_DRAWS cells per
-# temporary) reads the same stream. Parallel use should derive the worker
+# split at a, so drawing rows in chunks reads the same stream, and the rows
+# do not depend on the chunk sizes. The with-replacement samplers draw chunks
+# of at most _CHUNK_DRAWS cells per temporary. The urn sampler holds its
+# integer targets in the narrowest signed type that holds U, in blocks of at
+# most _CHUNK_DRAWS * 8 bytes (as many rows as an int64 chunk at 8 bytes a
+# cell, 4x as many at 2), and fills each block from uniforms drawn in slices
+# of at most _CHUNK_DRAWS // 4 cells. Parallel use should derive the worker
 # seed as seed + worker_index and partition `count`.
 
 _CHUNK_DRAWS = 2**18
@@ -342,31 +358,42 @@ def _sample_mvhg_counts(
     (always U - t) is never compared. With held_c = (cumulative remaining
     count of c) + t, which grows by one when it does not drop, draw t is the
     one integer step held += held <= floor(u_t * (U - t)) + t over the
-    (k - 1, rows) array of a chunk."""
+    (k - 1, rows) array of a block. held <= U and the targets are below U,
+    so both fit the narrowest signed integer type that holds U."""
     num_colors = urn.num_colors
     out = np.zeros((count, num_colors), dtype=np.int64)
     if draws == 0 or count == 0:
         return out
-    edges = np.cumsum(np.asarray(urn.counts, dtype=np.int64))[:-1, None]
-    remaining = urn.total - np.arange(draws)
-    step = np.arange(draws)[:, None]
-    rows_per_chunk = max(1, _CHUNK_DRAWS // max(draws, num_colors))
-    for start in range(0, count, rows_per_chunk):
-        m = min(rows_per_chunk, count - start)
-        # row t holds floor(u_t * (U - t)) + t for every row of the chunk;
-        # the cast truncates the non-negative product, exactly below 2**53
-        targets = (rng.random((m, draws)) * remaining).T.astype(np.int64, order="C")
+    dtype = np.min_scalar_type(-urn.total - 1)
+    edges = np.cumsum(np.asarray(urn.counts, dtype=np.int64))[:-1, None].astype(dtype)
+    remaining = (urn.total - np.arange(draws)).astype(np.float64)
+    step = np.arange(draws, dtype=dtype)[:, None]
+    rows_per_block = max(1, _CHUNK_DRAWS * 8 // (dtype.itemsize * max(draws, num_colors)))
+    rows_per_slice = max(1, _CHUNK_DRAWS // 4 // draws)
+    for start in range(0, count, rows_per_block):
+        m = min(rows_per_block, count - start)
+        # row t holds floor(u_t * (U - t)) + t for every row of the block;
+        # the cast truncates the non-negative product, exactly below 2**53.
+        # The product is formed out of place: the generator's array is its own
+        targets = np.empty((draws, m), dtype=dtype)
+        for s in range(0, m, rows_per_slice):
+            rows = min(rows_per_slice, m - s)
+            targets[:, s : s + rows] = (rng.random((rows, draws)) * remaining).T
         targets += step
         held = np.repeat(edges, m, axis=1)
         kept = np.empty_like(held)
         for t in range(draws):
             np.less_equal(held, targets[t], out=kept)
             held += kept
-        del targets  # freed before the next chunk's uniforms are drawn
-        # held - draws is each colour's cumulative remaining count, so the
-        # cumulative counts drawn are edges + draws - held, then draws
-        taken = np.diff(edges + draws - held, axis=0, prepend=0, append=draws)
-        out[start : start + m] = taken.T
+        # held - draws is each colour's cumulative remaining count, so
+        # edges - (held - draws) is its cumulative count drawn, in [0, draws]
+        held -= draws
+        np.subtract(edges, held, out=held)
+        block = out[start : start + m]
+        block[:, :-1] = held.T
+        block[:, -1] = draws
+        block[:, 1:] -= held.T
+        del targets, held, kept  # freed before the next block's uniforms are drawn
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
+from scipy.special import gammaln, xlogy
 
 from .combinatorics import (
     DEFAULT_CAP,
@@ -30,8 +30,9 @@ from .distributions import (
 )
 from .marginals import (
     _binomial_log_factorial_gap,
-    _hypergeometric_log_expectations,
+    _count_log_choose,
     _count_stirling_remainder,
+    _hypergeometric_log_expectations,
 )
 
 __all__ = [
@@ -178,18 +179,15 @@ def mvhg_entropy(d: MvhgDist) -> EntropyReport:
     total = ln C(U, N) - sum_c E{ln C(u_c, n_c)}, whose terms are of the
     size of the result rather than of ln U!, and
     expected_logW = ln N! - sum_c E{ln n_c!}.
-    ln C(U, N) = tau(U) - tau(N) - tau(U - N) + N ln(U / N)
-    + (U - N) ln(U / (U - N)), tau the Stirling remainder, has no term of
-    size ln U! either. The microstate term is reported as total + expected_logW.
+    ln C(U, N), in the Stirling-remainder form of _count_log_choose, has no
+    term of size ln U! either. The microstate term is reported as
+    total + expected_logW.
     """
     urn, N = d.urn, d.draw_count
     U = urn.total
     e_fact, e_binom = _hypergeometric_log_expectations(U, urn.counts, N)
     expected_logW = log_factorial(N) - float(e_fact.sum())
-    tau = _count_stirling_remainder([U, N, U - N])
-    drawn = N / U if U else 0.0
-    log_choose = tau[0] - tau[1] - tau[2] - xlogy(N, drawn) - xlog1py(U - N, -drawn)
-    total = float(log_choose - e_binom.sum())
+    total = float(_count_log_choose(U, N) - e_binom.sum())
     mean = N * np.asarray(urn.counts, dtype=np.float64) / U if U else np.zeros(len(urn))
     return EntropyReport(
         microstate_term=total + expected_logW,

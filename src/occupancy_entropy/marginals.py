@@ -67,6 +67,15 @@ def _count_stirling_remainder(k) -> np.ndarray:
     return _stirling_remainder(k)
 
 
+def _count_log_choose(n: int, k: int) -> float:
+    """ln C(n, k) at whole counts 0 <= k <= n as tau(n) - tau(k) - tau(n - k)
+    + k ln(n / k) + (n - k) ln(n / (n - k)), tau the Stirling remainder: no
+    term is of the size of ln n!, as the three of _log_choose are."""
+    tau = _count_stirling_remainder([n, k, n - k])
+    drawn = k / n if n else 0.0
+    return float(tau[0] - tau[1] - tau[2] - xlogy(k, drawn) - xlog1py(n - k, -drawn))
+
+
 def _log_choose(n, k):
     """ln C(n, k), elementwise; -inf for k outside [0, n]."""
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)

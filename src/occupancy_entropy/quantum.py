@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from .combinatorics import (
     DEFAULT_CAP,
@@ -22,7 +23,6 @@ from .combinatorics import (
     OccupancyVector,
     _check_support,
     _require_fields,
-    log_multinomial_coeff,
     occupancy_count,
     require_int,
     support_matrix,
@@ -36,7 +36,7 @@ from .distributions import (
     _sample_counts,
 )
 from .entropy import multinomial_entropy, mvhg_entropy
-from .marginals import _BLOCK_CELLS, _hypergeometric_log_expectations
+from .marginals import _BLOCK_CELLS, _count_log_choose, _hypergeometric_log_expectations
 
 __all__ = [
     "BosonicDensityOperator",
@@ -126,10 +126,11 @@ def _bayesian_mixture(
     """The N-particle support and the prior-weighted sum over it of the
     operators traced from each U-particle universe, from the MVHG log-pmf
     grid in (urns x system) blocks of at most _BLOCK_CELLS (urn, system,
-    colour) cells. Each block is added urn after urn (np.add.accumulate),
-    so the sum does not depend on the block size, and at U == N the
-    mixture is the prior bit for bit. CapExceededError if the urn and
-    system supports have more than ``cap`` pairs."""
+    colour) cells, each ln k! read from one table of k = 0..U from two
+    colours on. Each block is added urn after urn (np.add.accumulate), so
+    the sum does not depend on the block size, and at U == N the mixture is
+    the prior bit for bit. CapExceededError if the urn and system supports
+    have more than ``cap`` pairs."""
     required = occupancy_count(U, p.num_colors) * occupancy_count(N, p.num_colors)
     if required > cap:
         raise CapExceededError(
@@ -138,12 +139,16 @@ def _bayesian_mixture(
     system = support_matrix(N, p.num_colors, cap=cap)
     urns = support_matrix(U, p.num_colors, cap=cap)
     prior = np.exp(MultinomialDist(U, p).log_pmf_batch(urns))
+    # a ln k! table is no longer than the urn support from two colours on;
+    # one colour has one urn row of any U
+    log_factorials = gammaln(np.arange(U + 1.0) + 1.0) if U < urns.shape[0] else None
     mixed = np.zeros(system.shape[0])
     cols = max(1, min(system.shape[0], _BLOCK_CELLS // p.num_colors))
     rows = max(1, _BLOCK_CELLS // (cols * p.num_colors))
     for c in range(0, system.shape[0], cols):
         for r in range(0, urns.shape[0], rows):
-            grid = _mvhg_log_pmf_grid(urns[r : r + rows], system[c : c + cols], U, N)
+            grid = _mvhg_log_pmf_grid(
+                urns[r : r + rows], system[c : c + cols], U, N, log_factorials)
             terms = prior[r : r + rows, None] * np.exp(grid)
             terms[0] += mixed[c : c + cols]
             mixed[c : c + cols] = np.add.accumulate(terms)[-1]
@@ -218,7 +223,7 @@ def holevo_chi(
         s_system = multinomial_entropy(MultinomialDist(N, p)).total
         urns = _sample_counts(MultinomialDist(U, p), mc_samples, seed=seed)
         _, e_binom = _hypergeometric_log_expectations(U, urns, N)
-        vals = log_multinomial_coeff((N, U - N)).value - e_binom.sum(axis=1)
+        vals = _count_log_choose(U, N) - e_binom.sum(axis=1)
         se = float(vals.std(ddof=1) / math.sqrt(mc_samples))
         return HolevoEstimate(s_system - float(vals.mean()), se, "monte_carlo")
     raise ValueError(f"unknown mode {mode!r}")

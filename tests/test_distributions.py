@@ -504,14 +504,69 @@ class TestSamplersMatchScalarReferences:
         assert np.array_equal(got, want)
 
 
-class TestMvhgChunkMemory:
-    # a chunk's uniforms, their scaled product and the integer targets are
-    # each at most _CHUNK_DRAWS cells, and never more than three of them live
+class TestMvhgUrnKernel:
+    # the targets and the per-colour state are held in the narrowest signed
+    # type that holds U; these totals sit on either side of each type's edge,
+    # with the last colour empty or nearly so, so that the state reaches U
+    @pytest.mark.parametrize("total", [127, 128, 32_767, 32_768, 2**31 - 1, 2**31])
+    @pytest.mark.parametrize("tail", [(0,), (1,), (2, 0)])
+    def test_matches_reference_at_integer_type_edges(self, total, tail):
+        urn = OccupancyVector((total - sum(tail) - 3, 3, *tail))
+        draws = 6 if total < 2**15 else 3
+        got = distributions._sample_mvhg_counts(np.random.default_rng(17), urn, draws, 40)
+        want = reference_mvhg(np.random.default_rng(17), urn, draws, 40)
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize(
         "counts, draws, rows",
-        [((300, 200, 500), 500, 2000), ((20, 15, 25), 10, 20000)],
+        [
+            ((5, 3, 2), 4, 130),  # int8: 128-row blocks of 4-row slices
+            ((5, 3, 2), 4, 127),
+            ((6, 7), 1, 257),  # one draw: 256-row blocks of 16-row slices
+            ((200, 5, 60), 5, 53),  # int16: 51-row blocks of 3-row slices
+            ((200, 5, 60), 3, 87),  # 85-row blocks of 5-row slices
+            ((200, 5, 60), 260, 3),  # one-row blocks, past the block budget
+            ((40_000, 30_000, 30_000), 4, 35),  # int32: 32-row blocks of 4-row slices
+        ],
     )
-    def test_peak_within_three_chunks_plus_output(self, counts, draws, rows):
+    def test_matches_reference_across_slices_and_blocks(self, monkeypatch, counts, draws, rows):
+        # with 64-cell chunks a block is 512 bytes and a slice 16 uniforms
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", 64)
+        urn = OccupancyVector(counts)
+        got = distributions._sample_mvhg_counts(np.random.default_rng(8), urn, draws, rows)
+        want = reference_mvhg(np.random.default_rng(8), urn, draws, rows)
+        assert np.array_equal(got, want)
+
+    def test_never_writes_into_the_generators_arrays(self, monkeypatch):
+        # FixedUniforms hands out views of one array; read-only views make
+        # any write raise, and the values must come back as they went in
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", 64)
+        values = np.random.default_rng(4).random(4000)
+        values.setflags(write=False)
+        urn = OccupancyVector((9, 4, 0, 7))
+        got = distributions._sample_mvhg_counts(FixedUniforms(values), urn, 6, 150)
+        want = reference_mvhg(FixedUniforms(values.copy()), urn, 6, 150)
+        assert np.array_equal(got, want)
+        assert np.array_equal(values, np.random.default_rng(4).random(4000))
+
+
+class TestMvhgChunkMemory:
+    # a block's integer targets take at most _CHUNK_DRAWS * 8 bytes, and a
+    # slice's uniforms and their product _CHUNK_DRAWS // 4 cells each; the
+    # targets are freed before the next block's slices are drawn. The per-
+    # colour state of a block (two (k - 1, rows) arrays) is within the slice
+    # budget when draws >= 4 (k - 1), as here. 128 KiB covers numpy's 64 KiB
+    # ufunc buffer (the scales broadcast over a slice) and the per-draw rows
+    @pytest.mark.parametrize(
+        "counts, draws, rows",
+        [
+            ((300, 200, 500), 500, 2000),  # the sample benchmark's: one int16 block
+            ((300, 200, 500), 500, 5000),  # three int16 blocks
+            ((20, 15, 25), 10, 20000),  # the mc-entropy op's: one int8 block
+            ((20, 15, 25), 10, 600_000),  # three int8 blocks
+        ],
+    )
+    def test_peak_within_a_block_and_a_slice_plus_output(self, counts, draws, rows):
         urn = OccupancyVector(counts)
         rng = np.random.default_rng(5)
         tracemalloc.start()
@@ -520,7 +575,9 @@ class TestMvhgChunkMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * distributions._CHUNK_DRAWS * 8 + out.nbytes
+        block = distributions._CHUNK_DRAWS * 8
+        uniform_slice = distributions._CHUNK_DRAWS // 4 * 8
+        assert peak <= block + 2 * uniform_slice + out.nbytes + 2**17
 
 
 class TestSzilardSplit:

@@ -209,6 +209,17 @@ class TestStirlingRemainder:
         np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
         assert marginals._stirling_remainder(1) == 1.0
 
+    @pytest.mark.parametrize(
+        "n, k", [(0, 0), (7, 0), (7, 7), (60, 12), (200, 20), (1000, 100), (10**6, 3)]
+    )
+    def test_log_choose_within_an_ulp_of_mpmath(self, n, k):
+        # as three ln k! of the size of ln n!, ln C(200, 20) is 6.6 ulp off
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            want = float(mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1))
+        got = marginals._count_log_choose(n, k)
+        assert abs(got - want) <= math.ulp(want)
+
 
 class TestMultinomialPrecision:
     # ln N! less a sum of about ln N! lost about eps N ln N; the Stirling

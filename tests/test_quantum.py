@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from occupancy_entropy import quantum
 from occupancy_entropy.combinatorics import (
@@ -16,6 +17,7 @@ from occupancy_entropy.distributions import (
     MultinomialDist,
     MvhgDist,
     OneParticleDistribution,
+    _mvhg_log_pmf_grid,
     sample,
 )
 from occupancy_entropy.entropy import (
@@ -180,6 +182,34 @@ class TestBayesianMixture:
         monkeypatch.setattr(quantum, "_BLOCK_CELLS", 7)
         _, blocked = quantum._bayesian_mixture(U, N, p, cap=10**6)
         assert np.array_equal(blocked, whole)
+
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=12),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_log_factorial_table_gives_the_evaluated_grid(self, k, U, data):
+        # the mixture reads ln k! from a table of k = 0..U; every cell of the
+        # grid, the -inf of the urns that cannot give a system included, is
+        # the one gammaln evaluates
+        N = data.draw(st.integers(min_value=0, max_value=U))
+        urns, system = support_matrix(U, k), support_matrix(N, k)
+        table = gammaln(np.arange(U + 1.0) + 1.0)
+        got = _mvhg_log_pmf_grid(urns, system, U, N, table)
+        assert np.array_equal(got, _mvhg_log_pmf_grid(urns, system, U, N))
+
+    def test_log_factorial_table_no_longer_than_the_urn_support(self, monkeypatch):
+        # one colour has one urn row of any U, where no table is built
+        tables = []
+        grid = quantum._mvhg_log_pmf_grid
+        monkeypatch.setattr(
+            quantum, "_mvhg_log_pmf_grid", lambda *args: tables.append(args[4]) or grid(*args)
+        )
+        quantum._bayesian_mixture(10**6, 3, OneParticleDistribution([1.0]), cap=10)
+        quantum._bayesian_mixture(4, 2, FAIR_TWO, cap=100)
+        assert tables[0] is None
+        assert tables[-1].shape == (5,)
 
 
 def multinomial_entropy_mp(n, probs, sds=None):
