@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .combinatorics import (
     DEFAULT_CAP,
@@ -28,6 +27,7 @@ from .marginals import (
     _binomial_marginal,
     _hypergeometric_marginal,
     _log_choose,
+    _log_factorial,
 )
 
 __all__ = [
@@ -151,7 +151,7 @@ class MultinomialDist:
         counts = np.asarray(counts)
         p = self.p.probs
         logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
-        out = gammaln(self.N + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+        out = _log_factorial(self.N) - _log_factorial(counts).sum(axis=1)
         out = out + counts @ logp
         bad = (counts[:, p == 0.0] > 0).any(axis=1) | (counts.sum(axis=1) != self.N)
         out[bad] = -np.inf
@@ -206,25 +206,17 @@ class MvhgDist:
         return out
 
 
-def _mvhg_log_pmf_grid(
-    urns: np.ndarray, counts: np.ndarray, U: int, N: int, log_factorials=None
-) -> np.ndarray:
+def _mvhg_log_pmf_grid(urns: np.ndarray, counts: np.ndarray, U: int, N: int) -> np.ndarray:
     """ln P(n | u) of N draws without replacement from urn u, over every
     urn row u of U balls and every count row n of N draws: the (urns x
     counts) grid of sum_c ln C(u_c, n_c) - ln C(U, N), -inf where some
-    n_c > u_c. Rows that are not of U balls or N draws are not checked.
-    Given ``log_factorials``, gammaln(k + 1) for k = 0..U, each ln k! is
-    read from it at the integer counts, with the same bits as evaluated."""
+    n_c > u_c. Rows that are not of U balls or N draws are not checked."""
     u, n = urns[:, None, :], counts[None, :, :]
     impossible = n > u
-    with np.errstate(invalid="ignore"):
-        if log_factorials is None:
-            terms = _log_choose(u, n)
-        else:
-            # the rows with some n_c > u_c are set to -inf below, whatever they read
-            rest = np.where(impossible, 0, u - n)
-            terms = log_factorials[u] - log_factorials[n] - log_factorials[rest]
-        out = terms.sum(axis=-1) - _log_choose(U, N)
+    # the rows with some n_c > u_c are set to -inf below, whatever they read
+    rest = np.where(impossible, 0, u - n)
+    terms = _log_factorial(u) - _log_factorial(n) - _log_factorial(rest)
+    out = terms.sum(axis=-1) - _log_choose(U, N)
     out[impossible.any(axis=-1)] = -np.inf
     return out
 
@@ -309,8 +301,10 @@ def marginal(d: MultinomialDist | MvhgDist, color: int) -> np.ndarray:
 # integer targets in the narrowest signed type that holds U, in blocks of at
 # most _CHUNK_DRAWS * 8 bytes (as many rows as an int64 chunk at 8 bytes a
 # cell, 4x as many at 2), and fills each block from uniforms drawn in slices
-# of at most _CHUNK_DRAWS // 4 cells. Parallel use should derive the worker
-# seed as seed + worker_index and partition `count`.
+# of at most _CHUNK_DRAWS // 4 cells. A block has few enough rows that its
+# per-colour state, two (k - 1, rows) arrays, takes at most half its bytes,
+# the budget of two slices, at any number k of colours. Parallel use should
+# derive the worker seed as seed + worker_index and partition `count`.
 
 _CHUNK_DRAWS = 2**18
 
@@ -368,7 +362,8 @@ def _sample_mvhg_counts(
     edges = np.cumsum(np.asarray(urn.counts, dtype=np.int64))[:-1, None].astype(dtype)
     remaining = (urn.total - np.arange(draws)).astype(np.float64)
     step = np.arange(draws, dtype=dtype)[:, None]
-    rows_per_block = max(1, _CHUNK_DRAWS * 8 // (dtype.itemsize * max(draws, num_colors)))
+    width = max(draws, 4 * (num_colors - 1))
+    rows_per_block = max(1, _CHUNK_DRAWS * 8 // (dtype.itemsize * width))
     rows_per_slice = max(1, _CHUNK_DRAWS // 4 // draws)
     for start in range(0, count, rows_per_block):
         m = min(rows_per_block, count - start)

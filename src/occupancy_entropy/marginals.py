@@ -20,6 +20,8 @@ _LOG_REL_TOL = math.log(1e-17)
 # A grid of at most this many cells costs less to sum whole than to search
 # for its windows.
 _WHOLE_GRID_CELLS = 2**12
+# ln k! and tau(k) are tabled at the counts 0.._TABLED_COUNTS - 1
+_TABLED_COUNTS = 2**12
 _BLOCK_CELLS = 2**18
 # Stirling coefficients B_2j / (2j (2j - 1)) of ln Gamma(x + 1) for j = 1..8;
 # from _STIRLING_FROM on, the first term left out is below 2e-18
@@ -55,14 +57,24 @@ def _stirling_remainder(x) -> np.ndarray:
     return out
 
 
-# tau at the counts 0..4095, tabled once
-_TAU_COUNTS = _stirling_remainder(np.arange(2.0**12))
+_TAU_COUNTS = _stirling_remainder(np.arange(float(_TABLED_COUNTS)))
+_LOG_FACTORIALS = gammaln(np.arange(_TABLED_COUNTS) + 1.0)
+
+
+def _log_factorial(k) -> np.ndarray:
+    """ln k! = gammaln(k + 1) at whole counts k, elementwise, with the same
+    bits: read from _LOG_FACTORIALS when every k is in [0, _TABLED_COUNTS),
+    else evaluated (+inf at negative k)."""
+    k = np.asarray(k)
+    if k.min(initial=0) >= 0 and k.max(initial=0) < _TABLED_COUNTS:
+        return _LOG_FACTORIALS[k.astype(np.intp, copy=False)]
+    return gammaln(k + 1.0)
 
 
 def _count_stirling_remainder(k) -> np.ndarray:
     """_stirling_remainder at whole counts k, read from _TAU_COUNTS where they fit."""
     k = np.asarray(k, dtype=np.float64)
-    if k.max(initial=0.0) < _TAU_COUNTS.size:
+    if k.max(initial=0.0) < _TABLED_COUNTS:
         return _TAU_COUNTS[k.astype(np.intp)]
     return _stirling_remainder(k)
 
@@ -78,7 +90,7 @@ def _count_log_choose(n: int, k: int) -> float:
 
 def _log_choose(n, k):
     """ln C(n, k), elementwise; -inf for k outside [0, n]."""
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    return _log_factorial(n) - _log_factorial(k) - _log_factorial(n - k)
 
 
 def _binomial_log_pmf(N, p, k):
@@ -293,9 +305,9 @@ def _binomial_log_factorial_gap(
     first, last, log_step = _binomial(N, p)
 
     def log_term(k):
-        return _binomial_log_pmf(N, p, k) + np.log(gammaln(k + 1.0))
+        return _binomial_log_pmf(N, p, k) + np.log(_log_factorial(k))
 
-    lo, hi = _count_window(N, p, first, last, log_term, gammaln(N + 1.0))
+    lo, hi = _count_window(N, p, first, last, log_term, _log_factorial(N))
     classes = _width_classes(lo, hi)
     cells = sum(rows.size * width for rows, width in classes)
     if cells > budget:
@@ -313,18 +325,17 @@ def _binomial_log_factorial_gap(
     tau = np.empty_like(mean)
     tau[small] = log_gamma + m * (1.0 - np.log(np.where(m > 0.0, m, 1.0)))
     tau[~small] = _stirling_remainder(mean[~small])
-    log_fact = gammaln(np.arange(hi[small].max(initial=0.0) + 1.0) + 1.0)
 
     def term(rows, k):
         below = small[rows]
         if below.all():
-            return log_fact[k.astype(np.intp)]
+            return _log_factorial(k)
         m = mean[rows, None]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             gap = (_count_stirling_remainder(k) - tau[rows, None]
                    + xlog1py(k, (k - m) / m) - (k - m))
-        k_below = np.minimum(k, log_fact.size - 1).astype(np.intp)
-        return np.where(below[:, None], log_fact[k_below], gap)
+        below = below[:, None]
+        return np.where(below, _log_factorial(np.where(below, k, 0.0)), gap)
 
     (gap,) = _window_means(classes, lo, hi, log_step, term)
     gap[small] -= log_gamma
@@ -350,16 +361,16 @@ def _hypergeometric_log_expectations(
     def log_term(k):
         # ln u! bounds both ln n! and ln C(u, n) on the support, and the
         # smaller of the two is a floor under both sums
-        smaller_f = np.minimum(gammaln(k + 1.0), _log_choose(u, k))
+        smaller_f = np.minimum(_log_factorial(k), _log_choose(u, k))
         return _hypergeometric_log_pmf(U, u, N, k) + np.log(smaller_f.clip(0.0))
 
-    lo, hi = _count_window(N, frac, first, last, log_term, gammaln(u + 1.0))
+    lo, hi = _count_window(N, frac, first, last, log_term, _log_factorial(u))
     e_fact, e_binom = _window_means(
         _width_classes(lo, hi),
         lo,
         hi,
         log_step,
-        lambda rows, k: gammaln(k + 1.0),
+        lambda rows, k: _log_factorial(k),
         lambda rows, k: _log_choose(u[rows, None], k),
     )
     return e_fact[where].reshape(counts.shape), e_binom[where].reshape(counts.shape)

@@ -144,10 +144,9 @@ def _axis_cutoff(alpha: float, trunc: SpectrumTruncation, axes: int) -> tuple[in
         w = math.exp(-alpha * (c * c - 1.0))
         z += w
         achieved = _achieved(z, w / (2.0 * alpha * c), axes)
-        if achieved <= trunc.relative_tail_bound:
-            return c, achieved
+        met = achieved <= trunc.relative_tail_bound
         if c**axes > trunc.max_states:
-            needed = _needed_cutoff(alpha, trunc.relative_tail_bound, axes, c, z)
+            needed = c if met else _needed_cutoff(alpha, trunc.relative_tail_bound, axes, c, z)
             raise CapExceededError(
                 f"spectrum needs {needed**axes} states (cutoff {needed}) to reach "
                 f"relative tail bound {trunc.relative_tail_bound:g}, over "
@@ -156,6 +155,8 @@ def _axis_cutoff(alpha: float, trunc: SpectrumTruncation, axes: int) -> tuple[in
                 needed**axes,
                 trunc.max_states,
             )
+        if met:
+            return c, achieved
 
 
 def _needed_cutoff(alpha: float, bound: float, axes: int, c: int, z: float) -> int:
@@ -197,15 +198,7 @@ def _cutoff(model: BoxModel, truncation: SpectrumTruncation) -> tuple[int, float
     """Per-axis cutoff and achieved tail bound, refusing spectra over
     max_states."""
     alpha = model.energy_unit / (BOLTZMANN_KB * model.temperature)
-    cutoff, achieved = _axis_cutoff(alpha, truncation, model.dimensions)
-    if cutoff**model.dimensions > truncation.max_states:
-        raise CapExceededError(
-            f"{cutoff**model.dimensions} states exceed max_states="
-            f"{truncation.max_states}",
-            cutoff**model.dimensions,
-            truncation.max_states,
-        )
-    return cutoff, achieved
+    return _axis_cutoff(alpha, truncation, model.dimensions)
 
 
 def box_spectrum(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .combinatorics import (
     DEFAULT_CAP,
@@ -126,8 +125,7 @@ def _bayesian_mixture(
     """The N-particle support and the prior-weighted sum over it of the
     operators traced from each U-particle universe, from the MVHG log-pmf
     grid in (urns x system) blocks of at most _BLOCK_CELLS (urn, system,
-    colour) cells, each ln k! read from one table of k = 0..U from two
-    colours on. Each block is added urn after urn (np.add.accumulate), so
+    colour) cells. Each block is added urn after urn (np.add.accumulate), so
     the sum does not depend on the block size, and at U == N the mixture is
     the prior bit for bit. CapExceededError if the urn and system supports
     have more than ``cap`` pairs."""
@@ -139,16 +137,12 @@ def _bayesian_mixture(
     system = support_matrix(N, p.num_colors, cap=cap)
     urns = support_matrix(U, p.num_colors, cap=cap)
     prior = np.exp(MultinomialDist(U, p).log_pmf_batch(urns))
-    # a ln k! table is no longer than the urn support from two colours on;
-    # one colour has one urn row of any U
-    log_factorials = gammaln(np.arange(U + 1.0) + 1.0) if U < urns.shape[0] else None
     mixed = np.zeros(system.shape[0])
     cols = max(1, min(system.shape[0], _BLOCK_CELLS // p.num_colors))
     rows = max(1, _BLOCK_CELLS // (cols * p.num_colors))
     for c in range(0, system.shape[0], cols):
         for r in range(0, urns.shape[0], rows):
-            grid = _mvhg_log_pmf_grid(
-                urns[r : r + rows], system[c : c + cols], U, N, log_factorials)
+            grid = _mvhg_log_pmf_grid(urns[r : r + rows], system[c : c + cols], U, N)
             terms = prior[r : r + rows, None] * np.exp(grid)
             terms[0] += mixed[c : c + cols]
             mixed[c : c + cols] = np.add.accumulate(terms)[-1]

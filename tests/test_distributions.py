@@ -555,8 +555,9 @@ class TestMvhgChunkMemory:
     # slice's uniforms and their product _CHUNK_DRAWS // 4 cells each; the
     # targets are freed before the next block's slices are drawn. The per-
     # colour state of a block (two (k - 1, rows) arrays) is within the slice
-    # budget when draws >= 4 (k - 1), as here. 128 KiB covers numpy's 64 KiB
-    # ufunc buffer (the scales broadcast over a slice) and the per-draw rows
+    # budget, also when draws < 4 (k - 1), as in the last two shapes. 128 KiB
+    # covers numpy's 64 KiB ufunc buffer (the scales broadcast over a slice)
+    # and the per-draw rows
     @pytest.mark.parametrize(
         "counts, draws, rows",
         [
@@ -564,6 +565,8 @@ class TestMvhgChunkMemory:
             ((300, 200, 500), 500, 5000),  # three int16 blocks
             ((20, 15, 25), 10, 20000),  # the mc-entropy op's: one int8 block
             ((20, 15, 25), 10, 600_000),  # three int8 blocks
+            ((40,) * 40, 30, 20000),  # 40 colours, more than draws / 4
+            ((10,) * 200, 20, 5000),  # 200 colours, ten times the draws
         ],
     )
     def test_peak_within_a_block_and_a_slice_plus_output(self, counts, draws, rows):

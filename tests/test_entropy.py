@@ -221,6 +221,40 @@ class TestStirlingRemainder:
         assert abs(got - want) <= math.ulp(want)
 
 
+class TestLogFactorial:
+    # the one ln k! at whole counts: read from its table below 4096, else
+    # evaluated, with gammaln's bits either way
+    @staticmethod
+    def _same_bits(k):
+        got, want = marginals._log_factorial(k), gammaln(np.asarray(k) + 1.0)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).dtype == np.float64
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_same_bits_as_gammaln(self, dtype):
+        ks = np.arange(5001).astype(dtype)
+        for k in (ks, ks[:4096], ks[4095:4097], ks[:10].reshape(2, 5), ks[4000:5001:7][::-1]):
+            self._same_bits(k)
+        for k in ks[[0, 1, 4095, 4096, 5000]]:
+            self._same_bits(k)
+
+    @pytest.mark.parametrize("k", [0, 1, 20, 4095, 4096, 10**6])
+    def test_python_int(self, k):
+        self._same_bits(k)
+
+    def test_negative_count_is_inf(self):
+        got = marginals._log_factorial(np.array([-1, 0, 3, -4096]))
+        assert got[0] == got[3] == np.inf
+        assert got[1] == 0.0
+        self._same_bits(np.array([-1, 0, 3, -4096]))
+        assert marginals._log_factorial(-2) == np.inf
+
+    def test_empty(self):
+        for k in (np.array([], dtype=np.int64), np.zeros((0, 3))):
+            self._same_bits(k)
+
+
 class TestMultinomialPrecision:
     # ln N! less a sum of about ln N! lost about eps N ln N; the Stirling
     # remainders keep every term near the size of the result

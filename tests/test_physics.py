@@ -281,9 +281,12 @@ class TestIdealGasEntropy:
         model = BoxModel(ELECTRON_MASS, 300.0, 20e-9, dimensions=3)
         states = box_spectrum(model).energies.size
         for cap in (states - 1, 1000):
+            # one refusal, with the states the bound needs, also where the
+            # cutoff that meets the bound is the first over the cap
             trunc = SpectrumTruncation(1e-14, max_states=cap)
-            with pytest.raises(CapExceededError, match="max_states"):
+            with pytest.raises(CapExceededError, match="relative tail bound") as err:
                 box_spectrum(model, trunc)
+            assert (err.value.required, err.value.cap) == (states, cap)
             with pytest.raises(CapExceededError, match="max_states"):
                 ideal_gas_entropy(model, 2, trunc)
         trunc = SpectrumTruncation(1e-14, max_states=states)

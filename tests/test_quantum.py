@@ -183,6 +183,19 @@ class TestBayesianMixture:
         _, blocked = quantum._bayesian_mixture(U, N, p, cap=10**6)
         assert np.array_equal(blocked, whole)
 
+    @staticmethod
+    def _assert_evaluated_grid(U, N, k):
+        # every cell of the grid, the -inf of the urns that cannot give a
+        # system included, has the bits of sum_c ln C(u_c, n_c) - ln C(U, N)
+        # with each ln k! evaluated by gammaln
+        urns, system = support_matrix(U, k), support_matrix(N, k)
+        u, n = urns[:, None, :], system[None, :, :]
+        terms = gammaln(u + 1.0) - gammaln(n + 1.0) - gammaln(u - n + 1.0)
+        want = terms.sum(axis=-1) - (gammaln(U + 1.0) - gammaln(N + 1.0) - gammaln(U - N + 1.0))
+        got = _mvhg_log_pmf_grid(urns, system, U, N)
+        assert np.array_equal(got, want)
+        return got
+
     @given(
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=0, max_value=12),
@@ -190,26 +203,14 @@ class TestBayesianMixture:
     )
     @settings(max_examples=60, deadline=None)
     def test_log_factorial_table_gives_the_evaluated_grid(self, k, U, data):
-        # the mixture reads ln k! from a table of k = 0..U; every cell of the
-        # grid, the -inf of the urns that cannot give a system included, is
-        # the one gammaln evaluates
         N = data.draw(st.integers(min_value=0, max_value=U))
-        urns, system = support_matrix(U, k), support_matrix(N, k)
-        table = gammaln(np.arange(U + 1.0) + 1.0)
-        got = _mvhg_log_pmf_grid(urns, system, U, N, table)
-        assert np.array_equal(got, _mvhg_log_pmf_grid(urns, system, U, N))
+        self._assert_evaluated_grid(U, N, k)
 
-    def test_log_factorial_table_no_longer_than_the_urn_support(self, monkeypatch):
-        # one colour has one urn row of any U, where no table is built
-        tables = []
-        grid = quantum._mvhg_log_pmf_grid
-        monkeypatch.setattr(
-            quantum, "_mvhg_log_pmf_grid", lambda *args: tables.append(args[4]) or grid(*args)
-        )
-        quantum._bayesian_mixture(10**6, 3, OneParticleDistribution([1.0]), cap=10)
-        quantum._bayesian_mixture(4, 2, FAIR_TWO, cap=100)
-        assert tables[0] is None
-        assert tables[-1].shape == (5,)
+    @pytest.mark.parametrize("U, N", [(4095, 3), (4096, 2), (4097, 5), (5000, 3)])
+    def test_grid_past_the_log_factorial_table(self, U, N):
+        # two-colour urns at and past the table's last count of 4095
+        got = self._assert_evaluated_grid(U, N, 2)
+        assert np.isneginf(got).any() and np.isfinite(got).any()
 
 
 def multinomial_entropy_mp(n, probs, sds=None):
