@@ -5,12 +5,9 @@ ideal-gas / piston-insertion applications."""
 
 from .combinatorics import (
     CapExceededError,
-    LogWeight,
     OccupancyVector,
     enumerate_occupancies,
-    log_factorial,
     log_factorial_real,
-    log_multinomial_coeff,
     occupancy_count,
 )
 from .distributions import (
@@ -35,6 +32,7 @@ from .entropy import (
     sandwich_check,
     szilard_split_entropy,
 )
+from .marginals import log_factorial
 from .oracle import (
     ExactRational,
     brute_force_mvhg,

@@ -275,7 +275,6 @@ def cmd_holevo(args) -> int:
         mode=args.mode,
         mc_samples=args.mc_samples,
         seed=args.seed,
-        cap=args.cap,
     )
     payload = {"chi": est.chi, "mode": est.mode}
     if est.standard_error is not None:
@@ -382,7 +381,7 @@ COMMANDS = {
         _arg("--probs", required=True, help="comma-separated probabilities"),
         _arg("--normalize", action="store_true"),
         _arg("--mode", choices=["exact", "monte_carlo"], default="exact"),
-        _arg("--mc-samples", type=int, default=10_000), _SEED, _CAP]),
+        _arg("--mc-samples", type=int, default=10_000), _SEED]),
     "empirical-info": (cmd_empirical_info,
                        "entropy gap of the empirical model over the exact draw",
                        [_arg("--urn", required=True, help="comma-separated counts"), _DRAWS]),

@@ -1,9 +1,9 @@
-"""Log-domain combinatorial primitives for occupancy statistics.
+"""Occupancy vectors, their supports and the cap on enumerating them.
 
-Everything here works in the natural-log domain: multiplicities of
-occupancy macrostates overflow 64-bit integers already around 21
-particles, so probability arithmetic never touches raw factorials.
-Exact big-integer combinatorics lives in the oracle module only.
+Multiplicities of occupancy macrostates overflow 64-bit integers already
+around 21 particles, so probability arithmetic never touches raw
+factorials: ln k! at whole counts lives in the marginals module, exact
+big-integer combinatorics in the oracle module only.
 """
 
 from __future__ import annotations
@@ -12,27 +12,21 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import ClassVar, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "CapExceededError",
     "OccupancyVector",
-    "LogWeight",
-    "log_factorial",
     "log_factorial_real",
-    "log_multinomial_coeff",
     "enumerate_occupancies",
     "occupancy_count",
     "DEFAULT_CAP",
-    "DEFAULT_ENUMERATION_CAP",
 ]
 
-# Default cap on the occupancy vectors (or microstates) an exact path walks;
-# the lazy enumerate_occupancies keeps its own higher default.
+# Default cap on the occupancy vectors (or microstates) an exact path walks
 DEFAULT_CAP = 10**6
-DEFAULT_ENUMERATION_CAP = 10**8
 
 
 class CapExceededError(RuntimeError):
@@ -50,8 +44,7 @@ class OccupancyVector:
     """Vector of per-color occupancy counts; the macrostate of N bosons.
 
     Immutable and hashable, so it can key probability tables. Entries must
-    be non-negative; raw (possibly negative) difference vectors are handled
-    by :func:`log_multinomial_coeff` directly on plain sequences.
+    be non-negative.
     """
 
     counts: tuple[int, ...]
@@ -84,39 +77,6 @@ class OccupancyVector:
         return OccupancyVector(tuple(k * c for c in self.counts))
 
 
-@dataclass(frozen=True)
-class LogWeight:
-    """A multiplicity in log-domain, or the tagged zero-multiplicity value.
-
-    ``impossible`` marks log(0): macrostates ruled out combinatorially
-    (some occupancy entry negative). Exactly one of "finite value" /
-    "impossible" holds.
-    """
-
-    value: float
-    impossible: bool = False
-
-    IMPOSSIBLE: ClassVar["LogWeight"]
-
-    def __post_init__(self) -> None:
-        if self.impossible:
-            object.__setattr__(self, "value", float("-inf"))
-        elif not math.isfinite(self.value):
-            raise ValueError("finite log-weight required unless impossible flag is set")
-
-    def exp(self) -> float:
-        return 0.0 if self.impossible else math.exp(self.value)
-
-
-LogWeight.IMPOSSIBLE = LogWeight(float("-inf"), impossible=True)
-
-# n! is exactly representable well past n=20; a lookup beats lgamma there.
-_EXACT_TABLE_MAX = 20
-_LOG_FACTORIAL_TABLE = tuple(
-    math.log(math.factorial(n)) if n > 1 else 0.0 for n in range(_EXACT_TABLE_MAX + 1)
-)
-
-
 def require_int(value, what: str) -> int:
     """``value`` as an int. Bools, strings and non-integral numbers are
     refused with ValueError instead of being truncated."""
@@ -136,41 +96,15 @@ def _require_fields(obj: dict, required: set, optional: set, what: str) -> None:
         raise ValueError(f"{what}: unknown fields {sorted(unknown)}")
 
 
-def log_factorial(n: int) -> float:
-    """ln(n!) for integer n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial undefined for negative n={n}")
-    if n <= _EXACT_TABLE_MAX:
-        return _LOG_FACTORIAL_TABLE[n]
-    return math.lgamma(n + 1.0)
-
-
 def log_factorial_real(x: float) -> float:
     """ln Gamma(x+1), the factorial extended to real x >= 0.
 
-    Agrees with :func:`log_factorial` on integers to better than 1e-12.
+    Agrees with the whole-count ``marginals.log_factorial`` to better than
+    1e-12.
     """
     if x < 0:
         raise ValueError(f"real factorial undefined for negative x={x}")
     return math.lgamma(x + 1.0)
-
-
-def log_multinomial_coeff(counts: Sequence[int]) -> LogWeight:
-    """ln of the number of microstates compatible with an occupancy vector.
-
-    Accepts raw integer sequences because difference vectors that arise in
-    urn calculations legitimately go negative; any negative entry means
-    zero multiplicity and yields the impossible log-weight rather than an
-    error.
-    """
-    total = 0
-    acc = 0.0
-    for c in counts:
-        if c < 0:
-            return LogWeight.IMPOSSIBLE
-        total += c
-        acc += log_factorial(c)
-    return LogWeight(log_factorial(total) - acc)
 
 
 def occupancy_count(total: int, num_colors: int) -> int:
@@ -193,17 +127,13 @@ def _check_support(total: int, num_colors: int, cap: int, advice: str = "") -> i
 
 
 def enumerate_occupancies(
-    total: int, num_colors: int, cap: int = DEFAULT_ENUMERATION_CAP
+    total: int, num_colors: int, cap: int = DEFAULT_CAP
 ) -> Iterator[OccupancyVector]:
-    """Yield every occupancy vector of `total` particles over `num_colors`.
-
-    Order is by descending leading counts, i.e. (N,0,...,0) first and
-    (0,...,0,N) last. Refuses up front if the stars-and-bars count exceeds
-    `cap`.
-    """
-    _check_support(total, num_colors, cap)
-    for t in _occupancy_tuples(total, num_colors):
-        yield OccupancyVector(t)
+    """Yield every occupancy vector of `total` particles over `num_colors`:
+    the rows of :func:`support_matrix`, which refuses up front if the
+    stars-and-bars count exceeds `cap`."""
+    for t in support_matrix(total, num_colors, cap).tolist():
+        yield OccupancyVector(tuple(t))
 
 
 def _occupancy_tuples(total: int, num_colors: int) -> Iterator[tuple[int, ...]]:
@@ -219,8 +149,9 @@ def _occupancy_tuples(total: int, num_colors: int) -> Iterator[tuple[int, ...]]:
 def support_matrix(total: int, num_colors: int, cap: int = DEFAULT_CAP) -> np.ndarray:
     """All occupancy vectors as a read-only (count, num_colors) int array.
 
-    Same order as :func:`enumerate_occupancies`; cached because entropy and
-    distance computations revisit the same small supports many times.
+    Order is by descending leading counts, i.e. (N,0,...,0) first and
+    (0,...,0,N) last; cached because entropy and distance computations
+    revisit the same small supports many times.
     """
     count = _check_support(total, num_colors, cap)
     out = np.empty((count, num_colors), dtype=np.int64)

@@ -15,19 +15,13 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .combinatorics import (
-    DEFAULT_CAP,
-    OccupancyVector,
-    _check_support,
-    log_factorial,
-    log_multinomial_coeff,
-    support_matrix,
-)
+from .combinatorics import DEFAULT_CAP, OccupancyVector, _check_support, support_matrix
 from .marginals import (
     _binomial_marginal,
+    _count_log_choose,
     _hypergeometric_marginal,
-    _log_choose,
     _log_factorial,
+    log_factorial,
 )
 
 __all__ = [
@@ -183,16 +177,23 @@ class MvhgDist:
     def num_colors(self) -> int:
         return self.urn.num_colors
 
+    @cached_property
+    def _log_choose_draws(self) -> float:
+        """ln C(U, N), in the cancellation-free form of _count_log_choose."""
+        return _count_log_choose(self.urn.total, self.draw_count)
+
     def log_pmf(self, n: Sequence[int]) -> float:
+        """The formula of _mvhg_log_pmf_grid, its terms summed by the same
+        numpy reduction, so it has the bits of log_pmf_batch."""
         _check_length(n, self.num_colors)
         counts = [int(c) for c in n]
-        if sum(counts) != self.draw_count:
+        if sum(counts) != self.draw_count or any(
+            not 0 <= c <= u for c, u in zip(counts, self.urn)
+        ):
             return float("-inf")
-        w_sys = log_multinomial_coeff(counts)
-        w_env = log_multinomial_coeff([u - c for u, c in zip(self.urn, counts)])
-        if w_sys.impossible or w_env.impossible:
-            return float("-inf")
-        return w_sys.value + w_env.value - log_multinomial_coeff(self.urn.counts).value
+        terms = [log_factorial(u) - log_factorial(c) - log_factorial(u - c)
+                 for u, c in zip(self.urn, counts)]
+        return float(np.add.reduce(np.array(terms))) - self._log_choose_draws
 
     def pmf(self, n: Sequence[int]) -> float:
         lp = self.log_pmf(n)
@@ -209,14 +210,15 @@ class MvhgDist:
 def _mvhg_log_pmf_grid(urns: np.ndarray, counts: np.ndarray, U: int, N: int) -> np.ndarray:
     """ln P(n | u) of N draws without replacement from urn u, over every
     urn row u of U balls and every count row n of N draws: the (urns x
-    counts) grid of sum_c ln C(u_c, n_c) - ln C(U, N), -inf where some
-    n_c > u_c. Rows that are not of U balls or N draws are not checked."""
+    counts) grid of sum_c [ln u_c! - ln n_c! - ln (u_c - n_c)!] - ln C(U, N),
+    with ln C(U, N) from _count_log_choose, -inf where some n_c > u_c. Rows
+    that are not of U balls or N draws are not checked."""
     u, n = urns[:, None, :], counts[None, :, :]
     impossible = n > u
     # the rows with some n_c > u_c are set to -inf below, whatever they read
     rest = np.where(impossible, 0, u - n)
     terms = _log_factorial(u) - _log_factorial(n) - _log_factorial(rest)
-    out = terms.sum(axis=-1) - _log_choose(U, N)
+    out = terms.sum(axis=-1) - _count_log_choose(U, N)
     out[impossible.any(axis=-1)] = -np.inf
     return out
 

@@ -15,12 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .combinatorics import (
-    DEFAULT_CAP,
-    log_factorial,
-    log_factorial_real,
-    support_matrix,
-)
+from .combinatorics import DEFAULT_CAP, log_factorial_real, support_matrix
 from .constants import BOLTZMANN_KB, LN2, PLANCK_H
 from .distributions import (
     MultinomialDist,
@@ -33,6 +28,7 @@ from .marginals import (
     _count_log_choose,
     _count_stirling_remainder,
     _hypergeometric_log_expectations,
+    log_factorial,
 )
 
 __all__ = [

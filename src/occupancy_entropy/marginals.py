@@ -59,16 +59,32 @@ def _stirling_remainder(x) -> np.ndarray:
 
 _TAU_COUNTS = _stirling_remainder(np.arange(float(_TABLED_COUNTS)))
 _LOG_FACTORIALS = gammaln(np.arange(_TABLED_COUNTS) + 1.0)
+_LOG_FACTORIAL_LIST = _LOG_FACTORIALS.tolist()
 
 
 def _log_factorial(k) -> np.ndarray:
     """ln k! = gammaln(k + 1) at whole counts k, elementwise, with the same
-    bits: read from _LOG_FACTORIALS when every k is in [0, _TABLED_COUNTS),
-    else evaluated (+inf at negative k)."""
+    bits: read from _LOG_FACTORIALS where k is in [0, _TABLED_COUNTS), and
+    evaluated only at the other counts (+inf at negative k)."""
     k = np.asarray(k)
-    if k.min(initial=0) >= 0 and k.max(initial=0) < _TABLED_COUNTS:
+    tabled = (k >= 0) & (k < _TABLED_COUNTS)
+    if tabled.all():
         return _LOG_FACTORIALS[k.astype(np.intp, copy=False)]
-    return gammaln(k + 1.0)
+    # the few counts past the table are gathered by index, not by mask; out
+    # is an array even for a 0-d k, so that its flat view can be written
+    out = np.asarray(_LOG_FACTORIALS[np.where(tabled, k, 0).astype(np.intp)])
+    rest = np.flatnonzero(~tabled)
+    out.reshape(-1)[rest] = gammaln(k.reshape(-1)[rest] + 1.0)
+    return out
+
+
+def log_factorial(n: int) -> float:
+    """ln n! for a whole count n >= 0, with the bits of _log_factorial."""
+    if n < 0:
+        raise ValueError(f"factorial undefined for negative n={n}")
+    if n < _TABLED_COUNTS:
+        return _LOG_FACTORIAL_LIST[n]
+    return float(_log_factorial(n))
 
 
 def _count_stirling_remainder(k) -> np.ndarray:

@@ -158,16 +158,13 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def mc_entropy_estimate(
     d: OccupancyDistribution, samples: int, seed: int = DEFAULT_SEED
 ) -> tuple[float, float]:
-    """Plug-in entropy estimate -mean(log pmf) with jackknife standard
-    error; seed-reproducible bit for bit."""
+    """Plug-in entropy estimate -mean(log pmf) over ``samples`` seeded
+    draws, and its standard error std(ddof=1) / sqrt(samples), which is the
+    leave-one-out jackknife of a mean in closed form; seed-reproducible bit
+    for bit."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    # the scalar log_pmf once per distinct draw, scattered back to every draw
+    # log_pmf_batch over the distinct draws, scattered back to every draw
     distinct, which = _group_rows(_sample_counts(d, samples, seed))
-    vals = np.array([-d.log_pmf(row) for row in distinct], dtype=np.float64)
-    vals = vals[which]
-    estimate = float(vals.mean())
-    # leave-one-out means of the plug-in estimator
-    loo = (vals.sum() - vals) / (samples - 1)
-    se = math.sqrt((samples - 1) / samples * float(((loo - loo.mean()) ** 2).sum()))
-    return estimate, se
+    vals = -d.log_pmf_batch(distinct)[which]
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

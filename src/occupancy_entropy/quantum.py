@@ -20,7 +20,6 @@ from .combinatorics import (
     DEFAULT_CAP,
     CapExceededError,
     OccupancyVector,
-    _check_support,
     _require_fields,
     occupancy_count,
     require_int,
@@ -188,7 +187,6 @@ def holevo_chi(
     mode: str = "exact",
     mc_samples: int = 10_000,
     seed: int = DEFAULT_SEED,
-    cap: int = DEFAULT_CAP,
 ) -> HolevoEstimate:
     """Upper bound on the information any measurement on the system can
     extract about the universe outcome:
@@ -196,19 +194,18 @@ def holevo_chi(
 
     Exact mode evaluates the closed form
     chi = H(Mult(U, p)) - H(Mult(U - N, p)), which holds because the
-    environment's draws are independent of the system's; ``cap`` still
-    bounds the number of universe occupancies it stands for. Each entropy
-    is within a few eps of itself, so chi is within about eps H / chi: at
-    U = 100,100, N = 100, p = (0.3, 0.7), where chi is 5e-4 and each H
-    6.4 nats, 2.9e-12 of a 40-digit reference, within the 1e-11 the tests
-    hold. Monte Carlo mode samples the universes from the prior
-    and only estimates the conditional term (the unconditional entropy is
-    analytic either way), reporting the standard error of the estimate.
+    environment's draws are independent of the system's, so no universe
+    occupancy is enumerated, at any U. Each entropy is within a few eps of
+    itself, so chi is within about eps H / chi: at U = 100,100, N = 100,
+    p = (0.3, 0.7), where chi is 5e-4 and each H 6.4 nats, 2.9e-12 of a
+    40-digit reference, within the 1e-11 the tests hold. Monte Carlo mode
+    samples the universes from the prior and only estimates the
+    conditional term (the unconditional entropy is analytic either way),
+    reporting the standard error of the estimate.
     """
     if N > U:
         raise ValueError("system cannot hold more particles than the universe")
     if mode == "exact":
-        _check_support(U, p.num_colors, cap, "use monte_carlo mode")
         whole, rest = (multinomial_entropy(MultinomialDist(n, p)).total for n in (U, U - N))
         return HolevoEstimate(whole - rest, None, "exact")
     if mode == "monte_carlo":

@@ -322,8 +322,10 @@ class TestSzilardCommand:
         [
             ["szilard", "--model", ELECTRON_BOX_1D, "--particles", "2", "--cap", "10"],
             ["entropy", '{"kind":"multinomial","N":2,"probs":[0.5,0.5]}', "--cap", "10"],
+            ["holevo", "--universe-size", "20", "--draws", "2", "--probs", "0.5,0.5",
+             "--cap", "10"],
         ],
-        ids=["szilard", "entropy"],
+        ids=["szilard", "entropy", "holevo"],
     )
     def test_cap_flag_is_gone(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2

@@ -245,6 +245,39 @@ class TestMvhgPmf:
             atol=1e-15,
         )
 
+    @staticmethod
+    def _assert_scalar_has_the_batch_bits(d, rows):
+        scalar = np.array([d.log_pmf(r) for r in rows.tolist()], dtype=np.float64)
+        assert np.array_equal(scalar.view(np.int64), d.log_pmf_batch(rows).view(np.int64))
+
+    def test_scalar_has_the_batch_bits_on_the_small_sweep(self):
+        # every urn of 1-4 colours and at most 10 balls, every draw count and
+        # every system row: the rows of acceptance criterion 2
+        for c in range(1, 5):
+            for total in range(11):
+                for counts in support_matrix(total, c).tolist():
+                    for n in range(total + 1):
+                        d = MvhgDist(OccupancyVector(tuple(counts)), n)
+                        self._assert_scalar_has_the_batch_bits(d, support_matrix(n, c))
+
+    @pytest.mark.parametrize(
+        "counts, draws",
+        [
+            ((7, 0, 12, 3, 9, 30, 1, 5, 16, 2, 8, 11), 40),
+            (tuple(range(40)), 150),
+            ((3000, 2000, 5000), 4500),
+        ],
+        ids=["12_colours", "40_colours", "past_the_table"],
+    )
+    def test_scalar_has_the_batch_bits_on_sampled_rows(self, counts, draws):
+        d = MvhgDist(OccupancyVector(counts), draws)
+        rows = distributions._sample_counts(d, 20000, seed=5)
+        # two impossible rows of N draws: one count above its colour, and
+        # one negative count
+        impossible = np.zeros((2, len(counts)), dtype=np.int64)
+        impossible[:, :2] = [[counts[0] + 1, draws - counts[0] - 1], [-1, draws + 1]]
+        self._assert_scalar_has_the_batch_bits(d, np.concatenate((rows, impossible)))
+
 
 class TestMarginal:
     def test_multinomial_binomial(self):

@@ -254,6 +254,26 @@ class TestLogFactorial:
         for k in (np.array([], dtype=np.int64), np.zeros((0, 3))):
             self._same_bits(k)
 
+    def test_evaluates_only_the_counts_past_the_table(self, monkeypatch):
+        evaluated = []
+
+        def counting_gammaln(x):
+            evaluated.append(np.size(x))
+            return gammaln(x)
+
+        monkeypatch.setattr(marginals, "gammaln", counting_gammaln)
+        marginals._log_factorial(np.array([[0, 4095, 5000], [3, -1, 7]]))
+        assert evaluated == [2]
+
+    def test_scalar_has_the_same_bits(self):
+        ks = list(range(5001)) + [10**6]
+        got = np.array([marginals.log_factorial(k) for k in ks])
+        want = marginals._log_factorial(np.array(ks))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert all(type(marginals.log_factorial(k)) is float for k in (0, 4096, 10**6))
+        with pytest.raises(ValueError):
+            marginals.log_factorial(-1)
+
 
 class TestMultinomialPrecision:
     # ln N! less a sum of about ln N! lost about eps N ln N; the Stirling

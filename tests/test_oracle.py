@@ -34,12 +34,8 @@ def reference_mc_entropy_estimate(d, samples, seed):
     distinct, which = np.unique(
         _sample_counts(d, samples, seed), axis=0, return_inverse=True
     )
-    vals = np.array([-d.log_pmf(row) for row in distinct], dtype=np.float64)
-    vals = vals[which.reshape(-1)]
-    estimate = float(vals.mean())
-    loo = (vals.sum() - vals) / (samples - 1)
-    se = math.sqrt((samples - 1) / samples * float(((loo - loo.mean()) ** 2).sum()))
-    return estimate, se
+    vals = -d.log_pmf_batch(distinct)[which.reshape(-1)]
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
 class TestExactMultinomialCoeff:
@@ -139,6 +135,27 @@ class TestMcEntropyEstimate:
         d = MultinomialDist(1, OneParticleDistribution([1.0]))
         with pytest.raises(ValueError):
             mc_entropy_estimate(d, 1)
+
+    def test_estimate_is_the_exact_mean_over_its_draws(self):
+        # the oracle_mc_entropy_mvhg golden case: against the 40-digit mean
+        # of -ln P over the same seeded draws
+        mp = pytest.importorskip("mpmath")
+        d, samples = MvhgDist(OccupancyVector((20, 15, 25)), 10), 20000
+        distinct, which = np.unique(
+            _sample_counts(d, samples, 7), axis=0, return_inverse=True
+        )
+        with mp.workdps(40):
+            def log_choose(n, k):
+                return mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
+
+            neg_log_p = [
+                log_choose(60, 10) - mp.fsum(log_choose(u, int(n)) for u, n in zip(d.urn, row))
+                for row in distinct
+            ]
+            counts = np.bincount(which.reshape(-1), minlength=len(distinct))
+            want = mp.fsum(int(c) * v for c, v in zip(counts, neg_log_p)) / samples
+        estimate, _ = mc_entropy_estimate(d, samples, seed=7)
+        assert abs(estimate - float(want)) <= 1e-15
 
     def test_jackknife_se_matches_classic_for_the_mean(self):
         import numpy as np

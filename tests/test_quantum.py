@@ -25,6 +25,7 @@ from occupancy_entropy.entropy import (
     multinomial_entropy,
     mvhg_entropy,
 )
+from occupancy_entropy.marginals import _count_log_choose
 from occupancy_entropy.oracle import brute_force_partial_trace
 from occupancy_entropy.quantum import (
     BosonicDensityOperator,
@@ -186,12 +187,13 @@ class TestBayesianMixture:
     @staticmethod
     def _assert_evaluated_grid(U, N, k):
         # every cell of the grid, the -inf of the urns that cannot give a
-        # system included, has the bits of sum_c ln C(u_c, n_c) - ln C(U, N)
-        # with each ln k! evaluated by gammaln
+        # system included, has the bits of
+        # sum_c [ln u_c! - ln n_c! - ln (u_c - n_c)!] - ln C(U, N) with each
+        # ln k! evaluated by gammaln and ln C(U, N) by _count_log_choose
         urns, system = support_matrix(U, k), support_matrix(N, k)
         u, n = urns[:, None, :], system[None, :, :]
         terms = gammaln(u + 1.0) - gammaln(n + 1.0) - gammaln(u - n + 1.0)
-        want = terms.sum(axis=-1) - (gammaln(U + 1.0) - gammaln(N + 1.0) - gammaln(U - N + 1.0))
+        want = terms.sum(axis=-1) - _count_log_choose(U, N)
         got = _mvhg_log_pmf_grid(urns, system, U, N)
         assert np.array_equal(got, want)
         return got
@@ -275,6 +277,17 @@ class TestHolevoChi:
         got = holevo_chi(U, N, OneParticleDistribution(probs)).chi
         assert got == pytest.approx(want, rel=1e-11)
 
+    def test_exact_needs_no_universe_enumeration(self):
+        # 2,003,001 three-colour universes of 2,000 particles, which exact
+        # mode does not enumerate; chi is close to ln(2000 / 1900)
+        probs = (0.5, 0.3, 0.2)
+        want = float(
+            multinomial_entropy_mp(2000, probs) - multinomial_entropy_mp(1900, probs)
+        )
+        got = holevo_chi(2000, 100, OneParticleDistribution(probs)).chi
+        assert got == pytest.approx(want, rel=1e-11)
+        assert got == pytest.approx(math.log(2000 / 1900), rel=1e-3)
+
     @pytest.mark.parametrize(
         "U, N, probs", [(5, 0, [0.5, 0.5]), (7, 3, [1.0]), (7, 3, [0.0, 1.0])]
     )
@@ -348,10 +361,6 @@ class TestHolevoChi:
     def test_system_larger_than_universe_rejected(self):
         with pytest.raises(ValueError):
             holevo_chi(2, 3, FAIR_TWO)
-
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            holevo_chi(200, 2, OneParticleDistribution([0.25] * 4), cap=100)
 
 
 class TestEmpiricalInformation:
