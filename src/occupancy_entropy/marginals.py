@@ -67,11 +67,11 @@ def _log_factorial(k) -> np.ndarray:
     bits: read from _LOG_FACTORIALS where k is in [0, _TABLED_COUNTS), and
     evaluated only at the other counts (+inf at negative k)."""
     k = np.asarray(k)
-    tabled = (k >= 0) & (k < _TABLED_COUNTS)
-    if tabled.all():
+    if k.min(initial=0) >= 0 and k.max(initial=0) < _TABLED_COUNTS:
         return _LOG_FACTORIALS[k.astype(np.intp, copy=False)]
     # the few counts past the table are gathered by index, not by mask; out
     # is an array even for a 0-d k, so that its flat view can be written
+    tabled = (k >= 0) & (k < _TABLED_COUNTS)
     out = np.asarray(_LOG_FACTORIALS[np.where(tabled, k, 0).astype(np.intp)])
     rest = np.flatnonzero(~tabled)
     out.reshape(-1)[rest] = gammaln(k.reshape(-1)[rest] + 1.0)
