@@ -191,7 +191,7 @@ class MvhgDist:
             not 0 <= c <= u for c, u in zip(counts, self.urn)
         ):
             return float("-inf")
-        terms = [log_factorial(u) - log_factorial(c) - log_factorial(u - c)
+        terms = [log_factorial(u) - (log_factorial(c) + log_factorial(u - c))
                  for u, c in zip(self.urn, counts)]
         return float(np.add.reduce(np.array(terms))) - self._log_choose_draws
 
@@ -210,14 +210,16 @@ class MvhgDist:
 def _mvhg_log_pmf_grid(urns: np.ndarray, counts: np.ndarray, U: int, N: int) -> np.ndarray:
     """ln P(n | u) of N draws without replacement from urn u, over every
     urn row u of U balls and every count row n of N draws: the (urns x
-    counts) grid of sum_c [ln u_c! - ln n_c! - ln (u_c - n_c)!] - ln C(U, N),
+    counts) grid of sum_c [ln u_c! - (ln n_c! + ln (u_c - n_c)!)] - ln C(U, N),
     with ln C(U, N) from _count_log_choose, -inf where some n_c > u_c. Rows
     that are not of U balls or N draws are not checked."""
     u, n = urns[:, None, :], counts[None, :, :]
     impossible = n > u
     # the rows with some n_c > u_c are set to -inf below, whatever they read
     rest = np.where(impossible, 0, u - n)
-    terms = _log_factorial(u) - _log_factorial(n) - _log_factorial(rest)
+    # n and u - n enter alike, so the drawn and the left-behind counts of
+    # the same split have the same bits
+    terms = _log_factorial(u) - (_log_factorial(n) + _log_factorial(rest))
     out = terms.sum(axis=-1) - _count_log_choose(U, N)
     out[impossible.any(axis=-1)] = -np.inf
     return out

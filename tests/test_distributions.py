@@ -250,15 +250,21 @@ class TestMvhgPmf:
         scalar = np.array([d.log_pmf(r) for r in rows.tolist()], dtype=np.float64)
         assert np.array_equal(scalar.view(np.int64), d.log_pmf_batch(rows).view(np.int64))
 
-    def test_scalar_has_the_batch_bits_on_the_small_sweep(self):
+    def test_scalar_and_mirror_have_the_batch_bits_on_the_small_sweep(self):
         # every urn of 1-4 colours and at most 10 balls, every draw count and
-        # every system row: the rows of acceptance criterion 2
+        # every system row: the rows of acceptance criterion 2. Exchanging
+        # system and environment (n -> u - n, N -> U - N) keeps every bit
         for c in range(1, 5):
             for total in range(11):
                 for counts in support_matrix(total, c).tolist():
+                    urn = OccupancyVector(tuple(counts))
                     for n in range(total + 1):
-                        d = MvhgDist(OccupancyVector(tuple(counts)), n)
-                        self._assert_scalar_has_the_batch_bits(d, support_matrix(n, c))
+                        d, rows = MvhgDist(urn, n), support_matrix(n, c)
+                        self._assert_scalar_has_the_batch_bits(d, rows)
+                        mirror = MvhgDist(urn, total - n).log_pmf_batch(np.array(counts) - rows)
+                        assert np.array_equal(
+                            mirror.view(np.int64), d.log_pmf_batch(rows).view(np.int64)
+                        )
 
     @pytest.mark.parametrize(
         "counts, draws",

@@ -188,11 +188,11 @@ class TestBayesianMixture:
     def _assert_evaluated_grid(U, N, k):
         # every cell of the grid, the -inf of the urns that cannot give a
         # system included, has the bits of
-        # sum_c [ln u_c! - ln n_c! - ln (u_c - n_c)!] - ln C(U, N) with each
+        # sum_c [ln u_c! - (ln n_c! + ln (u_c - n_c)!)] - ln C(U, N) with each
         # ln k! evaluated by gammaln and ln C(U, N) by _count_log_choose
         urns, system = support_matrix(U, k), support_matrix(N, k)
         u, n = urns[:, None, :], system[None, :, :]
-        terms = gammaln(u + 1.0) - gammaln(n + 1.0) - gammaln(u - n + 1.0)
+        terms = gammaln(u + 1.0) - (gammaln(n + 1.0) + gammaln(u - n + 1.0))
         want = terms.sum(axis=-1) - _count_log_choose(U, N)
         got = _mvhg_log_pmf_grid(urns, system, U, N)
         assert np.array_equal(got, want)
