@@ -12,6 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -154,8 +155,8 @@ def support_matrix(total: int, num_colors: int, cap: int = DEFAULT_CAP) -> np.nd
     revisit the same small supports many times.
     """
     count = _check_support(total, num_colors, cap)
-    out = np.empty((count, num_colors), dtype=np.int64)
-    for i, t in enumerate(_occupancy_tuples(total, num_colors)):
-        out[i] = t
+    flat = chain.from_iterable(_occupancy_tuples(total, num_colors))
+    out = np.fromiter(flat, dtype=np.int64, count=count * num_colors)
+    out = out.reshape(count, num_colors)
     out.setflags(write=False)
     return out

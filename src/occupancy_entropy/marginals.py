@@ -1,7 +1,9 @@
 """One-colour count marginals: the binomial law of draws with replacement
 and the hypergeometric law of draws without, each written once as a
 log-pmf at one count and as a ratio step between counts. Full-support
-pmfs and windowed expectations are both built from the ratio steps.
+pmfs and windowed expectations are both built from the ratio steps; a
+binomial E{ln n!} below one mean count is a short series in the odds
+instead.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from scipy.special import gammaln, xlog1py, xlogy
 from .combinatorics import CapExceededError
 from .constants import LN2
 
-# Windowed expectations leave out counts whose tails could move a result
-# by more than this share of it (see _count_window).
+# Windowed expectations and the dilute series leave out counts whose tails
+# could move a result by more than this share of it (see _count_window and
+# _dilute_log_factorial_means).
 _LOG_REL_TOL = math.log(1e-17)
 # A grid of at most this many cells costs less to sum whole than to search
 # for its windows.
@@ -23,6 +26,10 @@ _WHOLE_GRID_CELLS = 2**12
 # ln k! and tau(k) are tabled at the counts 0.._TABLED_COUNTS - 1
 _TABLED_COUNTS = 2**12
 _BLOCK_CELLS = 2**18
+# Binomial E{ln n!} below one mean count sums the counts 0..K for
+# K < _DILUTE_COUNTS: the threshold at K = 26 (2.17) exceeds every
+# N p / (1 - p) there, which is below 2 from N = 2 on (K is at most N)
+_DILUTE_COUNTS = 27
 # Stirling coefficients B_2j / (2j (2j - 1)) of ln Gamma(x + 1) for j = 1..8;
 # from _STIRLING_FROM on, the first term left out is below 2e-18
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
@@ -60,6 +67,24 @@ def _stirling_remainder(x) -> np.ndarray:
 _TAU_COUNTS = _stirling_remainder(np.arange(float(_TABLED_COUNTS)))
 _LOG_FACTORIALS = gammaln(np.arange(_TABLED_COUNTS) + 1.0)
 _LOG_FACTORIAL_LIST = _LOG_FACTORIALS.tolist()
+
+
+def _dilute_thresholds() -> np.ndarray:
+    """T[K], the largest m' = N p / (1 - p) at which counts 0..K give
+    E{ln n!} of a binomial below one mean count to 1e-17 of itself (see
+    _dilute_log_factorial_means), for K = 0.._DILUTE_COUNTS - 1; T[0] = T[1]
+    = 0, so that only p = 0 takes K = 0. With S_K = sum_{k > K} 2^(k-K-1)
+    ln k! / k!, T[K] = (1e-17 ln 2 / (4 S_K))^(1 / (K - 1)); S_K is summed
+    to k = K + 40, past which its terms add under 1e-30 of it."""
+    K = np.arange(2, _DILUTE_COUNTS)
+    j = np.arange(40)
+    log_fact = _LOG_FACTORIALS[K[:, None] + 1 + j]
+    tail = np.exp(j * LN2 + np.log(log_fact) - log_fact).sum(axis=1)
+    bound = np.exp((_LOG_REL_TOL + math.log(LN2 / 4.0) - np.log(tail)) / (K - 1.0))
+    return np.concatenate(([0.0, 0.0], bound))
+
+
+_DILUTE_THRESHOLDS = _dilute_thresholds()
 
 
 def _log_factorial(k) -> np.ndarray:
@@ -307,56 +332,97 @@ def _hypergeometric_marginal(U: int, u: int, N: int) -> np.ndarray:
     return _full_pmf(N, *_hypergeometric(U, np.array([u], dtype=np.float64), N))
 
 
+def _dilute_log_factorial_means(N: int, odds: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """E{ln n!} for n ~ Binomial(N, p) below one mean count, elementwise over
+    arrays of the odds r = p / (1 - p) and of the last counts K summed:
+    sum_{k=2..K} w_k ln k! / sum_{k=0..K} w_k with w_0 = 1 and
+    w_k = w_{k-1} (N - k + 1) / k r, so that P(k) = (1 - p)^N w_k.
+
+    The counts past K carry ln k! above every mean over 0..K, so leaving
+    them out lowers E{ln n!}, by at most their share sum_{k>K} w_k ln k! of
+    sum_k w_k; and E{ln n!} >= P(2) ln 2. With m' = N r, w_k = C(N, k) r^k
+    <= m'^k / k!, and for N >= 2, w_2 = m'^2 (N - 1) / (2 N) >= m'^2 / 4,
+    while N p < 1 makes m' < N / (N - 1) <= 2. The share of E{ln n!} left
+    out is thus at most 4 / ln 2 sum_{k>K} m'^(k-2) ln k! / k! <=
+    4 / ln 2 m'^(K-1) S_K, S_K as in _dilute_thresholds: under 1e-17 while
+    m' <= _DILUTE_THRESHOLDS[K]. K = N, and K = 0 at p = 0, leave out
+    nothing. Rows of each K are built by np.cumprod in (K x rows) blocks of
+    at most _BLOCK_CELLS cells."""
+    out = np.zeros(odds.size)
+    ks = np.arange(1.0, last.max(initial=0) + 1.0)
+    # counts run down the columns, so each step is one row-wide product
+    steps = ((N + 1.0 - ks) / ks)[:, None]
+    for size in np.flatnonzero(np.bincount(last)).tolist():
+        if size < 2:
+            continue
+        log_fact = _LOG_FACTORIALS[2 : size + 1, None]
+        group = np.flatnonzero(last == size)
+        block = _BLOCK_CELLS // size
+        for start in range(0, group.size, block):
+            rows = group[start : start + block]
+            w = np.cumprod(steps[:size] * odds[rows], axis=0)
+            out[rows] = (w[1:] * log_fact).sum(axis=0) / (1.0 + w.sum(axis=0))
+    return out
+
+
 def _binomial_log_factorial_gap(
     N: int, p: np.ndarray, budget: float = math.inf
 ) -> tuple[np.ndarray, np.ndarray]:
     """tau(m) and g = E{ln n!} - ln Gamma(m + 1) for n ~ Binomial(N, p) with
-    mean m = N p, elementwise over an array of p. From m = 1 on, g is the mean
-    of tau(n) - tau(m) + n log1p((n - m) / m) - (n - m), which is small near
-    the mean; below, where n ln(n / m) would cancel against tau(m), it is
-    E{ln n!} less ln Gamma(m + 1). Means are summed over the _count_window of
-    E{ln n!}, which leaves out under 1e-17 of it; CapExceededError if the
-    cells _window_means builds over those windows would exceed ``budget``.
+    mean m = N p, elementwise over an array of p. Below one mean count,
+    E{ln n!} is the _dilute_log_factorial_means series over counts 0..K,
+    with K read from _DILUTE_THRESHOLDS (at most N), which leaves out under
+    1e-17 of it, less ln Gamma(m + 1). From m = 1 on, g is the mean of
+    tau(n) - tau(m) + n log1p((n - m) / m) - (n - m), which is small near
+    the mean, summed over the _count_window of E{ln n!}, which leaves out
+    under 1e-17 of it. CapExceededError if the cells, K + 1 a level below one
+    mean count and those _window_means builds over the windows from one on,
+    would exceed ``budget``.
     """
     shape = np.shape(p)
     p = np.ravel(p).astype(np.float64)
-    first, last, log_step = _binomial(N, p)
+    mean = N * p
+    small = mean < 1.0
+    # below one mean count 1 - p > 0 unless N = 0, where K = 0
+    odds = p[small] / (1.0 - p[small]) if N else np.zeros(np.count_nonzero(small))
+    last = np.minimum(N, np.searchsorted(_DILUTE_THRESHOLDS, N * odds))
+    cells = int(last.sum()) + last.size
+    widest = int(last.max(initial=-1)) + 1
+    q, m = p[~small], mean[~small]
+    if q.size:
+        first, end, log_step = _binomial(N, q)
 
-    def log_term(k):
-        return _binomial_log_pmf(N, p, k) + np.log(_log_factorial(k))
+        def log_term(k):
+            return _binomial_log_pmf(N, q, k) + np.log(_log_factorial(k))
 
-    lo, hi = _count_window(N, p, first, last, log_term, _log_factorial(N))
-    classes = _width_classes(lo, hi)
-    cells = sum(rows.size * width for rows, width in classes)
+        lo, hi = _count_window(N, q, first, end, log_term, _log_factorial(N))
+        classes = _width_classes(lo, hi)
+        cells += sum(rows.size * width for rows, width in classes)
+        widest = max(widest, *(width for _, width in classes))
     if cells > budget:
-        widest = max(width for _, width in classes)
         raise CapExceededError(
             f"summation over {p.size} levels x up to {widest} counts needs "
             f"{cells} cells, over the budget of {budget}", cells, budget
         )
-    mean = N * p
-    small = mean < 1.0
-    # below one count tau(m) is formed directly, and its ln Gamma(m + 1)
-    # turns the mean of ln n! into the gap
-    m = mean[small]
-    log_gamma = gammaln(m + 1.0)
     tau = np.empty_like(mean)
-    tau[small] = log_gamma + m * (1.0 - np.log(np.where(m > 0.0, m, 1.0)))
-    tau[~small] = _stirling_remainder(mean[~small])
+    gap = np.empty_like(mean)
+    if last.size:
+        # below one count tau(m) is formed directly, and its ln Gamma(m + 1)
+        # turns the mean of ln n! into the gap
+        m_small = mean[small]
+        log_gamma = gammaln(m_small + 1.0)
+        tau[small] = log_gamma + m_small * (1.0 - np.log(np.where(m_small > 0.0, m_small, 1.0)))
+        gap[small] = _dilute_log_factorial_means(N, odds, last) - log_gamma
+    if q.size:
+        tau_full = _stirling_remainder(m)
+        tau[~small] = tau_full
 
-    def term(rows, k):
-        below = small[rows]
-        if below.all():
-            return _log_factorial(k)
-        m = mean[rows, None]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            gap = (_count_stirling_remainder(k) - tau[rows, None]
-                   + xlog1py(k, (k - m) / m) - (k - m))
-        below = below[:, None]
-        return np.where(below, _log_factorial(np.where(below, k, 0.0)), gap)
+        def term(rows, k):
+            m_rows = m[rows, None]
+            return (_count_stirling_remainder(k) - tau_full[rows, None]
+                    + xlog1py(k, (k - m_rows) / m_rows) - (k - m_rows))
 
-    (gap,) = _window_means(classes, lo, hi, log_step, term)
-    gap[small] -= log_gamma
+        gap[~small] = _window_means(classes, lo, hi, log_step, term)[0]
     return tau.reshape(shape), gap.reshape(shape)
 
 

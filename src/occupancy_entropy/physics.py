@@ -282,8 +282,9 @@ def ideal_gas_entropy(
     The exact path stays non-negative everywhere, including in the regime
     where the approximation has already gone negative. It is evaluated per
     distinct energy level, weighted by degeneracy, and ``budget`` caps the
-    (level, count) cells the binomial expectations are summed over: each
-    level padded to the widest count window of its width class.
+    (level, count) cells the binomial expectations are summed over: the
+    K + 1 counts of the series of a level below one mean count, and every
+    other level padded to the widest count window of its width class.
     """
     if model.dimensions != 3:
         raise ValueError("ideal gas entropy requires a 3-D box model")

@@ -10,6 +10,7 @@ from occupancy_entropy import log_factorial
 from occupancy_entropy.combinatorics import (
     CapExceededError,
     OccupancyVector,
+    _occupancy_tuples,
     enumerate_occupancies,
     log_factorial_real,
     occupancy_count,
@@ -142,6 +143,15 @@ class TestEnumerateOccupancies:
         stream = np.array([v.counts for v in enumerate_occupancies(3, 3)])
         assert np.array_equal(mat, stream)
         assert not mat.flags.writeable
+
+    @pytest.mark.parametrize("n, c", [(0, 1), (0, 4), (5, 1), (6, 4)])
+    def test_support_matrix_matches_the_tuples(self, n, c):
+        # no particles, one colour and a 4-colour support, row for row
+        mat = support_matrix(n, c)
+        tuples = np.array(list(_occupancy_tuples(n, c)), dtype=np.int64)
+        assert mat.shape == (occupancy_count(n, c), c)
+        assert mat.dtype == np.int64
+        assert np.array_equal(mat, tuples)
 
 
 class TestCapExceededError:

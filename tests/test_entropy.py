@@ -637,6 +637,99 @@ def _assert_gap_near(gap, N, p, e_fact):
     assert np.all(err <= tol), (err.max(), gap, e_fact, log_gamma)
 
 
+def _dilute_counts(N, p):
+    """The odds p / (1 - p) and the last counts K of the kernel's dilute
+    series for n ~ Binomial(N, p) at means N p < 1."""
+    p = np.asarray(p, dtype=np.float64)
+    odds = p / (1.0 - p) if N else np.zeros_like(p)
+    last = np.searchsorted(marginals._DILUTE_THRESHOLDS, N * odds)
+    return odds, np.minimum(N, last)
+
+
+def _dilute_means(N, p):
+    """E{ln n!} of the kernel's dilute series over counts 0..K."""
+    return marginals._dilute_log_factorial_means(N, *_dilute_counts(N, p))
+
+
+def _mp_dilute_expected_log_factorial(N, p, last=None):
+    """E{ln n!} for n ~ Binomial(N, p) with N p < 1, in 30-digit arithmetic,
+    over the counts 0..last. With no last, from k = 3 on each term is under
+    0.9 of the one before, so the sum stops once a term is below 1e-40 of it."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        p = mp.mpf(p)
+        term, log_fact, mass, acc = mp.mpf(1), mp.mpf(0), mp.mpf(1), mp.mpf(0)
+        for k in range(1, N + 1 if last is None else last + 1):
+            term = term * (N - k + 1) / k * p / (1 - p)
+            log_fact += mp.log(k)
+            mass += term
+            acc += term * log_fact
+            if last is None and k >= 3 and term * log_fact <= acc * mp.mpf(1e-40):
+                break
+        return acc / mass
+
+
+def _dilute_probabilities(N):
+    """Probabilities p with N p in [0, 1): 0, subnormal, tiny, about the
+    first thresholds, moderate and the largest below 1 / N; any p at N = 0."""
+    if N == 0:
+        return np.array([0.0, 5e-324, 0.5, 1.0])
+    means = np.array([0.0, 1e-18, 2e-18, 3e-18, 1e-12, 2.5e-9, 1e-6, 1e-4, 0.01,
+                      0.1, 0.37, 0.5, 0.9, 0.99])
+    top = np.nextafter(1.0 / N, 0.0)
+    while N * top >= 1.0:
+        top = np.nextafter(top, 0.0)
+    return np.concatenate(([5e-324, 1e-310], means / N, [top]))
+
+
+_DILUTE_SIZES = [0, 1, 2, 3, 10, 100, 1000, 10**6]
+
+
+class TestDiluteSeries:
+    @pytest.mark.parametrize("N", _DILUTE_SIZES)
+    def test_matches_mpmath(self, N):
+        p = _dilute_probabilities(N)
+        want = [float(_mp_dilute_expected_log_factorial(N, q)) for q in p.tolist()]
+        np.testing.assert_allclose(_dilute_means(N, p), want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("N", _DILUTE_SIZES)
+    def test_more_counts_change_nothing(self, N):
+        # in 30 digits, eight counts past K move E{ln n!} by under 1e-17 of it
+        p = _dilute_probabilities(N)
+        _, last = _dilute_counts(N, p)
+        for q, k in zip(p.tolist(), last.tolist()):
+            kept = _mp_dilute_expected_log_factorial(N, q, k)
+            more = _mp_dilute_expected_log_factorial(N, q, min(N, k + 8))
+            assert 0 <= more - kept <= 1e-17 * more, (q, k)
+
+    def test_thresholds_rise_past_every_dilute_level(self):
+        # N p < 1 makes m' = N p / (1 - p) < N / (N - 1) <= 2 from N = 2 on,
+        # which the last threshold exceeds
+        t = marginals._DILUTE_THRESHOLDS
+        assert t[0] == t[1] == 0.0
+        assert np.all(np.diff(t[1:]) > 0.0)
+        assert t[-1] > 2.0 > t[-2]
+
+    def test_kernel_gap_is_the_series_less_log_gamma(self):
+        N = 1000
+        p = _dilute_probabilities(N)
+        tau, gap = _binomial_log_factorial_gap(N, p)
+        log_gamma = gammaln(N * p + 1.0)
+        np.testing.assert_array_equal(gap, _dilute_means(N, p) - log_gamma)
+        np.testing.assert_array_equal(tau, marginals._stirling_remainder(N * p))
+
+    @pytest.mark.parametrize("N", _DILUTE_SIZES)
+    def test_edge_rows_raise_no_warning(self, N):
+        import warnings
+
+        # every dilute probability, beside p = 1 and a full row
+        p = np.concatenate((_dilute_probabilities(N), [1.0, 0.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau, gap = _binomial_log_factorial_gap(N, p)
+        assert np.all(np.isfinite(tau)) and np.all(np.isfinite(gap))
+
+
 # tiny, near-1, exactly 0 and exactly 1 probabilities beside uniform ones
 _KERNEL_PROBS = st.one_of(
     st.sampled_from([0.0, 1.0, 1e-300, 1e-12, 1.0 - 1e-12, 1.0 - 2.0**-53, 0.5]),
@@ -788,9 +881,9 @@ class TestTableDrivenRaggedKernel:
     )
     def test_gas_workload_boxes_match_mpmath(self, temperature, side, N):
         # the benchmark's three gas boxes, per distinct level, against
-        # 30-digit sums over the same level probabilities: the window means,
-        # E{ln n!} below one mean count and the gap E{ln n!} - ln Gamma(N q + 1)
-        # from one on, and the sum of the gaps over the states
+        # 30-digit sums over the same level probabilities: E{ln n!} below one
+        # mean count, the gap E{ln n!} - ln Gamma(N q + 1) from one on, and
+        # the sum of the gaps over the states
         from occupancy_entropy.physics import (
             BoxModel,
             _boltzmann_weights,
@@ -823,12 +916,12 @@ class TestTableDrivenRaggedKernel:
                 e_fact.append(float(acc))
                 gaps.append(acc - mp.loggamma(N * q + 1))
             total = float(mp.fsum(g * w for g, w in zip(multiplicity.tolist(), gaps)))
-        # below one mean count the kernel forms E{ln n!} over the same windows
-        # as the ragged reference, then subtracts ln Gamma(m + 1)
+        # below one mean count the kernel sums the dilute series for E{ln n!},
+        # then subtracts ln Gamma(m + 1)
         small = N * probs < 1.0
-        means = _expected_log_factorial_ragged(N, probs)
-        np.testing.assert_allclose(means[small], np.array(e_fact)[small], rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(got[small], means[small] - gammaln(N * probs[small] + 1.0))
+        means = _dilute_means(N, probs[small])
+        np.testing.assert_allclose(means, np.array(e_fact)[small], rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(got[small], means - gammaln(N * probs[small] + 1.0))
         # from one count on, each cell's tau(n) - tau(m) is a difference of
         # two numbers of about 1/2 ln 2 pi m, so a gap near 0 (a level that
         # holds nearly every particle: 2.7e-5 in the cold box) is only good
