@@ -160,6 +160,15 @@ def _sample_json(seed: int, counts: np.ndarray) -> str:
     )
 
 
+def _sample_csv(counts: np.ndarray) -> str:
+    """The text of ``_emit_csv`` for a (rows, colours) int array under its
+    ``n0,n1,...`` header, written by one %-format of every count."""
+    n, k = counts.shape
+    header = ",".join(f"n{i}" for i in range(k))
+    rows = ("\n" + ",".join(["%d"] * k)) * n % tuple(counts.ravel().tolist())
+    return header + rows + "\n"
+
+
 def _emit_csv(header: list[str], rows: list[list]) -> None:
     out = [",".join(header)]
     for row in rows:
@@ -318,8 +327,7 @@ def cmd_sample(args) -> int:
     dist = parse_distribution_spec(_load_json_arg(args.spec, "distribution spec"))
     counts = _sample_counts(dist, args.count, seed=args.seed)
     if args.format == "csv":
-        header = [f"n{i}" for i in range(dist.num_colors)]
-        _emit_csv(header, counts.tolist())
+        sys.stdout.write(_sample_csv(counts))
     else:
         sys.stdout.write(_sample_json(args.seed, counts) + "\n")
     return EXIT_OK

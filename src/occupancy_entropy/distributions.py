@@ -299,35 +299,61 @@ def marginal(d: MultinomialDist | MvhgDist, color: int) -> np.ndarray:
 # in row-major order; the Szilard split first reads `count` uniforms for the
 # left-side counts b, then per row b uniforms for the left side followed by
 # N - b for the right. PCG64 `random(a)` then `random(b)` is `random(a + b)`
-# split at a, so drawing rows in chunks reads the same stream, and the rows
-# do not depend on the chunk sizes. The with-replacement samplers draw chunks
-# of at most _CHUNK_DRAWS cells per temporary. The urn sampler holds its
-# integer targets in the narrowest signed type that holds U, in blocks of at
-# most _CHUNK_DRAWS * 8 bytes (as many rows as an int64 chunk at 8 bytes a
-# cell, 4x as many at 2), and fills each block from uniforms drawn in slices
-# of at most _CHUNK_DRAWS // 4 cells. A block has few enough rows that its
-# per-colour state, two (k - 1, rows) arrays, takes at most half its bytes,
-# the budget of two slices, at any number k of colours. Parallel use should
-# derive the worker seed as seed + worker_index and partition `count`.
+# split at a, so drawing rows in pieces reads the same stream, and the rows
+# do not depend on the piece sizes. _uniform_pieces draws the (rows, N)
+# uniforms in pieces of at most a given number of cells into one buffer
+# that every piece reuses: whole rows while a row fits, and a longer row in
+# column pieces, so the budget holds at any N. The with-replacement
+# samplers take pieces of at most _CHUNK_DRAWS cells and compare them into
+# one reused mask. The urn sampler holds its integer targets in the
+# narrowest signed type that holds U, in blocks of at most
+# _CHUNK_DRAWS * 8 bytes (as many rows as an int64 chunk at 8 bytes a cell,
+# 4x as many at 2; one row at least), and fills each block from pieces of
+# at most _CHUNK_DRAWS // 4 uniforms, drawn into one buffer per block that
+# is freed before the block's depletion pass. A block has few enough rows
+# that its per-colour state, two (k - 1, rows) arrays, takes at most half
+# its bytes, the budget of two pieces, at any number k of colours. Parallel
+# use should derive the worker seed as seed + worker_index and partition
+# `count`.
 
 _CHUNK_DRAWS = 2**18
 
 
-def _categorical_counts(u: np.ndarray, probs: np.ndarray, total, out: np.ndarray) -> None:
-    """Write into ``out`` the per-row colour counts of categorical inversion
-    over a (rows, draws) block: each uniform picks the first colour c with
+def _uniform_pieces(rng: np.random.Generator, count: int, draws: int, cells: int):
+    """Yield ``(start, first, u)`` over the (count, draws) uniforms of a
+    sampler, read in row-major order: u holds rows start.. and columns
+    first.. of them, at most ``cells`` uniforms, in a view of one buffer
+    that the next piece overwrites. Needs count, draws > 0."""
+    width = min(draws, cells)
+    rows = max(1, cells // draws)
+    buf = np.empty(min(rows, count) * width)
+    for start in range(0, count, rows):
+        m = min(rows, count - start)
+        for first in range(0, draws, width):
+            u = buf[: m * min(width, draws - first)].reshape(m, -1)
+            rng.random(out=u)
+            yield start, first, u
+
+
+def _categorical_counts(
+    u: np.ndarray, probs: np.ndarray, total, out: np.ndarray, mask: np.ndarray
+) -> None:
+    """Add into ``out`` the per-row colour counts of categorical inversion
+    over a (rows, draws) piece: each uniform picks the first colour c with
     u < cdf[c], where the cdf is summed left to right and its last entry set
     to 1. Entries of u at or above 1 pick no colour, and ``total`` counts
     those below 1 in each row, so the last colour takes ``total`` less the
-    count below cdf[-2] without a pass of its own."""
+    count below cdf[-2] without a pass of its own. ``mask`` is a flat bool
+    buffer of at least u.size cells that each comparison overwrites."""
     cdf = np.cumsum(probs)
+    mask = mask[: u.size].reshape(u.shape)
     below = 0
     for c, edge in enumerate(cdf[:-1]):
         # einsum row sums stay fast on short rows, where count_nonzero is not
-        now = np.einsum("ij->i", u < edge, dtype=np.int64)
-        out[:, c] = now - below
+        now = np.einsum("ij->i", np.less(u, edge, out=mask), dtype=np.int64)
+        out[:, c] += now - below
         below = now
-    out[:, -1] = total - below
+    out[:, -1] += total - below
 
 
 def _sample_multinomial_counts(
@@ -336,10 +362,10 @@ def _sample_multinomial_counts(
     out = np.zeros((count, probs.size), dtype=np.int64)
     if draws == 0 or count == 0:
         return out
-    rows_per_chunk = max(1, _CHUNK_DRAWS // draws)
-    for start in range(0, count, rows_per_chunk):
-        m = min(rows_per_chunk, count - start)
-        _categorical_counts(rng.random((m, draws)), probs, draws, out[start : start + m])
+    mask = np.empty(min(count * draws, _CHUNK_DRAWS), dtype=bool)
+    for start, _, u in _uniform_pieces(rng, count, draws, _CHUNK_DRAWS):
+        m, width = u.shape
+        _categorical_counts(u, probs, width, out[start : start + m], mask)
     return out
 
 
@@ -368,16 +394,17 @@ def _sample_mvhg_counts(
     step = np.arange(draws, dtype=dtype)[:, None]
     width = max(draws, 4 * (num_colors - 1))
     rows_per_block = max(1, _CHUNK_DRAWS * 8 // (dtype.itemsize * width))
-    rows_per_slice = max(1, _CHUNK_DRAWS // 4 // draws)
     for start in range(0, count, rows_per_block):
         m = min(rows_per_block, count - start)
         # row t holds floor(u_t * (U - t)) + t for every row of the block;
-        # the cast truncates the non-negative product, exactly below 2**53.
-        # The product is formed out of place: the generator's array is its own
+        # the unsafe cast of the product truncates it as an assignment
+        # would, exactly below 2**53
         targets = np.empty((draws, m), dtype=dtype)
-        for s in range(0, m, rows_per_slice):
-            rows = min(rows_per_slice, m - s)
-            targets[:, s : s + rows] = (rng.random((rows, draws)) * remaining).T
+        for s, first, u in _uniform_pieces(rng, m, draws, _CHUNK_DRAWS // 4):
+            rows, cols = u.shape
+            np.multiply(u, remaining[first : first + cols], casting="unsafe",
+                        out=targets[first : first + cols, s : s + rows].T)
+        del u  # the last piece's view holds the buffer, freed before the state
         targets += step
         held = np.repeat(edges, m, axis=1)
         kept = np.empty_like(held)
@@ -401,7 +428,7 @@ def _sample_szilard_counts(
 ) -> np.ndarray:
     """Left-side counts b of every row by inversion of the binomial split,
     then each row's left side from its first b uniforms and its right side
-    from the other N - b, as one block of N uniforms per row."""
+    from the other N - b, as one run of N uniforms per row."""
     split_cdf = np.cumsum(d.split_probabilities())
     split_cdf[-1] = 1.0
     b = np.searchsorted(split_cdf, rng.random(count), side="right")
@@ -409,18 +436,19 @@ def _sample_szilard_counts(
     if d.N == 0 or count == 0:
         return out
     k = d.left_dist.num_colors
-    position = np.arange(d.N)
-    rows_per_chunk = max(1, _CHUNK_DRAWS // d.N)
-    for start in range(0, count, rows_per_chunk):
-        m = min(rows_per_chunk, count - start)
-        u = rng.random((m, d.N))
-        left = b[start : start + m]
-        on_left = position < left[:, None]
+    cells = min(count * d.N, _CHUNK_DRAWS)
+    mask, on_left = np.empty(cells, dtype=bool), np.empty(cells, dtype=bool)
+    position = np.arange(min(d.N, _CHUNK_DRAWS))
+    for start, first, u in _uniform_pieces(rng, count, d.N, _CHUNK_DRAWS):
+        m, width = u.shape
+        # the uniforms of the piece on the left side of each row
+        left = np.clip(b[start : start + m] - first, 0, width)
+        side = np.less(position[:width], left[:, None], out=on_left[: u.size].reshape(m, width))
         # a uniform outside a side is moved to 2.0, where it picks no colour
         rows = out[start : start + m]
-        _categorical_counts(np.where(on_left, u, 2.0), d.left_dist.probs, left, rows[:, :k])
+        _categorical_counts(np.where(side, u, 2.0), d.left_dist.probs, left, rows[:, :k], mask)
         _categorical_counts(
-            np.where(on_left, 2.0, u), d.right_dist.probs, d.N - left, rows[:, k:])
+            np.where(side, 2.0, u), d.right_dist.probs, width - left, rows[:, k:], mask)
     return out
 
 

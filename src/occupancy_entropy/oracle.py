@@ -164,7 +164,11 @@ def mc_entropy_estimate(
     for bit."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    # log_pmf_batch over the distinct draws, scattered back to every draw
+    # log_pmf_batch over the distinct draws, scattered back to every draw. The
+    # grouping fixes the bits: BLAS gives a multinomial row's counts @ logp
+    # bits that depend on the other rows of the batch (seen at 8 or more
+    # colours and fewer than 8 rows), so every draw in drawing order can
+    # read others
     distinct, which = _group_rows(_sample_counts(d, samples, seed))
     vals = -d.log_pmf_batch(distinct)[which]
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

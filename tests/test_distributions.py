@@ -92,10 +92,19 @@ class FixedUniforms:
         self.values = np.asarray(values, dtype=np.float64)
         self.used = 0
 
-    def random(self, shape):
+    def random(self, shape=None, out=None):
+        # as Generator.random: a shape, or an ``out`` array filled in place
+        if (shape is None) == (out is None):
+            raise TypeError("give exactly one of shape and out")
+        if out is not None:
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+            shape = out.shape
         n = int(np.prod(shape))
-        out = self.values[self.used : self.used + n].reshape(shape)
+        values = self.values[self.used : self.used + n].reshape(shape)
         self.used += n
+        if out is None:
+            return values
+        out[...] = values
         return out
 
 
@@ -620,6 +629,110 @@ class TestMvhgChunkMemory:
         block = distributions._CHUNK_DRAWS * 8
         uniform_slice = distributions._CHUNK_DRAWS // 4 * 8
         assert peak <= block + 2 * uniform_slice + out.nbytes + 2**17
+
+
+class TestColumnPieces:
+    # a row longer than a piece is drawn in column pieces of the same stream;
+    # with 64-cell chunks a with-replacement piece holds 64 uniforms and an
+    # urn piece 16, so these rows span one to five pieces, and a last piece
+    # may be short
+    @pytest.mark.parametrize("draws", [1, 63, 64, 65, 200, 257])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_multinomial(self, monkeypatch, draws, rows):
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", 64)
+        probs = np.array([0.3, 0.0, 0.2, 0.5])
+        got = distributions._sample_multinomial_counts(np.random.default_rng(6), probs, draws, rows)
+        want = reference_multinomial(np.random.default_rng(6), probs, draws, rows)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("N", [1, 63, 64, 65, 200, 257])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_szilard(self, monkeypatch, N, rows):
+        # the split b falls before, inside and after each piece of a row
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", 64)
+        d = SzilardSplitDist(
+            N, 0.4, OneParticleDistribution([0.5, 0.0, 0.5]), OneParticleDistribution([0.2, 0.8])
+        )
+        got = distributions._sample_szilard_counts(np.random.default_rng(7), d, rows)
+        want = reference_szilard(np.random.default_rng(7), d, rows)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("draws", [15, 16, 17, 40, 100])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_mvhg(self, monkeypatch, draws, rows):
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", 64)
+        urn = OccupancyVector((60, 0, 25, 40))
+        got = distributions._sample_mvhg_counts(np.random.default_rng(8), urn, draws, rows)
+        want = reference_mvhg(np.random.default_rng(8), urn, draws, rows)
+        assert np.array_equal(got, want)
+
+    def test_exact_ties_across_pieces(self, monkeypatch):
+        # the tie grid of TestSamplersMatchScalarReferences, with every row of
+        # 8 uniforms split into pieces of 4 (with replacement) and 1 (urn)
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", 4)
+        grid = np.random.default_rng(3).integers(0, 8, size=4000) / 8.0
+        urn = OccupancyVector((0, 2, 0, 2, 4, 0))
+        got = distributions._sample_mvhg_counts(FixedUniforms(grid), urn, 8, 50)
+        assert np.array_equal(got, reference_mvhg(FixedUniforms(grid), urn, 8, 50))
+        probs = np.array([0.25, 0.0, 0.25, 0.5])
+        got = distributions._sample_multinomial_counts(FixedUniforms(grid), probs, 8, 50)
+        assert np.array_equal(got, reference_multinomial(FixedUniforms(grid), probs, 8, 50))
+        d = SzilardSplitDist(8, 0.5, OneParticleDistribution(probs), uniform(4))
+        got = distributions._sample_szilard_counts(FixedUniforms(grid), d, 50)
+        assert np.array_equal(got, reference_szilard(FixedUniforms(grid), d, 50))
+
+
+def _traced_peak(call):
+    """The result of call() and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestWithReplacementChunkMemory:
+    # a piece of c cells takes 8c bytes of uniforms and a c-cell bool mask,
+    # both reused; the Szilard sampler adds its c-cell side mask, one 8c-byte
+    # np.where copy at a time and the cumulative split law, N + 1 doubles (the
+    # law itself is built before tracing starts). Rows longer than a chunk are
+    # drawn in column pieces: at 2**12-cell chunks a 10**5-draw row is 25
+    # pieces, and a whole row of uniforms (800 kB) would exceed the bound.
+    # 128 KiB covers numpy's ufunc buffers and the per-row sums
+    @pytest.mark.parametrize(
+        "chunk, draws, rows",
+        [
+            (2**18, 500, 2000),  # the sample benchmark's: four chunks of whole rows
+            (2**12, 10**5, 3),  # rows of 25 pieces
+        ],
+    )
+    def test_multinomial_peak(self, monkeypatch, chunk, draws, rows):
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        probs = np.array([0.3, 0.2, 0.5])
+        rng = np.random.default_rng(5)
+        out, peak = _traced_peak(
+            lambda: distributions._sample_multinomial_counts(rng, probs, draws, rows))
+        assert peak <= chunk * (8 + 1) + out.nbytes + 2**17
+
+    @pytest.mark.parametrize(
+        "chunk, N, rows",
+        [
+            (2**18, 50, 5000),  # the sample benchmark's: one chunk of whole rows
+            (2**18, 500, 2000),  # four chunks
+            (2**12, 10**5, 3),  # rows of 25 pieces
+        ],
+    )
+    def test_szilard_peak(self, monkeypatch, chunk, N, rows):
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        probs = OneParticleDistribution([0.4, 0.25, 0.15, 0.12, 0.08])
+        d = SzilardSplitDist(N, 0.48, probs, probs)
+        law = d.split_probabilities()
+        monkeypatch.setattr(SzilardSplitDist, "split_probabilities", lambda self: law)
+        rng = np.random.default_rng(5)
+        out, peak = _traced_peak(lambda: distributions._sample_szilard_counts(rng, d, rows))
+        assert peak <= law.nbytes + chunk * (8 + 1 + 1 + 8) + out.nbytes + 2**17
 
 
 class TestSzilardSplit:

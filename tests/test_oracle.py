@@ -219,3 +219,16 @@ class TestMcEntropyMatchesUniqueGrouping:
         assert mc_entropy_estimate(d, samples, seed) == reference_mc_entropy_estimate(
             d, samples, seed
         )
+
+    @pytest.mark.parametrize("samples", [2, 3, 1000])
+    @pytest.mark.parametrize("colours", [12, 40])
+    def test_many_colours_bit_identical(self, colours, samples):
+        # at few rows and 8 or more colours, the BLAS product counts @ logp
+        # gives a multinomial row bits that depend on the other rows of the
+        # batch: every draw in drawing order reads other bits than here
+        urn = OccupancyVector(tuple(range(1, colours + 1)))
+        probs = OneParticleDistribution.from_weights(range(1, colours + 1))
+        for d in (MvhgDist(urn, 3 * colours), MultinomialDist(3 * colours, probs)):
+            assert mc_entropy_estimate(d, samples, 5) == reference_mc_entropy_estimate(
+                d, samples, 5
+            )
