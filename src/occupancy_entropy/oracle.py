@@ -167,8 +167,8 @@ def mc_entropy_estimate(
     # log_pmf_batch over the distinct draws, scattered back to every draw. The
     # grouping fixes the bits: BLAS gives a multinomial row's counts @ logp
     # bits that depend on the other rows of the batch (seen at 8 or more
-    # colours and fewer than 8 rows), so every draw in drawing order can
-    # read others
+    # colours and fewer than 8 rows), so the draws in drawing order could
+    # give other bits
     distinct, which = _group_rows(_sample_counts(d, samples, seed))
     vals = -d.log_pmf_batch(distinct)[which]
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

@@ -225,7 +225,7 @@ class TestMcEntropyMatchesUniqueGrouping:
     def test_many_colours_bit_identical(self, colours, samples):
         # at few rows and 8 or more colours, the BLAS product counts @ logp
         # gives a multinomial row bits that depend on the other rows of the
-        # batch: every draw in drawing order reads other bits than here
+        # batch: the draws in drawing order, ungrouped, give other bits here
         urn = OccupancyVector(tuple(range(1, colours + 1)))
         probs = OneParticleDistribution.from_weights(range(1, colours + 1))
         for d in (MvhgDist(urn, 3 * colours), MultinomialDist(3 * colours, probs)):
