@@ -145,7 +145,7 @@ class MultinomialDist:
         counts = np.asarray(counts)
         p = self.p.probs
         logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
-        out = _log_factorial(self.N) - _log_factorial(counts).sum(axis=1)
+        out = log_factorial(self.N) - _log_factorial(counts).sum(axis=1)
         out = out + counts @ logp
         bad = (counts[:, p == 0.0] > 0).any(axis=1) | (counts.sum(axis=1) != self.N)
         out[bad] = -np.inf
@@ -305,16 +305,21 @@ def marginal(d: MultinomialDist | MvhgDist, color: int) -> np.ndarray:
 # that every piece reuses: whole rows while a row fits, and a longer row in
 # column pieces, so the budget holds at any N. The with-replacement
 # samplers take pieces of at most _CHUNK_DRAWS cells and compare them into
-# one reused mask. The urn sampler holds its integer targets in the
+# one reused mask, counted per row by its byte sums; the Szilard sampler
+# marks each row's left side in a second mask, which it negates in place
+# for the right side. The urn sampler holds its integer targets in the
 # narrowest signed type that holds U, in blocks of at most
 # _CHUNK_DRAWS * 8 bytes (as many rows as an int64 chunk at 8 bytes a cell,
 # 4x as many at 2; one row at least), and fills each block from pieces of
 # at most _CHUNK_DRAWS // 4 uniforms, drawn into one buffer per block that
 # is freed before the block's depletion pass. A block has few enough rows
 # that its per-colour state, two (k - 1, rows) arrays, takes at most half
-# its bytes, the budget of two pieces, at any number k of colours. Parallel
-# use should derive the worker seed as seed + worker_index and partition
-# `count`.
+# its bytes, the budget of two pieces, at any number k of colours. Each
+# uniform is one 64-bit PCG64 output, so parallel workers share one sample
+# by the advance rule: rows r.. are drawn from a copy of the seeded PCG64
+# advanced by r * N (`PCG64(seed).advance(r * N)`); a Szilard row s takes
+# its split from uniform s and its colours from uniform count + s * N on.
+# A worker seed of seed + i would draw other rows.
 
 _CHUNK_DRAWS = 2**18
 
@@ -336,21 +341,28 @@ def _uniform_pieces(rng: np.random.Generator, count: int, draws: int, cells: int
 
 
 def _categorical_counts(
-    u: np.ndarray, probs: np.ndarray, total, out: np.ndarray, mask: np.ndarray
+    u: np.ndarray, probs: np.ndarray, total, out: np.ndarray, mask: np.ndarray,
+    side: np.ndarray | None = None,
 ) -> None:
     """Add into ``out`` the per-row colour counts of categorical inversion
     over a (rows, draws) piece: each uniform picks the first colour c with
     u < cdf[c], where the cdf is summed left to right and its last entry set
-    to 1. Entries of u at or above 1 pick no colour, and ``total`` counts
-    those below 1 in each row, so the last colour takes ``total`` less the
-    count below cdf[-2] without a pass of its own. ``mask`` is a flat bool
-    buffer of at least u.size cells that each comparison overwrites."""
+    to 1. ``total`` counts the uniforms of each row that pick a colour, so
+    the last colour takes ``total`` less the count below cdf[-2] without a
+    pass of its own. With a bool ``side`` of u's shape, only the uniforms
+    where it is set pick a colour. ``mask`` is a flat bool buffer of at
+    least u.size cells that each comparison overwrites; its bytes are 0 or
+    1, so a row's count is its byte sum, which a uint32 holds for any row
+    of up to _CHUNK_DRAWS cells."""
     cdf = np.cumsum(probs)
     mask = mask[: u.size].reshape(u.shape)
+    ones = mask.view(np.uint8)
     below = 0
     for c, edge in enumerate(cdf[:-1]):
-        # einsum row sums stay fast on short rows, where count_nonzero is not
-        now = np.einsum("ij->i", np.less(u, edge, out=mask), dtype=np.int64)
+        np.less(u, edge, out=mask)
+        if side is not None:
+            np.logical_and(mask, side, out=mask)
+        now = np.add.reduce(ones, axis=1, dtype=np.uint32)
         out[:, c] += now - below
         below = now
     out[:, -1] += total - below
@@ -444,11 +456,10 @@ def _sample_szilard_counts(
         # the uniforms of the piece on the left side of each row
         left = np.clip(b[start : start + m] - first, 0, width)
         side = np.less(position[:width], left[:, None], out=on_left[: u.size].reshape(m, width))
-        # a uniform outside a side is moved to 2.0, where it picks no colour
         rows = out[start : start + m]
-        _categorical_counts(np.where(side, u, 2.0), d.left_dist.probs, left, rows[:, :k], mask)
+        _categorical_counts(u, d.left_dist.probs, left, rows[:, :k], mask, side)
         _categorical_counts(
-            np.where(side, 2.0, u), d.right_dist.probs, width - left, rows[:, k:], mask)
+            u, d.right_dist.probs, width - left, rows[:, k:], mask, np.logical_not(side, out=side))
     return out
 
 

@@ -136,14 +136,18 @@ def _log_choose(n, k):
     return _log_factorial(n) - _log_factorial(k) - _log_factorial(n - k)
 
 
-def _binomial_log_pmf(N, p, k):
-    """ln P(k) for k ~ Binomial(N, p), elementwise."""
-    return _log_choose(N, k) + xlogy(k, p) + xlog1py(N - k, -p)
+def _binomial_log_pmf(N: int, p, k):
+    """ln P(k) for k ~ Binomial(N, p), elementwise over p and k; the terms
+    of _log_choose(N, k), with ln N! read as a scalar."""
+    return (log_factorial(N) - _log_factorial(k) - _log_factorial(N - k)
+            + xlogy(k, p) + xlog1py(N - k, -p))
 
 
-def _hypergeometric_log_pmf(U, u, N, k):
-    """ln P(k) for k ~ Hypergeometric(U, u, N), elementwise."""
-    return _log_choose(u, k) + _log_choose(U - u, N - k) - _log_choose(U, N)
+def _hypergeometric_log_pmf(U: int, u, N: int, k):
+    """ln P(k) for k ~ Hypergeometric(U, u, N), elementwise over u and k,
+    at N <= U; ln C(U, N) has the bits of _log_choose(U, N)."""
+    log_draws = log_factorial(U) - log_factorial(N) - log_factorial(U - N)
+    return _log_choose(u, k) + _log_choose(U - u, N - k) - log_draws
 
 
 def _binomial(N: int, p: np.ndarray):
@@ -395,7 +399,7 @@ def _binomial_log_factorial_gap(
         def log_term(k):
             return _binomial_log_pmf(N, q, k) + np.log(_log_factorial(k))
 
-        lo, hi = _count_window(N, q, first, end, log_term, _log_factorial(N))
+        lo, hi = _count_window(N, q, first, end, log_term, log_factorial(N))
         classes = _width_classes(lo, hi)
         cells += sum(rows.size * width for rows, width in classes)
         widest = max(widest, *(width for _, width in classes))

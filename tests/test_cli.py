@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -100,28 +102,116 @@ def _finite_numbers(obj) -> bool:
     return True
 
 
+def _run_captured(argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_refused_with_a_message(code, out, err):
+    # argparse refusals begin with the usage line, the CLI's own with "error: "
+    assert code in (2, 3)
+    assert out == ""
+    assert "error: " in err
+    assert "Traceback" not in err
+    # a NaN or infinite result surfaces as json.dumps refusing it
+    assert "JSON compliant" not in err
+
+
 class TestEntropyFuzz:
     @settings(max_examples=300, deadline=None)
     @given(spec=_entropy_specs(), unit=st.sampled_from(["nats", "bits", "kB"]))
     def test_exits_cleanly_with_finite_numbers_or_a_message(self, spec, unit):
         # json.dumps writes NaN and Infinity tokens, which the CLI parses
-        import contextlib
-        import io
-
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["entropy", json.dumps(spec), "--unit", unit])
-        assert code in (0, 2, 3)
+        code, out, err = _run_captured(["entropy", json.dumps(spec), "--unit", unit])
         if code == 0:
-            assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
-            assert _finite_numbers(json.loads(out.getvalue()))
-            assert err.getvalue() == ""
+            assert "NaN" not in out and "Infinity" not in out
+            assert _finite_numbers(json.loads(out))
+            assert err == ""
         else:
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith("error: ")
-            assert "Traceback" not in err.getvalue()
-            # a NaN or infinite result surfaces as json.dumps refusing it
-            assert "JSON compliant" not in err.getvalue()
+            assert err.startswith("error: ")
+            _assert_refused_with_a_message(code, out, err)
+
+
+def _rarely(draw, bad, good):
+    """A value of ``bad`` one time in eight, else one of ``good``."""
+    return draw(bad if draw(st.integers(0, 7)) == 3 else good)
+
+
+# argv values the parser refuses, or that lie out of range
+_BAD_COUNTS = st.sampled_from([-1, "x", "1.5"])
+_BAD_SEEDS = st.sampled_from([-1, "seven", "2.0"])
+_SEEDS = st.one_of(st.none(), st.integers(0, 2**64), st.just(2**128))
+
+
+def _with_seed(argv, seed):
+    return argv if seed is None else [*argv, "--seed", str(seed)]
+
+
+class TestSampleFuzz:
+    # specs of up to 10**5 particles and urns of up to 2,000 balls, at most
+    # 4 rows: under a million uniforms an example
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_entropy_specs(), fmt=st.sampled_from(["json", "csv"]), data=st.data())
+    def test_rows_of_n_or_a_message(self, spec, fmt, data):
+        count = _rarely(data.draw, _BAD_COUNTS, st.integers(0, 4))
+        argv = ["sample", json.dumps(spec), "--count", str(count), "--format", fmt]
+        code, out, err = _run_captured(_with_seed(argv, _rarely(data.draw, _BAD_SEEDS, _SEEDS)))
+        if code != 0:
+            _assert_refused_with_a_message(code, out, err)
+            return
+        assert err == ""
+        if fmt == "json":
+            rows = json.loads(out)["samples"]
+        else:
+            header, *lines = out.splitlines()
+            assert header.startswith("n0") or header == ""
+            # a row of no colours is an empty line
+            rows = [[int(x) for x in line.split(",") if x] for line in lines]
+        assert len(rows) == count
+        assert all(sum(row) == spec["N"] and min(row, default=0) >= 0 for row in rows)
+
+
+@st.composite
+def _holevo_argv(draw):
+    """holevo argv over universes of up to 2,000 particles, with Monte Carlo
+    runs of at most 40 universes (80,000 uniforms); now and then a value out
+    of range or one the parser refuses."""
+    universe = _rarely(draw, st.sampled_from([-1, "many"]), st.integers(0, 2000))
+    top = universe if isinstance(universe, int) and universe >= 0 else 5
+    draws = _rarely(draw, st.sampled_from([-1, top + 1]), st.integers(0, top))
+    weights, normalize = draw(_simplex())
+    tokens = [repr(w) for w in weights]
+    tokens += _rarely(draw, st.sampled_from([["nan"], ["inf"], ["-0.5"], ["x"]]), st.just([]))
+    argv = ["holevo", "--universe-size", str(universe), "--draws", str(draws),
+            "--probs", ",".join(tokens)] + (["--normalize"] if normalize else [])
+    mode = _rarely(draw, st.just("bogus"), st.sampled_from([None, "exact", "monte_carlo"]))
+    if mode is not None:
+        argv += ["--mode", mode]
+    # the default 10,000 samples would make a Monte Carlo example slow
+    if mode == "monte_carlo" or draw(st.booleans()):
+        samples = _rarely(draw, st.sampled_from([-1, 0, 1]), st.integers(2, 40))
+        argv += ["--mc-samples", str(samples)]
+    return _with_seed(argv, _rarely(draw, _BAD_SEEDS, _SEEDS)), mode or "exact"
+
+
+class TestHolevoFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_holevo_argv())
+    def test_finite_chi_or_a_message(self, case):
+        argv, mode = case
+        code, out, err = _run_captured(argv)
+        if code != 0:
+            _assert_refused_with_a_message(code, out, err)
+            return
+        assert err == ""
+        assert "NaN" not in out and "Infinity" not in out
+        payload = json.loads(out)
+        assert _finite_numbers(payload)
+        assert payload["mode"] == mode
+        assert ("standard_error" in payload) == (mode == "monte_carlo")
 
 
 class TestEntropyCommand:

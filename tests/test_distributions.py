@@ -682,6 +682,127 @@ class TestColumnPieces:
         assert np.array_equal(got, reference_szilard(FixedUniforms(grid), d, 50))
 
 
+class TestByteSumCounts:
+    # each colour is counted as the byte sums of its comparison mask, in a
+    # uint32 per row; rows around 2**16 cells hold counts past 16 bits, and
+    # under 2**15-cell chunks a 65,537-cell row is three column pieces
+    WIDTHS = [1, 7, 65_535, 65_536, 65_537]
+    TIES = np.random.default_rng(3).integers(0, 8, size=3 * 65_537) / 8.0
+
+    @pytest.mark.parametrize("chunk", [None, 2**15])
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_multinomial_matches_reference(self, monkeypatch, chunk, width):
+        if chunk:
+            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        probs = np.array([0.3, 0.0, 0.2, 0.5, 0.0])
+        got = distributions._sample_multinomial_counts(np.random.default_rng(9), probs, width, 3)
+        want = reference_multinomial(np.random.default_rng(9), probs, width, 3)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("chunk", [None, 2**15])
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_eighths_grid_ties(self, monkeypatch, chunk, width):
+        if chunk:
+            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        probs = np.array([0.25, 0.0, 0.25, 0.5])
+        got = distributions._sample_multinomial_counts(FixedUniforms(self.TIES), probs, width, 3)
+        want = reference_multinomial(FixedUniforms(self.TIES), probs, width, 3)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("chunk", [None, 2**15])
+    def test_one_colour_takes_whole_rows(self, monkeypatch, chunk):
+        # every uniform is 0.0, so the first colour of positive probability
+        # takes all 65,537 draws of each row: one byte sum of a full mask
+        if chunk:
+            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        probs = np.array([0.0, 0.0, 0.5, 0.5])
+        got = distributions._sample_multinomial_counts(
+            FixedUniforms(np.zeros(2 * 65_537)), probs, 65_537, 2)
+        assert got.tolist() == [[0, 0, 65_537, 0]] * 2
+
+
+class TestSzilardSideMask:
+    # each side is counted through the comparison mask AND-ed with the row's
+    # side mask; split uniforms of 0.0 and of the largest double below 1 give
+    # b = 0 and b = N (P(b = N) = 2**-20 at N = 20, f = 1/2), and 8-cell
+    # chunks put each row of 20 uniforms in three column pieces
+    @pytest.mark.parametrize("chunk", [None, 8])
+    def test_empty_and_full_left_sides(self, monkeypatch, chunk):
+        if chunk:
+            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        N = 20
+        d = SzilardSplitDist(N, 0.5, OneParticleDistribution([0.5, 0.0, 0.5]), uniform(3))
+        top = np.nextafter(1.0, 0.0)
+        splits = [0.0, top, 0.0, top, 0.5]
+        values = np.concatenate((splits, np.random.default_rng(4).random(len(splits) * N)))
+        got = distributions._sample_szilard_counts(FixedUniforms(values), d, len(splits))
+        assert np.array_equal(got, reference_szilard(FixedUniforms(values), d, len(splits)))
+        assert got[:4, :3].sum(axis=1).tolist() == [0, N, 0, N]
+        assert (got.sum(axis=1) == N).all()
+
+    @pytest.mark.parametrize("chunk", [None, 8])
+    def test_eighths_grid_ties(self, monkeypatch, chunk):
+        if chunk:
+            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        grid = np.random.default_rng(5).integers(0, 8, size=40 * 21) / 8.0
+        d = SzilardSplitDist(20, 0.5, OneParticleDistribution([0.25, 0.0, 0.75]), uniform(4))
+        got = distributions._sample_szilard_counts(FixedUniforms(grid), d, 40)
+        assert np.array_equal(got, reference_szilard(FixedUniforms(grid), d, 40))
+
+
+class TestAdvanceRule:
+    # each uniform is one 64-bit PCG64 output, so a copy of the seeded
+    # generator advanced past the uniforms of rows 0..r-1 draws rows r.. (for
+    # the Szilard split, the split of row s is uniform s and its colours
+    # start at uniform count + s N); under 16-cell chunks the rows of 50
+    # draws are column pieces
+    SEED, COUNT, N = 2**40 + 7, 9, 50
+
+    def _advanced(self, steps):
+        return np.random.Generator(np.random.PCG64(self.SEED).advance(steps))
+
+    @pytest.mark.parametrize("chunk", [None, 16])
+    @pytest.mark.parametrize("r", [0, 1, 4, 9])
+    def test_with_replacement_rows(self, monkeypatch, chunk, r):
+        if chunk:
+            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        probs = np.array([0.3, 0.0, 0.2, 0.5])
+        rows = distributions._sample_multinomial_counts(
+            np.random.default_rng(self.SEED), probs, self.N, self.COUNT)
+        tail = distributions._sample_multinomial_counts(
+            self._advanced(r * self.N), probs, self.N, self.COUNT - r)
+        assert np.array_equal(rows[r:], tail)
+
+    @pytest.mark.parametrize("chunk", [None, 16])
+    @pytest.mark.parametrize("r", [0, 1, 4, 9])
+    def test_urn_rows(self, monkeypatch, chunk, r):
+        if chunk:
+            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        urn = OccupancyVector((60, 0, 25, 40))
+        rows = distributions._sample_mvhg_counts(
+            np.random.default_rng(self.SEED), urn, self.N, self.COUNT)
+        tail = distributions._sample_mvhg_counts(
+            self._advanced(r * self.N), urn, self.N, self.COUNT - r)
+        assert np.array_equal(rows[r:], tail)
+
+    @pytest.mark.parametrize("chunk", [None, 16])
+    @pytest.mark.parametrize("r", [0, 1, 4, 9])
+    def test_szilard_rows(self, monkeypatch, chunk, r):
+        if chunk:
+            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        d = SzilardSplitDist(
+            self.N, 0.4, OneParticleDistribution([0.5, 0.0, 0.5]), uniform(3))
+        rows = distributions._sample_counts(d, self.COUNT, self.SEED)
+        split_cdf = np.cumsum(d.split_probabilities())
+        split_cdf[-1] = 1.0
+        splits = self._advanced(r).random(self.COUNT - r)
+        colours = self._advanced(self.COUNT + r * self.N)
+        for row, b in zip(rows[r:], np.searchsorted(split_cdf, splits, side="right")):
+            left = reference_multinomial(colours, d.left_dist.probs, int(b), 1)[0]
+            right = reference_multinomial(colours, d.right_dist.probs, self.N - int(b), 1)[0]
+            assert row.tolist() == [*left, *right]
+
+
 def _traced_peak(call):
     """The result of call() and the tracemalloc peak while it ran."""
     tracemalloc.start()
@@ -695,9 +816,11 @@ def _traced_peak(call):
 
 class TestWithReplacementChunkMemory:
     # a piece of c cells takes 8c bytes of uniforms and a c-cell bool mask,
-    # both reused; the Szilard sampler adds its c-cell side mask, one 8c-byte
-    # np.where copy at a time and the cumulative split law, N + 1 doubles (the
-    # law itself is built before tracing starts). Rows longer than a chunk are
+    # both reused; the Szilard sampler adds its c-cell side mask, which it
+    # negates in place for the right side, and the cumulative split law, N + 1
+    # doubles (the law itself is built before tracing starts). The Szilard
+    # bound also holds the 8c bytes of a float copy of a piece, which the
+    # sampler no longer makes (test_szilard_peak_holds_no_float_copy). Rows longer than a chunk are
     # drawn in column pieces: at 2**12-cell chunks a 10**5-draw row is 25
     # pieces, and a whole row of uniforms (800 kB) would exceed the bound.
     # 128 KiB covers numpy's ufunc buffers and the per-row sums
@@ -733,6 +856,20 @@ class TestWithReplacementChunkMemory:
         rng = np.random.default_rng(5)
         out, peak = _traced_peak(lambda: distributions._sample_szilard_counts(rng, d, rows))
         assert peak <= law.nbytes + chunk * (8 + 1 + 1 + 8) + out.nbytes + 2**17
+
+    @pytest.mark.parametrize("N, rows", [(50, 5000), (500, 2000)])
+    def test_szilard_peak_holds_no_float_copy(self, monkeypatch, N, rows):
+        # at 2**18-cell chunks a float copy of a piece is 2 MiB, eight times
+        # the 256 KiB this bound leaves over the uniforms and the two masks
+        # for the split uniforms and numpy's buffers
+        probs = OneParticleDistribution([0.4, 0.25, 0.15, 0.12, 0.08])
+        d = SzilardSplitDist(N, 0.48, probs, probs)
+        law = d.split_probabilities()
+        monkeypatch.setattr(SzilardSplitDist, "split_probabilities", lambda self: law)
+        rng = np.random.default_rng(5)
+        out, peak = _traced_peak(lambda: distributions._sample_szilard_counts(rng, d, rows))
+        chunk = distributions._CHUNK_DRAWS
+        assert peak <= law.nbytes + chunk * (8 + 1 + 1) + out.nbytes + 2**18
 
 
 class TestSzilardSplit:
