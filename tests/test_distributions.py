@@ -682,6 +682,9 @@ class TestColumnPieces:
         assert np.array_equal(got, reference_szilard(FixedUniforms(grid), d, 50))
 
 
+DEFAULT_CHUNK = distributions._CHUNK_DRAWS
+
+
 class TestByteSumCounts:
     # each colour is counted as the byte sums of its comparison mask, in a
     # uint32 per row; rows around 2**16 cells hold counts past 16 bits, and
@@ -689,32 +692,29 @@ class TestByteSumCounts:
     WIDTHS = [1, 7, 65_535, 65_536, 65_537]
     TIES = np.random.default_rng(3).integers(0, 8, size=3 * 65_537) / 8.0
 
-    @pytest.mark.parametrize("chunk", [None, 2**15])
+    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 2**15])
     @pytest.mark.parametrize("width", WIDTHS)
     def test_multinomial_matches_reference(self, monkeypatch, chunk, width):
-        if chunk:
-            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         probs = np.array([0.3, 0.0, 0.2, 0.5, 0.0])
         got = distributions._sample_multinomial_counts(np.random.default_rng(9), probs, width, 3)
         want = reference_multinomial(np.random.default_rng(9), probs, width, 3)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("chunk", [None, 2**15])
+    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 2**15])
     @pytest.mark.parametrize("width", WIDTHS)
     def test_eighths_grid_ties(self, monkeypatch, chunk, width):
-        if chunk:
-            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         probs = np.array([0.25, 0.0, 0.25, 0.5])
         got = distributions._sample_multinomial_counts(FixedUniforms(self.TIES), probs, width, 3)
         want = reference_multinomial(FixedUniforms(self.TIES), probs, width, 3)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("chunk", [None, 2**15])
+    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 2**15])
     def test_one_colour_takes_whole_rows(self, monkeypatch, chunk):
         # every uniform is 0.0, so the first colour of positive probability
         # takes all 65,537 draws of each row: one byte sum of a full mask
-        if chunk:
-            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         probs = np.array([0.0, 0.0, 0.5, 0.5])
         got = distributions._sample_multinomial_counts(
             FixedUniforms(np.zeros(2 * 65_537)), probs, 65_537, 2)
@@ -726,10 +726,9 @@ class TestSzilardSideMask:
     # side mask; split uniforms of 0.0 and of the largest double below 1 give
     # b = 0 and b = N (P(b = N) = 2**-20 at N = 20, f = 1/2), and 8-cell
     # chunks put each row of 20 uniforms in three column pieces
-    @pytest.mark.parametrize("chunk", [None, 8])
+    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 8])
     def test_empty_and_full_left_sides(self, monkeypatch, chunk):
-        if chunk:
-            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         N = 20
         d = SzilardSplitDist(N, 0.5, OneParticleDistribution([0.5, 0.0, 0.5]), uniform(3))
         top = np.nextafter(1.0, 0.0)
@@ -740,10 +739,9 @@ class TestSzilardSideMask:
         assert got[:4, :3].sum(axis=1).tolist() == [0, N, 0, N]
         assert (got.sum(axis=1) == N).all()
 
-    @pytest.mark.parametrize("chunk", [None, 8])
+    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 8])
     def test_eighths_grid_ties(self, monkeypatch, chunk):
-        if chunk:
-            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         grid = np.random.default_rng(5).integers(0, 8, size=40 * 21) / 8.0
         d = SzilardSplitDist(20, 0.5, OneParticleDistribution([0.25, 0.0, 0.75]), uniform(4))
         got = distributions._sample_szilard_counts(FixedUniforms(grid), d, 40)
@@ -761,11 +759,10 @@ class TestAdvanceRule:
     def _advanced(self, steps):
         return np.random.Generator(np.random.PCG64(self.SEED).advance(steps))
 
-    @pytest.mark.parametrize("chunk", [None, 16])
+    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 16])
     @pytest.mark.parametrize("r", [0, 1, 4, 9])
     def test_with_replacement_rows(self, monkeypatch, chunk, r):
-        if chunk:
-            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         probs = np.array([0.3, 0.0, 0.2, 0.5])
         rows = distributions._sample_multinomial_counts(
             np.random.default_rng(self.SEED), probs, self.N, self.COUNT)
@@ -773,11 +770,10 @@ class TestAdvanceRule:
             self._advanced(r * self.N), probs, self.N, self.COUNT - r)
         assert np.array_equal(rows[r:], tail)
 
-    @pytest.mark.parametrize("chunk", [None, 16])
+    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 16])
     @pytest.mark.parametrize("r", [0, 1, 4, 9])
     def test_urn_rows(self, monkeypatch, chunk, r):
-        if chunk:
-            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         urn = OccupancyVector((60, 0, 25, 40))
         rows = distributions._sample_mvhg_counts(
             np.random.default_rng(self.SEED), urn, self.N, self.COUNT)
@@ -785,11 +781,10 @@ class TestAdvanceRule:
             self._advanced(r * self.N), urn, self.N, self.COUNT - r)
         assert np.array_equal(rows[r:], tail)
 
-    @pytest.mark.parametrize("chunk", [None, 16])
+    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 16])
     @pytest.mark.parametrize("r", [0, 1, 4, 9])
     def test_szilard_rows(self, monkeypatch, chunk, r):
-        if chunk:
-            monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
+        monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         d = SzilardSplitDist(
             self.N, 0.4, OneParticleDistribution([0.5, 0.0, 0.5]), uniform(3))
         rows = distributions._sample_counts(d, self.COUNT, self.SEED)
