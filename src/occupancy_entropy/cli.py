@@ -22,6 +22,8 @@ from .combinatorics import (
     CapExceededError,
     OccupancyVector,
     _require_fields,
+    _require_list,
+    _require_number,
     require_int,
 )
 from .distributions import (
@@ -72,11 +74,21 @@ def _load_json_arg(text: str, what: str) -> dict:
     return obj
 
 
+def _int64(text: str) -> int:
+    """An argparse type: an integer that fits in 64 bits."""
+    try:
+        return require_int(int(text), "value")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at most 64 bits, got {text!r}") from None
+
+
 def _int_list(text: str, what: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [require_int(int(tok), what) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
-        raise InputSpecError(f"{what}: expected comma-separated integers") from exc
+        raise InputSpecError(
+            f"{what}: expected comma-separated integers of at most 64 bits") from exc
 
 
 def _float_list(text: str, what: str) -> list[float]:
@@ -96,16 +108,26 @@ def _one_particle(probs, normalize: bool, what: str) -> OneParticleDistribution:
         raise InputSpecError(f"{what}: {exc}") from exc
 
 
+def _spec_probs(spec: dict, key: str) -> OneParticleDistribution:
+    """The one-particle distribution in ``spec[key]``, a list of numbers,
+    normalised when the spec's ``normalize`` is true."""
+    normalize = spec.get("normalize", False)
+    if not isinstance(normalize, bool):
+        raise InputSpecError(f"normalize must be true or false, got {normalize!r}")
+    return _one_particle(_require_list(spec[key], key, _require_number), normalize, key)
+
+
 def parse_distribution_spec(spec: dict):
-    """Build a distribution from its JSON description."""
+    """Build a distribution from its JSON description. Counts must be JSON
+    integers, probabilities and fractions JSON numbers, ``urn`` and the
+    probability fields lists and ``normalize`` a boolean."""
     kind = spec.get("kind")
     if kind == "multinomial":
         _require_fields(spec, {"kind", "N", "probs"}, {"normalize"}, "multinomial spec")
-        p = _one_particle(spec["probs"], bool(spec.get("normalize", False)), "probs")
-        return MultinomialDist(require_int(spec["N"], "N"), p)
+        return MultinomialDist(require_int(spec["N"], "N"), _spec_probs(spec, "probs"))
     if kind == "mvhg":
         _require_fields(spec, {"kind", "N", "urn"}, set(), "mvhg spec")
-        urn = OccupancyVector(tuple(require_int(x, "urn") for x in spec["urn"]))
+        urn = OccupancyVector(tuple(_require_list(spec["urn"], "urn", require_int)))
         return MvhgDist(urn, require_int(spec["N"], "N"))
     if kind == "szilard":
         _require_fields(
@@ -114,12 +136,11 @@ def parse_distribution_spec(spec: dict):
             {"normalize"},
             "szilard spec",
         )
-        norm = bool(spec.get("normalize", False))
         return SzilardSplitDist(
             require_int(spec["N"], "N"),
-            float(spec["volume_fraction"]),
-            _one_particle(spec["left_probs"], norm, "left_probs"),
-            _one_particle(spec["right_probs"], norm, "right_probs"),
+            _require_number(spec["volume_fraction"], "volume_fraction"),
+            _spec_probs(spec, "left_probs"),
+            _spec_probs(spec, "right_probs"),
         )
     raise InputSpecError(f"distribution spec: unknown kind {kind!r}")
 
@@ -128,9 +149,9 @@ def parse_box_model(spec: dict) -> BoxModel:
     _require_fields(spec, {"mass_kg", "temperature_K", "side_m"}, {"dims"}, "box model")
     try:
         return BoxModel(
-            mass=float(spec["mass_kg"]),
-            temperature=float(spec["temperature_K"]),
-            side_length=float(spec["side_m"]),
+            mass=_require_number(spec["mass_kg"], "mass_kg"),
+            temperature=_require_number(spec["temperature_K"], "temperature_K"),
+            side_length=_require_number(spec["side_m"], "side_m"),
             dimensions=require_int(spec.get("dims", 3), "dims"),
         )
     except ValueError as exc:
@@ -305,6 +326,8 @@ def cmd_empirical_info(args) -> int:
 def cmd_ledger(args) -> int:
     scenario = _load_json_arg(args.scenario, "scenario")
     _require_fields(scenario, {"start", "steps"}, set(), "scenario")
+    if not isinstance(scenario["steps"], list):
+        raise InputSpecError(f"steps must be a list, got {scenario['steps']!r}")
     ledger = measurement_ledger(scenario["start"], scenario["steps"])
     _emit_json(
         {
@@ -365,10 +388,10 @@ def _arg(*flags, **kwargs):
 _SPEC = _arg("spec", help="inline JSON or path to a distribution spec")
 _MODEL = _arg("--model", required=True, help="inline JSON or path to a box model")
 _TRUNCATION = [_arg("--tail-bound", type=float, default=1e-14),
-               _arg("--max-states", type=int, default=4_000_000)]
-_DRAWS = _arg("--draws", type=int, required=True)
+               _arg("--max-states", type=_int64, default=4_000_000)]
+_DRAWS = _arg("--draws", type=_int64, required=True)
 _SEED = _arg("--seed", type=int, default=DEFAULT_SEED)
-_CAP = _arg("--cap", type=int, default=DEFAULT_CAP)
+_CAP = _arg("--cap", type=_int64, default=DEFAULT_CAP)
 
 # name -> (handler, help, arguments); a dict of arguments holds subcommands.
 # "oracle", a debugging aid without help, is left out of the advertised list.
@@ -377,31 +400,31 @@ COMMANDS = {
                 [_SPEC, _arg("--unit", choices=["nats", "bits", "kB"], default="nats")]),
     "converge": (cmd_converge, "TV distance along scaled urns", [
         _arg("--base-urn", required=True, help="comma-separated counts"),
-        _arg("--draws", type=int, required=True, help="system particle count N"),
+        _arg("--draws", type=_int64, required=True, help="system particle count N"),
         _arg("--scales", required=True, help="comma-separated urn multipliers"),
         _arg("--format", choices=["csv", "json"], default="csv"), _CAP]),
     "gas": (cmd_gas, "exact ideal-gas entropy vs the closed form",
-            [_MODEL, _arg("--particles", type=int, required=True), *_TRUNCATION]),
+            [_MODEL, _arg("--particles", type=_int64, required=True), *_TRUNCATION]),
     "szilard": (cmd_szilard, "piston-insertion entropy ledger",
-                [_MODEL, _arg("--particles", type=int, default=1), *_TRUNCATION]),
+                [_MODEL, _arg("--particles", type=_int64, default=1), *_TRUNCATION]),
     "holevo": (cmd_holevo, "Holevo bound on accessible information", [
-        _arg("--universe-size", type=int, required=True), _DRAWS,
+        _arg("--universe-size", type=_int64, required=True), _DRAWS,
         _arg("--probs", required=True, help="comma-separated probabilities"),
         _arg("--normalize", action="store_true"),
         _arg("--mode", choices=["exact", "monte_carlo"], default="exact"),
-        _arg("--mc-samples", type=int, default=10_000), _SEED]),
+        _arg("--mc-samples", type=_int64, default=10_000), _SEED]),
     "empirical-info": (cmd_empirical_info,
                        "entropy gap of the empirical model over the exact draw",
                        [_arg("--urn", required=True, help="comma-separated counts"), _DRAWS]),
     "ledger": (cmd_ledger, "measurement scenario entropy ledger",
                [_arg("scenario", help="inline JSON or path to a scenario file")]),
     "sample": (cmd_sample, "seeded occupancy samples", [
-        _SPEC, _arg("--count", type=int, required=True), _SEED,
+        _SPEC, _arg("--count", type=_int64, required=True), _SEED,
         _arg("--format", choices=["json", "csv"], default="json")]),
     "oracle": (cmd_oracle, None, {
-        "mvhg": [_arg("--urn", required=True), _DRAWS, _arg("--cap", type=int, default=10)],
+        "mvhg": [_arg("--urn", required=True), _DRAWS, _arg("--cap", type=_int64, default=10)],
         "ptrace": [_arg("--urn", required=True), _DRAWS, _CAP],
-        "mc-entropy": [_arg("spec"), _arg("--samples", type=int, required=True), _SEED]}),
+        "mc-entropy": [_arg("spec"), _arg("--samples", type=_int64, required=True), _SEED]}),
 }
 PUBLIC_COMMANDS = tuple(name for name, (_, help_text, _) in COMMANDS.items() if help_text)
 

@@ -80,15 +80,41 @@ class OccupancyVector:
 
 def require_int(value, what: str) -> int:
     """``value`` as an int. Bools, strings and non-integral numbers are
-    refused with ValueError instead of being truncated."""
+    refused with ValueError instead of being truncated, and so are integers
+    past 64 bits, which the int64 arrays downstream cannot hold."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{what} must be an integer of at most 64 bits, got {value!r}")
     return int(value)
 
 
+def _require_number(value, what: str) -> float:
+    """``value`` as a float. Only ints and floats pass: bools, strings,
+    nulls and containers are refused with ValueError instead of being
+    converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a number of float range, got {value!r}") from None
+
+
+def _require_list(value, what: str, entry) -> list:
+    """``value``, which must be a list (a JSON array; a tuple from Python
+    callers), with ``entry`` (say require_int) checking and converting each
+    of its entries; ValueError for any other type."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return [entry(x, f"each entry of {what}") for x in value]
+
+
 def _require_fields(obj: dict, required: set, optional: set, what: str) -> None:
-    """ValueError unless ``obj`` has every field of ``required`` and no
-    field outside ``required`` and ``optional``."""
+    """ValueError unless ``obj`` is a dict (a JSON object) with every field
+    of ``required`` and no field outside ``required`` and ``optional``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {obj!r}")
     missing = required - set(obj)
     if missing:
         raise ValueError(f"{what}: missing fields {sorted(missing)}")

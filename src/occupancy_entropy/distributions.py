@@ -123,30 +123,22 @@ class MultinomialDist:
         return self.p.num_colors
 
     def log_pmf(self, n: Sequence[int]) -> float:
+        """The one-row view of log_pmf_batch, so it has the batch's bits."""
         _check_length(n, self.num_colors)
-        counts = [int(c) for c in n]
-        if any(c < 0 for c in counts) or sum(counts) != self.N:
-            return float("-inf")
-        acc = log_factorial(self.N)
-        for c, prob in zip(counts, self.p.probs):
-            if c == 0:
-                continue
-            if prob == 0.0:
-                return float("-inf")
-            acc += c * math.log(prob) - log_factorial(c)
-        return acc
+        return float(self.log_pmf_batch(np.asarray([n], dtype=np.int64))[0])
 
     def pmf(self, n: Sequence[int]) -> float:
-        lp = self.log_pmf(n)
-        return math.exp(lp) if lp > float("-inf") else 0.0
+        return math.exp(self.log_pmf(n))
 
     def log_pmf_batch(self, counts: np.ndarray) -> np.ndarray:
-        """Log-pmf over rows of an occupancy matrix (rows must sum to N)."""
+        """Log-pmf over rows of an occupancy matrix (rows must sum to N):
+        ln N! - sum_c ln n_c!, then + sum_c n_c ln p_c, each sum a row-wise
+        reduction, so a row's bits do not depend on the other rows."""
         counts = np.asarray(counts)
         p = self.p.probs
         logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
         out = log_factorial(self.N) - _log_factorial(counts).sum(axis=1)
-        out = out + counts @ logp
+        out += (counts * logp).sum(axis=1)
         bad = (counts[:, p == 0.0] > 0).any(axis=1) | (counts.sum(axis=1) != self.N)
         out[bad] = -np.inf
         return out
@@ -184,7 +176,11 @@ class MvhgDist:
 
     def log_pmf(self, n: Sequence[int]) -> float:
         """The formula of _mvhg_log_pmf_grid, its terms summed by the same
-        numpy reduction, so it has the bits of log_pmf_batch."""
+        numpy reduction, so it has the bits of log_pmf_batch. It is not the
+        batch's one-row view, as MultinomialDist.log_pmf is: that view costs
+        about six times as much a call, and row-by-row callers, such as the
+        check of every small urn's pmf against the exact draw tree, make
+        hundreds of thousands of calls."""
         _check_length(n, self.num_colors)
         counts = [int(c) for c in n]
         if sum(counts) != self.draw_count or any(
@@ -196,8 +192,7 @@ class MvhgDist:
         return float(np.add.reduce(np.array(terms))) - self._log_choose_draws
 
     def pmf(self, n: Sequence[int]) -> float:
-        lp = self.log_pmf(n)
-        return math.exp(lp) if lp > float("-inf") else 0.0
+        return math.exp(self.log_pmf(n))
 
     def log_pmf_batch(self, counts: np.ndarray) -> np.ndarray:
         counts = np.asarray(counts)

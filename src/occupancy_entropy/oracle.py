@@ -12,8 +12,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .combinatorics import DEFAULT_CAP, CapExceededError, OccupancyVector
 from .distributions import DEFAULT_SEED, OccupancyDistribution, _sample_counts
 
@@ -140,21 +138,6 @@ def brute_force_partial_trace(
     }
 
 
-def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D array in lexicographic order, and for each
-    row the index of its distinct row: what ``np.unique(rows, axis=0,
-    return_inverse=True)`` returns, by one lexsort."""
-    n, k = rows.shape
-    # lexsort takes its primary key last; rows without columns are all equal
-    order = np.lexsort(rows.T[::-1]) if k else np.arange(n)
-    ordered = rows[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
-
-
 def mc_entropy_estimate(
     d: OccupancyDistribution, samples: int, seed: int = DEFAULT_SEED
 ) -> tuple[float, float]:
@@ -164,11 +147,5 @@ def mc_entropy_estimate(
     for bit."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    # log_pmf_batch over the distinct draws, scattered back to every draw. The
-    # grouping fixes the bits: BLAS gives a multinomial row's counts @ logp
-    # bits that depend on the other rows of the batch (seen at 8 or more
-    # colours and fewer than 8 rows), so the draws in drawing order could
-    # give other bits
-    distinct, which = _group_rows(_sample_counts(d, samples, seed))
-    vals = -d.log_pmf_batch(distinct)[which]
+    vals = -d.log_pmf_batch(_sample_counts(d, samples, seed))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

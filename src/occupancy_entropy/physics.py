@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 
+_MIN_ENERGY_RATIO = 1e-100
+
+
 @dataclass(frozen=True)
 class BoxModel:
     """Ideal-gas particle in a hard-walled cubic (or 1-D) box."""
@@ -57,6 +60,17 @@ class BoxModel:
             raise ValueError("mass, temperature and side length must be positive")
         if self.dimensions not in (1, 3):
             raise ValueError("dimensions must be 1 or 3")
+        # far out of range the axis energy or its ratio to kT overflows or
+        # underflows; below 1e-100 (past 10^50 states an axis) the cubed
+        # sums of the cutoff search overflow
+        try:
+            ratio = self.energy_unit / (BOLTZMANN_KB * self.temperature)
+        except (OverflowError, ZeroDivisionError):
+            ratio = math.nan
+        if not _MIN_ENERGY_RATIO <= ratio < math.inf:
+            raise ValueError(
+                f"h^2 / (8 m L^2 kT) is {ratio:g}, outside [{_MIN_ENERGY_RATIO:g}, inf)"
+            )
 
     @property
     def energy_unit(self) -> float:

@@ -21,6 +21,8 @@ from .combinatorics import (
     CapExceededError,
     OccupancyVector,
     _require_fields,
+    _require_list,
+    _require_number,
     occupancy_count,
     require_int,
     support_matrix,
@@ -303,14 +305,12 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
     if kind == "bayesian":
         _require_fields(start, {"kind", "N", "probs"}, set(), "bayesian start")
         N = require_int(start["N"], "N")
-        p = OneParticleDistribution(np.asarray(start["probs"], dtype=np.float64))
+        p = OneParticleDistribution(_require_list(start["probs"], "probs", _require_number))
         current: float | None = multinomial_entropy(MultinomialDist(N, p)).total
     elif kind == "empirical":
         _require_fields(start, {"kind", "N", "urn"}, set(), "empirical start")
         N = require_int(start["N"], "N")
-        declared_urn = OccupancyVector(
-            tuple(require_int(x, "urn") for x in start["urn"])
-        )
+        declared_urn = OccupancyVector(tuple(_require_list(start["urn"], "urn", require_int)))
         model = MultinomialDist(
             N, OneParticleDistribution.empirical_from_urn(declared_urn)
         )
@@ -337,7 +337,7 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
         if op == "pvm_on_universe":
             if universe_measured:
                 raise ValueError("universe already measured in this scenario")
-            urn = OccupancyVector(tuple(require_int(x, "urn") for x in raw["urn"]))
+            urn = OccupancyVector(tuple(_require_list(raw["urn"], "urn", require_int)))
             if declared_urn is not None and urn != declared_urn:
                 raise ValueError(
                     "empirical model was built from a different universe outcome"
@@ -354,7 +354,7 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
                     "povm_empirical_model is only valid as the first step of "
                     "an agnostic scenario"
                 )
-            urn = OccupancyVector(tuple(require_int(x, "urn") for x in raw["urn"]))
+            urn = OccupancyVector(tuple(_require_list(raw["urn"], "urn", require_int)))
             pre = multinomial_entropy(
                 MultinomialDist(N, OneParticleDistribution.empirical_from_urn(urn))
             ).total

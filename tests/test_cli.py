@@ -33,9 +33,9 @@ def run(capsys, *argv):
 
 # values that no spec field accepts as a count, and most refuse as a
 # probability: NaN, infinities, bools, non-integers, strings, nulls,
-# negatives and containers
+# negatives, containers, an integer past 64 bits and one past float range
 _BAD_VALUES = st.sampled_from(
-    [math.nan, math.inf, -math.inf, True, False, 2.5, -1, "3", None, [1], {}]
+    [math.nan, math.inf, -math.inf, True, False, 2.5, -1, "3", None, [1], {}, 10**30, 10**400]
 )
 _PARTICLES = st.one_of(
     st.integers(0, 12), st.sampled_from([1000, 54_321, 10**5]), st.integers(0, 10**5)
@@ -96,7 +96,9 @@ def _entropy_specs(draw):
 
 def _finite_numbers(obj) -> bool:
     if isinstance(obj, dict):
-        return all(_finite_numbers(v) for v in obj.values())
+        return _finite_numbers(list(obj.values()))
+    if isinstance(obj, list):
+        return all(_finite_numbers(v) for v in obj)
     if isinstance(obj, float):
         return math.isfinite(obj)
     return True
@@ -120,6 +122,20 @@ def _assert_refused_with_a_message(code, out, err):
     assert "JSON compliant" not in err
 
 
+def _assert_finite_json_or_a_message(argv):
+    """The payload of a CLI call that exits 0 with finite numbers only, or
+    None when it is refused with a message."""
+    code, out, err = _run_captured(argv)
+    if code != 0:
+        _assert_refused_with_a_message(code, out, err)
+        return None
+    assert err == ""
+    assert "NaN" not in out and "Infinity" not in out
+    payload = json.loads(out)
+    assert _finite_numbers(payload)
+    return payload
+
+
 class TestEntropyFuzz:
     @settings(max_examples=300, deadline=None)
     @given(spec=_entropy_specs(), unit=st.sampled_from(["nats", "bits", "kB"]))
@@ -141,7 +157,7 @@ def _rarely(draw, bad, good):
 
 
 # argv values the parser refuses, or that lie out of range
-_BAD_COUNTS = st.sampled_from([-1, "x", "1.5"])
+_BAD_COUNTS = st.sampled_from([-1, "x", "1.5", 10**30])
 _BAD_SEEDS = st.sampled_from([-1, "seven", "2.0"])
 _SEEDS = st.one_of(st.none(), st.integers(0, 2**64), st.just(2**128))
 
@@ -179,7 +195,7 @@ def _holevo_argv(draw):
     """holevo argv over universes of up to 2,000 particles, with Monte Carlo
     runs of at most 40 universes (80,000 uniforms); now and then a value out
     of range or one the parser refuses."""
-    universe = _rarely(draw, st.sampled_from([-1, "many"]), st.integers(0, 2000))
+    universe = _rarely(draw, st.sampled_from([-1, "many", 10**30]), st.integers(0, 2000))
     top = universe if isinstance(universe, int) and universe >= 0 else 5
     draws = _rarely(draw, st.sampled_from([-1, top + 1]), st.integers(0, top))
     weights, normalize = draw(_simplex())
@@ -202,16 +218,136 @@ class TestHolevoFuzz:
     @given(case=_holevo_argv())
     def test_finite_chi_or_a_message(self, case):
         argv, mode = case
-        code, out, err = _run_captured(argv)
-        if code != 0:
-            _assert_refused_with_a_message(code, out, err)
+        payload = _assert_finite_json_or_a_message(argv)
+        if payload is None:
             return
-        assert err == ""
-        assert "NaN" not in out and "Infinity" not in out
-        payload = json.loads(out)
-        assert _finite_numbers(payload)
         assert payload["mode"] == mode
         assert ("standard_error" in payload) == (mode == "monte_carlo")
+
+
+def _tokens(draw, good):
+    """Comma-joined values of ``good``, now and then with a token the CLI
+    refuses."""
+    tokens = [str(v) for v in draw(st.lists(good, max_size=4))]
+    bad = st.sampled_from([["x"], ["1.5"], ["-1"], [str(10**30)]])
+    return ",".join(tokens + _rarely(draw, bad, st.just([])))
+
+
+@st.composite
+def _converge_argv(draw):
+    """converge argv over base urns of up to 4 colours of 6 balls, at most
+    8 draws and 3 scales of up to 5, now and then under a small cap."""
+    argv = ["converge", "--base-urn", _tokens(draw, st.integers(0, 6)),
+            "--draws", str(_rarely(draw, _BAD_COUNTS, st.integers(0, 8))),
+            "--scales", _tokens(draw, st.integers(0, 5))]
+    fmt = draw(st.sampled_from([None, "csv", "json"]))
+    if fmt is not None:
+        argv += ["--format", fmt]
+    if draw(st.booleans()):
+        argv += ["--cap", str(draw(st.integers(-1, 60)))]
+    return argv, fmt or "csv"
+
+
+class TestConvergeFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_converge_argv())
+    def test_finite_rows_or_a_message(self, case):
+        argv, fmt = case
+        if fmt == "json":
+            payload = _assert_finite_json_or_a_message(argv)
+            rows = None if payload is None else payload["rows"]
+        else:
+            code, out, err = _run_captured(argv)
+            if code != 0:
+                _assert_refused_with_a_message(code, out, err)
+                return
+            assert err == ""
+            rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+            assert all(math.isfinite(x) for row in rows for x in row)
+        if rows is not None:
+            assert rows and all(len(row) == 5 for row in rows)
+
+
+# box fields far out of the usual range: the energy unit h^2 / (8 m L^2)
+# and its ratio to kT then overflow or underflow
+_EXTREME_FLOATS = st.sampled_from([5e-324, 1e-300, 1e-30, 1e30, 1e300, -1.0, 0.0])
+
+
+@st.composite
+def _gas_argv(draw):
+    """gas argv over electron-like boxes of at most 30,000 states (--max-states),
+    now and then with a box field far out of range or of the wrong type."""
+    model = {
+        "mass_kg": _rarely(draw, _EXTREME_FLOATS, st.floats(1e-31, 1e-26)),
+        "temperature_K": _rarely(draw, _EXTREME_FLOATS, st.floats(1e-3, 1e4)),
+        "side_m": _rarely(draw, _EXTREME_FLOATS, st.floats(1e-10, 1e-7)),
+    }
+    if draw(st.booleans()):
+        model["dims"] = _rarely(draw, st.sampled_from([1, 2]), st.just(3))
+    if draw(st.integers(0, 7)) == 3:
+        model[draw(st.sampled_from(sorted(model)))] = draw(_BAD_VALUES)
+    particles = _rarely(draw, st.one_of(st.just(0), _BAD_COUNTS), st.integers(1, 50))
+    argv = ["gas", "--model", json.dumps(model), "--particles", str(particles),
+            "--max-states", str(_rarely(draw, st.sampled_from([0, -1]), st.integers(1, 30000)))]
+    if draw(st.booleans()):
+        argv += ["--tail-bound", str(_rarely(draw, st.sampled_from(["nan", 0, 1]),
+                                             st.floats(1e-15, 0.5)))]
+    return argv
+
+
+class TestGasFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=_gas_argv())
+    def test_finite_entropy_or_a_message(self, argv):
+        payload = _assert_finite_json_or_a_message(argv)
+        if payload is not None:
+            assert payload["exact"]["total"] >= 0
+            assert 1 <= payload["states_retained"] <= int(argv[argv.index("--max-states") + 1])
+
+
+@st.composite
+def _ledger_scenario(draw):
+    """A ledger scenario of up to 8 particles, urns of up to 4 colours of 6
+    balls and up to 3 steps, now and then with a field or list element
+    replaced by a bad value, or the start or steps not an object or list."""
+    kind = draw(st.sampled_from(["bayesian", "empirical", "agnostic"]))
+    start = {"kind": kind, "N": draw(st.integers(0, 8))}
+    urns = st.lists(st.integers(0, 6), min_size=1, max_size=4)
+    if kind == "bayesian":
+        weights, _ = draw(_simplex())
+        total = math.fsum(weights)
+        start["probs"] = [w / total for w in weights] if total else weights
+    elif kind == "empirical":
+        start["urn"] = draw(urns)
+    ops = ["pvm_on_universe", "povm_empirical_model", "pvm_on_system", "separate_system"]
+    steps = []
+    for op in draw(st.lists(st.sampled_from(ops), max_size=3)):
+        step = {"op": op}
+        if op in ("pvm_on_universe", "povm_empirical_model"):
+            step["urn"] = start.get("urn") if draw(st.booleans()) else draw(urns)
+        steps.append(step)
+    target = draw(st.sampled_from([start, *steps]))
+    how = draw(st.sampled_from(["keep", "keep", "field", "element", "drop", "whole"]))
+    key = draw(st.sampled_from(sorted(target)))
+    if how == "field":
+        target[key] = draw(_BAD_VALUES)
+    elif how == "element" and isinstance(target[key], list) and target[key]:
+        target[key][draw(st.integers(0, len(target[key]) - 1))] = draw(_BAD_VALUES)
+    elif how == "drop":
+        del target[key]
+    scenario = {"start": start, "steps": steps}
+    if how == "whole":
+        scenario[draw(st.sampled_from(["start", "steps"]))] = draw(_BAD_VALUES)
+    return scenario
+
+
+class TestLedgerFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(scenario=_ledger_scenario())
+    def test_finite_ledger_or_a_message(self, scenario):
+        payload = _assert_finite_json_or_a_message(["ledger", json.dumps(scenario)])
+        if payload is not None:
+            assert len(payload["steps"]) == len(scenario["steps"])
 
 
 class TestEntropyCommand:
@@ -273,8 +409,49 @@ class TestEntropyCommand:
         assert captured.out == ""
         assert "must be an integer" in captured.err
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ('{"kind":"szilard","N":3,"volume_fraction":null,'
+             '"left_probs":[1.0],"right_probs":[1.0]}', "volume_fraction"),
+            ('{"kind":"multinomial","N":3,"probs":{}}', "probs"),
+            ('{"kind":"multinomial","N":3,"probs":[0.5,[1]]}', "probs"),
+            ('{"kind":"mvhg","N":3,"urn":5}', "urn"),
+            ('{"kind":"szilard","N":3,"volume_fraction":"0.5",'
+             '"left_probs":[1.0],"right_probs":[1.0]}', "volume_fraction"),
+            ('{"kind":"multinomial","N":3,"probs":["0.5","0.5"]}', "probs"),
+            # "no" is truthy: bool() would turn normalisation on
+            ('{"kind":"multinomial","N":3,"probs":[1,3],"normalize":"no"}', "normalize"),
+        ],
+        ids=["null_fraction", "object_probs", "nested_probs", "scalar_urn",
+             "string_fraction", "string_probs", "string_normalize"],
+    )
+    def test_mistyped_field_exit_2_naming_it(self, capsys, spec, field):
+        code = main(["entropy", spec])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} ") or f"of {field} " in captured.err
+
     def test_malformed_json_exit_2(self, capsys):
         assert run(capsys, "entropy", '{"kind":')[0] == 2
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"kind":"multinomial","N":%d,"probs":[1.0]}' % 10**30, "N must be an integer of"),
+            ('{"kind":"mvhg","N":1,"urn":[%d]}' % 10**30, "urn must be an integer of"),
+            ('{"kind":"multinomial","N":1,"probs":[%d,1]}' % 10**400, "of float range"),
+        ],
+        ids=["N", "urn", "probs"],
+    )
+    def test_numbers_past_their_type_exit_2(self, capsys, spec, message):
+        # an int64 array cannot hold the first two, nor a float the third
+        code = main(["entropy", spec])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_unknown_field_exit_2(self, capsys):
         code, _ = run(
@@ -376,6 +553,27 @@ class TestGasCommand:
         code, out = run(capsys, "gas", "--model", model % dims, "--particles", "2")
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("field", ["mass_kg", "temperature_K", "side_m"])
+    def test_string_box_field_exit_2_naming_it(self, capsys, field):
+        model = {"mass_kg": 9.11e-31, "temperature_K": 300, "side_m": 20e-9}
+        model[field] = str(model[field])
+        code = main(["gas", "--model", json.dumps(model), "--particles", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{field} must be a number" in captured.err
+
+    @pytest.mark.parametrize("side", [1e300, 5e-324])
+    def test_box_far_out_of_range_exit_2(self, capsys, side):
+        # the axis energy h^2 / (8 m L^2) overflows at 1e300 and divides by
+        # zero at 5e-324
+        model = {"mass_kg": 9.11e-31, "temperature_K": 300, "side_m": side}
+        code = main(["gas", "--model", json.dumps(model), "--particles", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "h^2 / (8 m L^2 kT)" in captured.err
 
     def test_nan_temperature_exit_2(self, capsys):
         model = '{"mass_kg":9.11e-31,"temperature_K":NaN,"side_m":20e-9,"dims":3}'
@@ -549,6 +747,24 @@ class TestLedgerCommand:
             assert code == 2
             assert out == ""
 
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ('{"kind":"bayesian","N":2,"probs":["0.5","0.5"]}', "each entry of probs must be"),
+            ('{"kind":"bayesian","N":2,"probs":{}}', "probs must be a list"),
+            ('{"kind":"empirical","N":2,"urn":5}', "urn must be a list"),
+            ("5", "scenario start must be an object"),
+        ],
+        ids=["string_probs", "object_probs", "scalar_urn", "scalar_start"],
+    )
+    def test_mistyped_start_exit_2_naming_it(self, capsys, start, message):
+        scenario = '{"start":%s,"steps":[{"op":"pvm_on_system"}]}' % start
+        code = main(["ledger", scenario])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_ill_ordered_exit_2(self, capsys):
         scenario = json.dumps(
             {"start": {"kind": "bayesian", "N": 2, "probs": [0.5, 0.5]},
@@ -636,6 +852,23 @@ def subparsers(parser):
 
 
 class TestParsing:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gas", "--model", ELECTRON_BOX_3D, "--particles", "1" + "0" * 30],
+            ["holevo", "--universe-size", "1" + "0" * 30, "--draws", "2", "--probs", "1"],
+            ["converge", "--base-urn", "1,1", "--draws", "1" + "0" * 30, "--scales", "1"],
+            ["empirical-info", "--urn", "1" + "0" * 30 + ",1", "--draws", "1"],
+        ],
+        ids=["particles", "universe_size", "draws", "urn"],
+    )
+    def test_integer_past_64_bits_exit_2(self, argv):
+        # an int64 array cannot hold them; argparse refuses them up front
+        code, out, err = _run_captured(argv)
+        assert code == 2
+        assert out == ""
+        assert "integer" in err and "at most 64 bits" in err
+
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
 

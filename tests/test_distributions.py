@@ -140,6 +140,11 @@ def small_urns(draw, max_colors=5, max_total=16):
     return OccupancyVector(tuple(counts))
 
 
+def assert_scalar_has_the_batch_bits(d, rows):
+    scalar = np.array([d.log_pmf(r) for r in rows.tolist()], dtype=np.float64)
+    assert np.array_equal(scalar.view(np.int64), d.log_pmf_batch(rows).view(np.int64))
+
+
 class TestOneParticleDistribution:
     def test_validates_simplex(self):
         with pytest.raises(ValueError):
@@ -202,12 +207,34 @@ class TestMultinomialPmf:
         total = sum(d.pmf(v.counts) for v in enumerate_occupancies(n, p.num_colors))
         assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_batch_matches_scalar(self):
+    def test_scalar_has_the_batch_bits(self):
         d = MultinomialDist(4, OneParticleDistribution([0.1, 0.0, 0.9]))
-        mat = support_matrix(4, 3)
-        batch = np.exp(d.log_pmf_batch(mat))
-        scalar = np.array([d.pmf(tuple(r)) for r in mat])
-        np.testing.assert_allclose(batch, scalar, atol=1e-15)
+        assert_scalar_has_the_batch_bits(d, support_matrix(4, 3))
+
+
+class TestLogPmfBatchIsRowIndependent:
+    @pytest.mark.parametrize(
+        "d",
+        [
+            *(
+                MultinomialDist(3 * k, OneParticleDistribution.from_weights(range(1, k + 1)))
+                for k in (3, 8, 12, 40)
+            ),
+            SzilardSplitDist(
+                30,
+                0.3,
+                OneParticleDistribution.from_weights(range(1, 6)),
+                OneParticleDistribution.from_weights(range(1, 8)),
+            ),
+        ],
+        ids=["3_colours", "8_colours", "12_colours", "40_colours", "szilard"],
+    )
+    def test_a_row_has_its_bits_in_any_batch(self, d):
+        # each of the first 7 rows alone, among 7 rows and among 1,007
+        rows = distributions._sample_counts(d, 1007, seed=3)
+        alone = np.concatenate([d.log_pmf_batch(rows[i : i + 1]) for i in range(7)])
+        for batch in (rows[:7], rows):
+            assert np.array_equal(d.log_pmf_batch(batch)[:7].view(np.int64), alone.view(np.int64))
 
 
 class TestMvhgPmf:
@@ -254,22 +281,23 @@ class TestMvhgPmf:
             atol=1e-15,
         )
 
-    @staticmethod
-    def _assert_scalar_has_the_batch_bits(d, rows):
-        scalar = np.array([d.log_pmf(r) for r in rows.tolist()], dtype=np.float64)
-        assert np.array_equal(scalar.view(np.int64), d.log_pmf_batch(rows).view(np.int64))
-
     def test_scalar_and_mirror_have_the_batch_bits_on_the_small_sweep(self):
         # every urn of 1-4 colours and at most 10 balls, every draw count and
         # every system row: the rows of acceptance criterion 2. Exchanging
-        # system and environment (n -> u - n, N -> U - N) keeps every bit
+        # system and environment (n -> u - n, N -> U - N) keeps every bit.
+        # The multinomial limit of each urn's colour fractions, at N = U
         for c in range(1, 5):
             for total in range(11):
                 for counts in support_matrix(total, c).tolist():
                     urn = OccupancyVector(tuple(counts))
+                    if total:
+                        p = OneParticleDistribution.empirical_from_urn(urn)
+                        assert_scalar_has_the_batch_bits(
+                            MultinomialDist(total, p), support_matrix(total, c)
+                        )
                     for n in range(total + 1):
                         d, rows = MvhgDist(urn, n), support_matrix(n, c)
-                        self._assert_scalar_has_the_batch_bits(d, rows)
+                        assert_scalar_has_the_batch_bits(d, rows)
                         mirror = MvhgDist(urn, total - n).log_pmf_batch(np.array(counts) - rows)
                         assert np.array_equal(
                             mirror.view(np.int64), d.log_pmf_batch(rows).view(np.int64)
@@ -285,13 +313,17 @@ class TestMvhgPmf:
         ids=["12_colours", "40_colours", "past_the_table"],
     )
     def test_scalar_has_the_batch_bits_on_sampled_rows(self, counts, draws):
-        d = MvhgDist(OccupancyVector(counts), draws)
-        rows = distributions._sample_counts(d, 20000, seed=5)
-        # two impossible rows of N draws: one count above its colour, and
+        # the urn, and the multinomial limit of its colour fractions
+        urn = OccupancyVector(counts)
+        limit = MultinomialDist(draws, OneParticleDistribution.empirical_from_urn(urn))
+        # two impossible rows of N draws: one count above its colour (and in
+        # a colour of probability 0 when the second holds no balls), and
         # one negative count
         impossible = np.zeros((2, len(counts)), dtype=np.int64)
         impossible[:, :2] = [[counts[0] + 1, draws - counts[0] - 1], [-1, draws + 1]]
-        self._assert_scalar_has_the_batch_bits(d, np.concatenate((rows, impossible)))
+        for d in (MvhgDist(urn, draws), limit):
+            rows = distributions._sample_counts(d, 20000, seed=5)
+            assert_scalar_has_the_batch_bits(d, np.concatenate((rows, impossible)))
 
 
 class TestMarginal:

@@ -3,8 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from occupancy_entropy.combinatorics import (
     CapExceededError,
@@ -20,7 +18,6 @@ from occupancy_entropy.distributions import (
 )
 from occupancy_entropy.entropy import multinomial_entropy, mvhg_entropy
 from occupancy_entropy.oracle import (
-    _group_rows,
     brute_force_mvhg,
     brute_force_partial_trace,
     exact_multinomial_coeff,
@@ -29,8 +26,8 @@ from occupancy_entropy.oracle import (
 
 
 def reference_mc_entropy_estimate(d, samples, seed):
-    """The estimator with its draws grouped by np.unique(axis=0), which the
-    lexsort grouping replaced; estimate and SE must match it bit for bit."""
+    """The estimator with its draws grouped by np.unique(axis=0) and scattered
+    back; the draws in drawing order must give its estimate and SE bit for bit."""
     distinct, which = np.unique(
         _sample_counts(d, samples, seed), axis=0, return_inverse=True
     )
@@ -171,29 +168,6 @@ class TestMcEntropyEstimate:
         assert se == pytest.approx(classic, rel=1e-10)
 
 
-class TestGroupRows:
-    @given(
-        st.integers(min_value=0, max_value=300),
-        st.integers(min_value=0, max_value=6),
-        st.integers(min_value=0, max_value=2**62),
-        st.integers(min_value=0, max_value=2**32),
-    )
-    @example(n=1, k=0, high=0, seed=0)
-    @example(n=5, k=0, high=0, seed=0)
-    @example(n=1, k=3, high=9, seed=0)
-    @example(n=0, k=3, high=9, seed=0)
-    @example(n=0, k=0, high=0, seed=0)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_unique_axis0(self, n, k, high, seed):
-        # a small high gives many repeated rows, a large one few
-        rows = np.random.default_rng(seed).integers(0, high, size=(n, k), endpoint=True)
-        want_rows, want_which = np.unique(rows, axis=0, return_inverse=True)
-        got_rows, got_which = _group_rows(rows)
-        assert got_rows.shape == want_rows.shape
-        assert np.array_equal(got_rows, want_rows)
-        assert np.array_equal(got_which, want_which.reshape(-1))
-
-
 class TestMcEntropyMatchesUniqueGrouping:
     @pytest.mark.parametrize(
         "d, samples, seed",
@@ -223,9 +197,8 @@ class TestMcEntropyMatchesUniqueGrouping:
     @pytest.mark.parametrize("samples", [2, 3, 1000])
     @pytest.mark.parametrize("colours", [12, 40])
     def test_many_colours_bit_identical(self, colours, samples):
-        # at few rows and 8 or more colours, the BLAS product counts @ logp
-        # gives a multinomial row bits that depend on the other rows of the
-        # batch: the draws in drawing order, ungrouped, give other bits here
+        # at few rows and 8 or more colours, where a BLAS product gives a
+        # row bits that depend on the other rows of the batch
         urn = OccupancyVector(tuple(range(1, colours + 1)))
         probs = OneParticleDistribution.from_weights(range(1, colours + 1))
         for d in (MvhgDist(urn, 3 * colours), MultinomialDist(3 * colours, probs)):
