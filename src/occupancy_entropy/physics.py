@@ -105,25 +105,16 @@ DEFAULT_TRUNCATION = SpectrumTruncation()
 
 @dataclass(frozen=True, eq=False)
 class BoxSpectrum:
-    """Box eigenstates in non-decreasing energy order.
+    """Distinct box energy levels, ascending, with the number of states of
+    each (the quantum-number triples of the kept cube [1, cutoff]^3 in 3-D,
+    one in 1-D). ``len`` counts states, not levels."""
 
-    Quantum numbers start at 1 per axis; permutation-degenerate 3-D levels
-    stay distinct colors (ties broken by quantum numbers).
-    """
-
-    quantum_numbers: np.ndarray   # (n_states, dims) ints
-    energies: np.ndarray          # joules
+    energies: np.ndarray          # joules, one per distinct level
+    degeneracy: np.ndarray        # int64 states per level
     tail_bound_achieved: float    # omitted Boltzmann weight / retained Z
 
     def __len__(self) -> int:
-        return int(self.energies.size)
-
-    def __getitem__(self, i: int) -> tuple[tuple[int, ...], float]:
-        return tuple(int(q) for q in self.quantum_numbers[i]), float(self.energies[i])
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
+        return int(self.degeneracy.sum())
 
 
 # Past max_states the cutoff the tail bound needs is still found, from
@@ -208,30 +199,19 @@ def _needed_cutoff(alpha: float, bound: float, axes: int, c: int, z: float) -> i
     return hi
 
 
-def _cutoff(model: BoxModel, truncation: SpectrumTruncation) -> tuple[int, float]:
-    """Per-axis cutoff and achieved tail bound, refusing spectra over
-    max_states."""
-    alpha = model.energy_unit / (BOLTZMANN_KB * model.temperature)
-    return _axis_cutoff(alpha, truncation, model.dimensions)
-
-
 def box_spectrum(
     model: BoxModel, truncation: SpectrumTruncation = DEFAULT_TRUNCATION
 ) -> BoxSpectrum:
-    """Enumerate box eigenstates until the Boltzmann tail is negligible."""
-    cutoff, achieved = _cutoff(model, truncation)
+    """Box energy levels and degeneracies until the Boltzmann tail is
+    negligible; no list of 3-D states is built."""
+    alpha = model.energy_unit / (BOLTZMANN_KB * model.temperature)
+    cutoff, achieved = _axis_cutoff(alpha, truncation, model.dimensions)
     if model.dimensions == 1:
-        qn = np.arange(1, cutoff + 1, dtype=np.int64)[:, None]
-        energies = model.energy_unit * (qn[:, 0].astype(np.float64) ** 2)
-        return BoxSpectrum(qn, energies, achieved)
-    axis = np.arange(1, cutoff + 1, dtype=np.int64)
-    cx, cy, cz = np.meshgrid(axis, axis, axis, indexing="ij")
-    qn = np.column_stack([cx.ravel(), cy.ravel(), cz.ravel()])
-    sq = (qn.astype(np.float64) ** 2).sum(axis=1)
-    order = np.lexsort((qn[:, 2], qn[:, 1], qn[:, 0], sq))
-    qn = qn[order]
-    energies = model.energy_unit * sq[order]
-    return BoxSpectrum(qn, energies, achieved)
+        levels = np.arange(1, cutoff + 1, dtype=np.float64) ** 2
+        degeneracy = np.ones(cutoff, dtype=np.int64)
+    else:
+        levels, degeneracy = _square_sum_levels(cutoff)
+    return BoxSpectrum(model.energy_unit * levels.astype(np.float64), degeneracy, achieved)
 
 
 def _square_sum_levels(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,9 +227,7 @@ def _square_sum_levels(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return levels, triples[levels]
 
 
-def _boltzmann_weights(
-    energies: np.ndarray, model: BoxModel, multiplicity=1
-) -> tuple[np.ndarray, float]:
+def _boltzmann_weights(energies: np.ndarray, model: BoxModel, multiplicity) -> tuple[np.ndarray, float]:
     # weights are taken relative to the ground state so that deep-cold
     # spectra keep well-defined probabilities; only the reported absolute
     # partition sum may underflow to zero there
@@ -262,14 +240,17 @@ def _boltzmann_weights(
 def _probs_and_partition(
     spec: BoxSpectrum, model: BoxModel
 ) -> tuple[OneParticleDistribution, float]:
-    probs, partition = _boltzmann_weights(spec.energies, model)
-    return OneParticleDistribution(probs, provenance="model"), partition
+    # one probability per state, in non-decreasing energy order
+    probs, partition = _boltzmann_weights(spec.energies, model, spec.degeneracy)
+    per_state = np.repeat(probs, spec.degeneracy)
+    return OneParticleDistribution(per_state, provenance="model"), partition
 
 
 def boltzmann_distribution(
     model: BoxModel, truncation: SpectrumTruncation = DEFAULT_TRUNCATION
 ) -> tuple[OneParticleDistribution, float]:
-    """Truncated one-particle Boltzmann distribution and its partition sum."""
+    """Truncated one-particle Boltzmann distribution, one probability per
+    state in non-decreasing energy order, and its partition sum."""
     spec = box_spectrum(model, truncation)
     return _probs_and_partition(spec, model)
 
@@ -304,12 +285,9 @@ def ideal_gas_entropy(
         raise ValueError("ideal gas entropy requires a 3-D box model")
     if N < 1:
         raise ValueError("N must be at least 1")
-    cutoff, achieved = _cutoff(model, truncation)
-    levels, multiplicity = _square_sum_levels(cutoff)
-    probs, partition = _boltzmann_weights(
-        model.energy_unit * levels.astype(np.float64), model, multiplicity
-    )
-    exact = _multinomial_report(N, probs, multiplicity, budget).in_unit("kB")
+    spec = box_spectrum(model, truncation)
+    probs, partition = _boltzmann_weights(spec.energies, model, spec.degeneracy)
+    exact = _multinomial_report(N, probs, spec.degeneracy, budget).in_unit("kB")
     approx = sackur_tetrode(N, model.mass, model.temperature, model.side_length)
     gap = abs(exact.total - approx) / exact.total if exact.total > 0 else math.inf
     return GasEntropyResult(
@@ -317,8 +295,8 @@ def ideal_gas_entropy(
         sackur_tetrode=approx,
         relative_gap=gap,
         partition_function=partition,
-        states_retained=cutoff**3,
-        tail_bound_achieved=achieved,
+        states_retained=len(spec),
+        tail_bound_achieved=spec.tail_bound_achieved,
     )
 
 

@@ -299,21 +299,14 @@ class TestMultinomialPrecision:
         # a difference of two numbers of about 3.2, so they are good to a few
         # eps of 3.2 (1.5e-14 relative); the total is not
         from occupancy_entropy.entropy import _multinomial_report
-        from occupancy_entropy.physics import (
-            DEFAULT_TRUNCATION,
-            BoxModel,
-            _boltzmann_weights,
-            _cutoff,
-            _square_sum_levels,
-        )
+        from occupancy_entropy.physics import BoxModel, _boltzmann_weights, box_spectrum
 
         mp = pytest.importorskip("mpmath")
         N = 100
         model = BoxModel(9.1093837015e-31, 3.0, 20e-9)
-        levels, multiplicity = _square_sum_levels(_cutoff(model, DEFAULT_TRUNCATION)[0])
-        probs, _ = _boltzmann_weights(
-            model.energy_unit * levels.astype(np.float64), model, multiplicity
-        )
+        spec = box_spectrum(model)
+        multiplicity = spec.degeneracy
+        probs, _ = _boltzmann_weights(spec.energies, model, multiplicity)
         got = _multinomial_report(N, probs, multiplicity)
         with mp.workdps(40):
             g = [int(x) for x in multiplicity]
@@ -884,21 +877,13 @@ class TestTableDrivenRaggedKernel:
         # 30-digit sums over the same level probabilities: E{ln n!} below one
         # mean count, the gap E{ln n!} - ln Gamma(N q + 1) from one on, and
         # the sum of the gaps over the states
-        from occupancy_entropy.physics import (
-            BoxModel,
-            _boltzmann_weights,
-            _cutoff,
-            _square_sum_levels,
-            DEFAULT_TRUNCATION,
-        )
+        from occupancy_entropy.physics import BoxModel, _boltzmann_weights, box_spectrum
 
         mp = pytest.importorskip("mpmath")
         model = BoxModel(9.1093837015e-31, temperature, side)
-        cutoff, _ = _cutoff(model, DEFAULT_TRUNCATION)
-        levels, multiplicity = _square_sum_levels(cutoff)
-        probs, _ = _boltzmann_weights(
-            model.energy_unit * levels.astype(np.float64), model, multiplicity
-        )
+        spec = box_spectrum(model)
+        multiplicity = spec.degeneracy
+        probs, _ = _boltzmann_weights(spec.energies, model, multiplicity)
         tau, got = _binomial_log_factorial_gap(N, probs)
         np.testing.assert_array_equal(tau, marginals._stirling_remainder(N * probs))
         e_fact, gaps = [], []

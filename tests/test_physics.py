@@ -16,9 +16,9 @@ from occupancy_entropy.distributions import (
 from occupancy_entropy.entropy import entropy_by_enumeration, multinomial_entropy
 from occupancy_entropy.physics import (
     BoxModel,
+    DEFAULT_TRUNCATION,
     SpectrumTruncation,
     _axis_cutoff,
-    _square_sum_levels,
     boltzmann_distribution,
     box_spectrum,
     ideal_gas_entropy,
@@ -29,12 +29,25 @@ ELECTRON_MASS = 9.11e-31
 ELECTRON_20NM_1D = BoxModel(ELECTRON_MASS, 300.0, 20e-9, dimensions=1)
 
 
+def box_cutoff(model):
+    alpha = model.energy_unit / (BOLTZMANN_KB * model.temperature)
+    return _axis_cutoff(alpha, DEFAULT_TRUNCATION, model.dimensions)[0]
+
+
+def box_state_square_sums(model):
+    """q1^2 + q2^2 + q3^2 of every state of the kept cube [1, cutoff]^3,
+    ascending: the state list the level spectrum is checked against."""
+    axis = np.arange(1, box_cutoff(model) + 1, dtype=np.int64)
+    qx, qy, qz = np.meshgrid(axis, axis, axis, indexing="ij")
+    return np.sort((qx**2 + qy**2 + qz**2).ravel())
+
+
 def per_state_reference(model, N):
     """Exact gas entropy terms from the ungrouped per-state spectrum, with
     E{ln n!} = sum_k ln k P(n >= k) from scipy's binomial survival function."""
-    spec = box_spectrum(model)
+    energies = model.energy_unit * box_state_square_sums(model).astype(np.float64)
     kT = BOLTZMANN_KB * model.temperature
-    weights = np.exp(-(spec.energies - spec.energies[0]) / kT)
+    weights = np.exp(-(energies - energies[0]) / kT)
     p = weights / weights.sum()
     k = np.arange(2, N + 1)
     e_log_fact = sum(
@@ -49,7 +62,7 @@ def per_state_reference(model, N):
         "expected_logW": expected_logW,
         "total": micro - expected_logW,
         "boltzmann": float(gammaln(mean.sum() + 1.0) - gammaln(mean + 1.0).sum()),
-        "Z": float(weights.sum()) * math.exp(-spec.energies[0] / kT),
+        "Z": float(weights.sum()) * math.exp(-energies[0] / kT),
     }
 
 
@@ -81,24 +94,37 @@ class TestBoxModel:
 class TestBoxSpectrum:
     def test_one_d_square_law(self):
         spec = box_spectrum(ELECTRON_20NM_1D)
-        qn, energies = spec.quantum_numbers, spec.energies
-        assert qn[0, 0] == 1
-        ratios = energies[:4] / energies[0]
+        assert spec.energies[0] == ELECTRON_20NM_1D.energy_unit
+        assert spec.degeneracy.dtype == np.int64
+        np.testing.assert_array_equal(spec.degeneracy, 1)
+        assert len(spec) == spec.energies.size
+        ratios = spec.energies[:4] / spec.energies[0]
         np.testing.assert_allclose(ratios, [1.0, 4.0, 9.0, 16.0], rtol=1e-12)
 
     def test_three_d_ground_state(self):
         model = BoxModel(ELECTRON_MASS, 300.0, 20e-9, dimensions=3)
         spec = box_spectrum(model)
-        assert tuple(spec.quantum_numbers[0]) == (1, 1, 1)
+        assert spec.degeneracy[0] == 1
         assert spec.energies[0] == pytest.approx(3 * model.energy_unit, rel=1e-12)
 
-    def test_nondecreasing_energy_and_distinct_degenerate_states(self):
+    def test_ascending_levels_with_degeneracies(self):
         model = BoxModel(ELECTRON_MASS, 300.0, 20e-9, dimensions=3)
         spec = box_spectrum(model)
-        assert np.all(np.diff(spec.energies) >= -1e-40)
-        # permutations of (1,1,2) appear as three distinct colors
-        first = [tuple(q) for q in spec.quantum_numbers[1:4]]
-        assert sorted(first) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+        assert np.all(np.diff(spec.energies) > 0)
+        # the permutations of (1,1,2) make one level of three states, and
+        # (1,2,3) one of six
+        assert spec.energies[1] == 6 * model.energy_unit
+        assert spec.degeneracy[1] == 3
+        level_14 = np.flatnonzero(spec.energies == 14 * model.energy_unit)
+        assert spec.degeneracy[level_14].tolist() == [6]
+        assert len(spec) == int(spec.degeneracy.sum()) == box_cutoff(model) ** 3
+
+    def test_200nm_box_as_levels(self):
+        # 293^3 states, whose quantum numbers alone would take 604 MB
+        model = BoxModel(ELECTRON_MASS, 300.0, 200e-9, dimensions=3)
+        spec = box_spectrum(model, SpectrumTruncation(1e-14, max_states=10**8))
+        assert spec.energies.size == spec.degeneracy.size == 185_803
+        assert len(spec) == 293**3 == 25_153_757
 
     def test_tail_bound_achieved(self):
         trunc = SpectrumTruncation(relative_tail_bound=1e-10)
@@ -133,6 +159,21 @@ class TestBoxSpectrum:
             wide = SpectrumTruncation(1e-14, max_states=err.value.required)
             assert len(box_spectrum(model, wide)) == err.value.required
 
+    @pytest.mark.parametrize(
+        "side, temperature, dimensions",
+        [(20e-9, 300.0, 1), (1e-6, 300.0, 1), (20e-9, 300.0, 3), (100e-9, 3.0, 3), (60e-9, 300.0, 3)],
+    )
+    def test_refuses_exactly_the_boxes_over_the_cap(self, side, temperature, dimensions):
+        # the refusal that stops short of the cap never refuses a box the
+        # cap holds, at an exact cube of a cutoff or past it
+        model = BoxModel(ELECTRON_MASS, temperature, side, dimensions=dimensions)
+        states = box_cutoff(model) ** dimensions
+        for cap in (states, states + 1, 2 * states):
+            assert len(box_spectrum(model, SpectrumTruncation(1e-14, max_states=cap))) == states
+        with pytest.raises(CapExceededError) as err:
+            box_spectrum(model, SpectrumTruncation(1e-14, max_states=states - 1))
+        assert (err.value.required, err.value.cap) == (states, states - 1)
+
     def test_refusal_far_past_the_cap_bounds_the_sum_by_its_integral(self, monkeypatch):
         # with no exact chunks the retained sum is bounded below by its
         # integral; on a 0.1 mm box that lands on the same cutoff
@@ -146,11 +187,6 @@ class TestBoxSpectrum:
             _axis_cutoff(alpha, SpectrumTruncation(1e-14, max_states=1000), 3)
         assert err.value.required == cutoff**3
 
-    def test_item_access(self):
-        spec = box_spectrum(ELECTRON_20NM_1D)
-        qn, energy = spec[1]
-        assert qn == (2,)
-        assert energy == pytest.approx(4 * ELECTRON_20NM_1D.energy_unit, rel=1e-12)
 
 
 class TestBoltzmannDistribution:
@@ -228,7 +264,7 @@ class TestIdealGasEntropy:
             int,
             re.search(r"over (\d+) levels x up to (\d+) counts", str(err.value)).groups(),
         )
-        assert levels == _square_sum_levels(box_spectrum(model).quantum_numbers.max())[0].size
+        assert levels == box_spectrum(model).energies.size
         assert cells < levels * widest
         assert ideal_gas_entropy(model, 100, budget=cells).exact.total > 0
         with pytest.raises(CapExceededError, match=f"needs {cells} cells, over the budget of {cells - 1}$"):
@@ -236,12 +272,11 @@ class TestIdealGasEntropy:
 
     @pytest.mark.parametrize("temperature", [300.0, 3.0])
     def test_level_multiplicities_count_box_states(self, temperature):
-        spec = box_spectrum(BoxModel(ELECTRON_MASS, temperature, 20e-9, dimensions=3))
-        cutoff = int(spec.quantum_numbers.max())
-        levels, multiplicity = _square_sum_levels(cutoff)
-        sums, counts = np.unique((spec.quantum_numbers**2).sum(axis=1), return_counts=True)
-        np.testing.assert_array_equal(levels, sums)
-        np.testing.assert_array_equal(multiplicity, counts)
+        model = BoxModel(ELECTRON_MASS, temperature, 20e-9, dimensions=3)
+        spec = box_spectrum(model)
+        sums, counts = np.unique(box_state_square_sums(model), return_counts=True)
+        np.testing.assert_array_equal(spec.energies, model.energy_unit * sums.astype(np.float64))
+        np.testing.assert_array_equal(spec.degeneracy, counts)
 
     @pytest.mark.parametrize(
         "side, temperature, N", [(20e-9, 300.0, 2), (20e-9, 300.0, 200), (8e-9, 300.0, 1500)]
@@ -257,7 +292,7 @@ class TestIdealGasEntropy:
             want["total"], abs=1e-12 * want["microstate_term"]
         )
         spec = box_spectrum(model)
-        assert res.states_retained == len(spec) == int(spec.quantum_numbers.max()) ** 3
+        assert res.states_retained == len(spec) == box_cutoff(model) ** 3
         assert res.tail_bound_achieved == spec.tail_bound_achieved
 
     def test_cold_box_matches_per_state_reference(self):
@@ -279,7 +314,7 @@ class TestIdealGasEntropy:
 
     def test_max_states_refuses_the_same_boxes(self):
         model = BoxModel(ELECTRON_MASS, 300.0, 20e-9, dimensions=3)
-        states = box_spectrum(model).energies.size
+        states = len(box_spectrum(model))
         for cap in (states - 1, 1000):
             # one refusal, with the states the bound needs, also where the
             # cutoff that meets the bound is the first over the cap
