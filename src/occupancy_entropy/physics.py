@@ -141,27 +141,46 @@ def _axis_cutoff(alpha: float, trunc: SpectrumTruncation, axes: int) -> tuple[in
     weight so deep-cold spectra do not underflow. A spectrum over
     max_states is refused with the states the bound needs (_needed_cutoff);
     past about 4 million cutoffs per axis that count is an upper bound.
+
+    The refusal does not walk to the cap. Let top be the largest cutoff
+    within it and t_top its tail bound. At cutoff c the retained sum at top
+    is at most z + t (the weight past c is below t) and, for alpha < 1, at
+    most the whole sum, below e^alpha sqrt(pi / alpha) / 2. _achieved falls
+    as the sum grows, so with the smaller of the two and t_top it bounds
+    the achieved bound at top from below. Once that is over the target, top
+    fails, and so does every cutoff below it (the achieved bound falls as c
+    grows): the walk would refuse too, and no accepted cutoff changes.
     """
+    bound = trunc.relative_tail_bound
+    top = trunc.max_states
+    if axes == 3:  # integer cube root, by Newton steps from above
+        top = 1 << -(-top.bit_length() // 3)
+        while (smaller := (2 * top + trunc.max_states // top**2) // 3) < top:
+            top = smaller
+    t_top = math.exp(-alpha * (top * top - 1.0)) / (2.0 * alpha * top)
+    z_all = math.exp(alpha) * math.sqrt(math.pi / alpha) / 2.0 if alpha < 1.0 else math.inf
     z = 0.0
     c = 0
     while True:
         c += 1
         w = math.exp(-alpha * (c * c - 1.0))
         z += w
-        achieved = _achieved(z, w / (2.0 * alpha * c), axes)
-        met = achieved <= trunc.relative_tail_bound
-        if c**axes > trunc.max_states:
-            needed = c if met else _needed_cutoff(alpha, trunc.relative_tail_bound, axes, c, z)
+        tail = w / (2.0 * alpha * c)
+        achieved = _achieved(z, tail, axes)
+        met = achieved <= bound
+        if met and c <= top:
+            return c, achieved
+        at_top = _achieved(min(z + tail, z_all), t_top, axes)
+        if c > top or at_top > bound:
+            needed = c if met else _needed_cutoff(alpha, bound, axes, c, z)
             raise CapExceededError(
                 f"spectrum needs {needed**axes} states (cutoff {needed}) to reach "
-                f"relative tail bound {trunc.relative_tail_bound:g}, over "
-                f"max_states={trunc.max_states} (achieved {achieved:.3g} at "
-                f"cutoff {c}); raise max_states or loosen the bound",
+                f"relative tail bound {bound:g}, over max_states={trunc.max_states} "
+                f"(at least {at_top:.3g} at cutoff {top}, the largest within it); "
+                f"raise max_states or loosen the bound",
                 needed**axes,
                 trunc.max_states,
             )
-        if met:
-            return c, achieved
 
 
 def _needed_cutoff(alpha: float, bound: float, axes: int, c: int, z: float) -> int:
@@ -169,7 +188,7 @@ def _needed_cutoff(alpha: float, bound: float, axes: int, c: int, z: float) -> i
     per-axis sum is z, with no cap on the states.
 
     The weights are added in chunks by np.add.accumulate, in the loop's
-    order. Past _EXACT_CHUNKS chunks (over 4 million cutoffs per axis) the
+    order. Past _EXACT_CHUNKS chunks (over 4 million cutoffs past c) the
     retained sum is bounded below by its integral instead, which can only
     overstate the cutoff; it is then bisected for.
     """

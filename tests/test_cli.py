@@ -618,6 +618,21 @@ class TestSzilardCommand:
     def test_cap_flag_is_gone(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
 
+    def test_spectrum_far_past_the_cap_exits_3_without_walking_to_it(self):
+        # a walk to 2^63 - 1 cutoffs never ends; the refusal stops short
+        hot = '{"mass_kg":5e-324,"temperature_K":1e300,"side_m":1e30,"dims":1}'
+        cap = "9223372036854775807"
+        proc = subprocess.run(
+            [sys.executable, "-m", "occupancy_entropy.cli", "szilard", "--model", hot,
+             "--particles", "1", "--max-states", cap],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert f"over max_states={cap} " in proc.stderr
+
 
 def szilard_after_mp(N, mass, temperature, half_side, states):
     """Entropy after a midpoint piston insertion, for N particles of a 1-D

@@ -174,6 +174,16 @@ class TestBoxSpectrum:
             box_spectrum(model, SpectrumTruncation(1e-14, max_states=states - 1))
         assert (err.value.required, err.value.cap) == (states, states - 1)
 
+    @pytest.mark.parametrize("bound", [1e-14, 0.5])
+    @pytest.mark.parametrize("dimensions", [1, 3])
+    def test_refusal_far_past_the_cap_does_not_walk_to_it(self, dimensions, bound):
+        # a walk to a cap of 2^63 - 1 states would take 2^63 - 1 steps in 1-D
+        hot = BoxModel(5e-324, 1e300, 1e30, dimensions=dimensions)
+        cap = 2**63 - 1
+        with pytest.raises(CapExceededError, match=f"over max_states={cap} ") as err:
+            box_spectrum(hot, SpectrumTruncation(bound, max_states=cap))
+        assert err.value.cap == cap < err.value.required
+
     def test_refusal_far_past_the_cap_bounds_the_sum_by_its_integral(self, monkeypatch):
         # with no exact chunks the retained sum is bounded below by its
         # integral; on a 0.1 mm box that lands on the same cutoff
