@@ -157,7 +157,8 @@ def _axis_cutoff(alpha: float, trunc: SpectrumTruncation, axes: int) -> tuple[in
         top = 1 << -(-top.bit_length() // 3)
         while (smaller := (2 * top + trunc.max_states // top**2) // 3) < top:
             top = smaller
-    t_top = math.exp(-alpha * (top * top - 1.0)) / (2.0 * alpha * top)
+    x = float(min(top, 2**1000))  # past float range t_top is 0 for any alpha
+    t_top = math.exp(-alpha * (x * x - 1.0)) / (2.0 * alpha * x)
     z_all = math.exp(alpha) * math.sqrt(math.pi / alpha) / 2.0 if alpha < 1.0 else math.inf
     z = 0.0
     c = 0
@@ -226,7 +227,7 @@ def box_spectrum(
     alpha = model.energy_unit / (BOLTZMANN_KB * model.temperature)
     cutoff, achieved = _axis_cutoff(alpha, truncation, model.dimensions)
     if model.dimensions == 1:
-        levels = np.arange(1, cutoff + 1, dtype=np.float64) ** 2
+        levels = np.arange(1, cutoff + 1, dtype=np.int64) ** 2
         degeneracy = np.ones(cutoff, dtype=np.int64)
     else:
         levels, degeneracy = _square_sum_levels(cutoff)

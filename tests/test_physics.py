@@ -168,7 +168,7 @@ class TestBoxSpectrum:
         # cap holds, at an exact cube of a cutoff or past it
         model = BoxModel(ELECTRON_MASS, temperature, side, dimensions=dimensions)
         states = box_cutoff(model) ** dimensions
-        for cap in (states, states + 1, 2 * states):
+        for cap in (states, states + 1, 2 * states, 10**400):
             assert len(box_spectrum(model, SpectrumTruncation(1e-14, max_states=cap))) == states
         with pytest.raises(CapExceededError) as err:
             box_spectrum(model, SpectrumTruncation(1e-14, max_states=states - 1))
