@@ -142,14 +142,15 @@ def _axis_cutoff(alpha: float, trunc: SpectrumTruncation, axes: int) -> tuple[in
     max_states is refused with the states the bound needs (_needed_cutoff);
     past about 4 million cutoffs per axis that count is an upper bound.
 
-    The refusal does not walk to the cap. Let top be the largest cutoff
-    within it and t_top its tail bound. At cutoff c the retained sum at top
-    is at most z + t (the weight past c is below t) and, for alpha < 1, at
-    most the whole sum, below e^alpha sqrt(pi / alpha) / 2. _achieved falls
-    as the sum grows, so with the smaller of the two and t_top it bounds
-    the achieved bound at top from below. Once that is over the target, top
-    fails, and so does every cutoff below it (the achieved bound falls as c
-    grows): the walk would refuse too, and no accepted cutoff changes.
+    The refusal does not walk to the cap. The retained sum at top, the
+    largest cutoff within it, is below the sum of every weight: at most
+    1 + 1/(2 alpha) (z + t at cutoff 1), and for alpha < 1 the half-Gaussian
+    e^alpha sqrt(pi / alpha) / 2. _achieved falls as the sum grows, so with
+    that and t_top, top's tail bound, it bounds top's achieved bound from
+    below. Over the target, top fails and so does every smaller cutoff (the
+    achieved bound falls as c grows): the walk would refuse too, so it is
+    refused at once. Otherwise top all but meets the bound (within a factor
+    of about 1.5), and walking to it costs what an accepted walk would.
     """
     bound = trunc.relative_tail_bound
     top = trunc.max_states
@@ -159,19 +160,18 @@ def _axis_cutoff(alpha: float, trunc: SpectrumTruncation, axes: int) -> tuple[in
             top = smaller
     x = float(min(top, 2**1000))  # past float range t_top is 0 for any alpha
     t_top = math.exp(-alpha * (x * x - 1.0)) / (2.0 * alpha * x)
-    z_all = math.exp(alpha) * math.sqrt(math.pi / alpha) / 2.0 if alpha < 1.0 else math.inf
+    gauss = math.exp(alpha) * math.sqrt(math.pi / alpha) / 2.0 if alpha < 1.0 else math.inf
+    at_top = _achieved(min(1.0 + 0.5 / alpha, gauss), t_top, axes)
     z = 0.0
     c = 0
     while True:
         c += 1
         w = math.exp(-alpha * (c * c - 1.0))
         z += w
-        tail = w / (2.0 * alpha * c)
-        achieved = _achieved(z, tail, axes)
+        achieved = _achieved(z, w / (2.0 * alpha * c), axes)
         met = achieved <= bound
         if met and c <= top:
             return c, achieved
-        at_top = _achieved(min(z + tail, z_all), t_top, axes)
         if c > top or at_top > bound:
             needed = c if met else _needed_cutoff(alpha, bound, axes, c, z)
             raise CapExceededError(
