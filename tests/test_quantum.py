@@ -18,7 +18,6 @@ from occupancy_entropy.distributions import (
     MvhgDist,
     OneParticleDistribution,
     _mvhg_log_pmf_grid,
-    sample,
 )
 from occupancy_entropy.entropy import (
     entropy_by_enumeration,
@@ -300,8 +299,9 @@ class TestHolevoChi:
         # of the seeded prior draws, and its error is their standard error
         p = OneParticleDistribution([0.3, 0.7])
         est = holevo_chi(64, 2, p, mode="monte_carlo", mc_samples=400, seed=13)
-        urns = sample(MultinomialDist(64, p), 400, seed=13)
-        vals = [entropy_by_enumeration(MvhgDist(u, 2)) for u in urns]
+        # the documented draw: numpy's multinomial over the positive colours
+        urns = np.random.default_rng(13).multinomial(64, p.probs, size=400)
+        vals = [entropy_by_enumeration(MvhgDist(OccupancyVector(tuple(u)), 2)) for u in urns]
         s_system = multinomial_entropy(MultinomialDist(2, p)).total
         mean = math.fsum(vals) / len(vals)
         se = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
