@@ -80,44 +80,54 @@ def _prefix_tally_tables(
     """Enumerate every microstate (ordered color string) with the given
     occupancy and tabulate, for each prefix length, how many microstates
     share each prefix tally. Returns (microstate count, per-length tables).
+
+    The walk costs microstates x total steps, so CapExceededError is raised
+    when that exceeds ``cap``, before any table is made; the multinomial
+    coefficient is built factor by factor and the check stops once it passes
+    cap // total.
     """
     total = sum(urn_counts)
     num_colors = len(urn_counts)
+    limit = cap // total if total else math.inf
+    microstates, seen = 1, 0
+    # ascending counts keep each factor C(seen + u, m), m = min(u, seen), at
+    # most halfway along its row, so every step at least doubles the product
+    for u in sorted(urn_counts):
+        m, i = min(u, seen), 0
+        while i < m and microstates <= limit:
+            i += 1
+            microstates = microstates * (seen + u - m + i) // i
+        seen += u
+        if microstates > limit:
+            bound = "" if seen == total and i == m else "at least "
+            raise CapExceededError(
+                f"{bound}{microstates * total} steps ({total} particles in each of "
+                f"{bound}{microstates} microstates of occupancy {urn_counts}) "
+                f"exceed the cap of {cap}",
+                microstates * total,
+                cap,
+            )
     tables: list[dict[tuple[int, ...], int]] = [dict() for _ in range(total + 1)]
-    remaining = list(urn_counts)
-    path: list[int] = []
-    leaves = 0
-
-    def descend(depth: int) -> None:
-        nonlocal leaves
-        if depth == total:
-            leaves += 1
-            if leaves > cap:
-                required = exact_multinomial_coeff(urn_counts)
-                raise CapExceededError(
-                    f"{required} microstates share occupancy {urn_counts}, "
-                    f"over the cap of {cap}",
-                    required,
-                    cap,
-                )
-            tally = [0] * num_colors
-            for d, color in enumerate(path):
-                tally[color] += 1
-                key = tuple(tally)
-                tables[d + 1][key] = tables[d + 1].get(key, 0) + 1
-            return
-        for c in range(num_colors):
-            if remaining[c] == 0:
-                continue
-            remaining[c] -= 1
-            path.append(c)
-            descend(depth + 1)
-            path.pop()
-            remaining[c] += 1
-
-    descend(0)
-    tables[0] = {(0,) * num_colors: leaves}
-    return leaves, tuple(tables)
+    tables[0] = {(0,) * num_colors: microstates}
+    # the microstates in lexicographic order, each from the last by the
+    # next-permutation step
+    path = [c for c, u in enumerate(urn_counts) for _ in range(u)]
+    while True:
+        tally = [0] * num_colors
+        for d, color in enumerate(path, 1):
+            tally[color] += 1
+            key = tuple(tally)
+            tables[d][key] = tables[d].get(key, 0) + 1
+        i = total - 2
+        while i >= 0 and path[i] >= path[i + 1]:
+            i -= 1
+        if i < 0:
+            return microstates, tuple(tables)
+        j = total - 1
+        while path[j] <= path[i]:
+            j -= 1
+        path[i], path[j] = path[j], path[i]
+        path[i + 1 :] = path[: i : -1]
 
 
 def brute_force_partial_trace(

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -193,8 +194,8 @@ class TestSampleFuzz:
 @st.composite
 def _holevo_argv(draw):
     """holevo argv over universes of up to 2,000 particles, with Monte Carlo
-    runs of at most 40 universes (80,000 uniforms); now and then a value out
-    of range or one the parser refuses."""
+    runs of at most 40 universes; now and then a value out of range or one
+    the parser refuses."""
     universe = _rarely(draw, st.sampled_from([-1, "many", 10**30]), st.integers(0, 2000))
     top = universe if isinstance(universe, int) and universe >= 0 else 5
     draws = _rarely(draw, st.sampled_from([-1, top + 1]), st.integers(0, top))
@@ -691,6 +692,18 @@ class TestHolevoCommand:
         assert payload["chi"] >= -0.05
         assert payload["standard_error"] > 0
 
+    def test_monte_carlo_refusal_is_prompt(self, capsys):
+        # U = 10^12 would take 10^4 universes through the kernel before
+        # printing a chi its rounding swamps; the bound refuses it first
+        start = time.perf_counter()
+        code = main(["holevo", "--universe-size", str(10**12), "--draws", "100",
+                     "--probs", "0.5,0.3,0.2", "--mode", "monte_carlo"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "rounding bound 0.444 nats" in captured.err and "1e-12 nats" in captured.err
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize(
         "universe, draws, probs", [("5", "0", "0.5,0.5"), ("5", "3", "1.0")]
     )
@@ -843,6 +856,25 @@ class TestOracleCommand:
         code, out = run(capsys, "oracle", "ptrace", "--urn", "2,2", "--draws", "2")
         assert code == 0
         assert json.loads(out)["pmf"]["2 0"] == "1/6"
+
+    def test_ptrace_long_urn_walks_without_recursion(self, capsys):
+        # 1,001 microstates of 1,001 particles: 1,002,001 walk steps
+        argv = ["oracle", "ptrace", "--urn", "1000,1", "--draws", "1"]
+        code, out = run(capsys, *argv, "--cap", "1002001")
+        assert code == 0
+        assert json.loads(out)["pmf"] == {"1 0": "1000/1001", "0 1": "1/1001"}
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "1002001 steps" in err and "cap of 1000000" in err
+
+    def test_ptrace_refuses_a_huge_urn_at_once(self, capsys):
+        start = time.perf_counter()
+        code = main(["oracle", "ptrace", "--urn", "9223372036854775807,1", "--draws", "1"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert f"at least {2**63} steps" in captured.err and "cap of 1000000" in captured.err
+        assert elapsed < 1.0
 
     def test_mc_entropy(self, capsys):
         code, out = run(

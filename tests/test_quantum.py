@@ -24,7 +24,7 @@ from occupancy_entropy.entropy import (
     multinomial_entropy,
     mvhg_entropy,
 )
-from occupancy_entropy.marginals import _count_log_choose
+from occupancy_entropy.marginals import _count_log_choose, _hypergeometric_log_expectations
 from occupancy_entropy.oracle import brute_force_partial_trace
 from occupancy_entropy.quantum import (
     BosonicDensityOperator,
@@ -309,6 +309,73 @@ class TestHolevoChi:
         assert est.standard_error == pytest.approx(se / math.sqrt(400), abs=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "probs", [(0.3, 0.7), (0.5, 0.3, 0.2), (0.1, 0.15, 0.2, 0.25, 0.3)]
+    )
+    @pytest.mark.parametrize("U, N", [(64, 8), (1000, 100), (10**6, 100)])
+    def test_monte_carlo_within_five_errors_of_exact(self, probs, U, N):
+        p = OneParticleDistribution(probs)
+        est = holevo_chi(U, N, p, mode="monte_carlo", mc_samples=400, seed=11)
+        exact = holevo_chi(U, N, p).chi
+        assert abs(est.chi - exact) <= 5 * est.standard_error
+
+    @pytest.mark.parametrize("U", [10**6, 10**7, 10**8, 10**9])
+    def test_universe_terms_within_the_rounding_bound(self, U):
+        # each universe's term against a 50-digit sum over every count; the
+        # docstring's per-universe bound, which B is over, holds it
+        mp = pytest.importorskip("mpmath")
+        N, probs = 100, (0.5, 0.3, 0.2)
+        urns = quantum._prior_universes(U, OneParticleDistribution(probs), 2, seed=U % 97)
+        _, e_binom = _hypergeometric_log_expectations(U, urns, N)
+        got = _count_log_choose(U, N) - e_binom.sum(axis=1)
+
+        def log_choose(n, k):
+            return mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
+
+        eps, log_draws = 2.0**-52, math.lgamma(U + 1) - math.lgamma(N + 1) - math.lgamma(U - N + 1)
+        with mp.workdps(50):
+            for row, term in zip(urns.tolist(), got):
+                want = log_choose(U, N)
+                for u in row:
+                    want -= mp.fsum(
+                        mp.exp(log_choose(u, n) + log_choose(U - u, N - n) - log_choose(U, N))
+                        * log_choose(u, n)
+                        for n in range(max(0, N - (U - u)), min(N, u) + 1)
+                    )
+                cells = sum(math.lgamma(u + 1) for u in row)
+                bound = eps * ((25 + math.log2(N + 1) + 7 + (25 + math.log2(3)) / 2) * cells
+                               + 4 * log_draws)
+                assert abs(term - float(want)) <= bound
+                assert bound <= (61 + math.log2((N + 1) * math.sqrt(3))) * eps * math.lgamma(U + 1)
+
+    def test_monte_carlo_refuses_what_its_rounding_cannot_resolve(self):
+        # at N = 100 the bound passes 1 % of chi between U = 10^6 and 10^7
+        p = OneParticleDistribution([0.5, 0.3, 0.2])
+        assert holevo_chi(10**6, 100, p, mode="monte_carlo", mc_samples=20).standard_error > 0
+        for U in (10**7, 10**12, 2**63 - 1):
+            with pytest.raises(CapExceededError, match="rounding bound") as info:
+                holevo_chi(U, 100, p, mode="monte_carlo")
+            bound = (61 + math.log2(101) + math.log2(3 * 10_000) / 2) * 2.0**-52 * math.lgamma(U + 1)
+            assert info.value.required == pytest.approx(bound, rel=1e-12)
+            assert info.value.cap == pytest.approx(0.01 * -math.log1p(-100 / U), rel=1e-12)
+            assert f"{bound:.3g}" in str(info.value) and f"{info.value.cap:.3g}" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "N, probs", [(0, [0.5, 0.3, 0.2]), (100, [1.0]), (100, [0.0, 1.0, 0.0])]
+    )
+    def test_monte_carlo_zero_chi_is_not_refused(self, N, probs):
+        est = holevo_chi(2**62, N, OneParticleDistribution(probs), mode="monte_carlo")
+        assert (est.chi, est.standard_error) == (0.0, 0.0)
+        assert math.copysign(1.0, est.chi) == 1.0
+
+    def test_monte_carlo_universe_equals_system(self):
+        # every universe traced to itself is pure, whatever its size
+        p = OneParticleDistribution([0.5, 0.3, 0.2])
+        for U in (3, 10**6):
+            est = holevo_chi(U, U, p, mode="monte_carlo", mc_samples=50)
+            assert est.chi == multinomial_entropy(MultinomialDist(U, p)).total
+            assert est.standard_error == 0.0
+
     def test_universe_equals_system_gives_full_entropy(self):
         est = holevo_chi(3, 3, FAIR_TWO)
         expected = multinomial_entropy(MultinomialDist(3, FAIR_TWO)).total
@@ -361,6 +428,50 @@ class TestHolevoChi:
     def test_system_larger_than_universe_rejected(self):
         with pytest.raises(ValueError):
             holevo_chi(2, 3, FAIR_TWO)
+
+
+class TestPriorUniverses:
+    @pytest.mark.parametrize(
+        "U, probs",
+        [
+            (0, [0.5, 0.5]),
+            (1, [0.2, 0.8]),
+            (1000, [0.5, 0.3, 0.2]),
+            (10**12, [0.1, 0.0, 0.2, 0.7]),
+            (2**62, [0.25] * 4),
+            (10**6, [1.0]),
+            (10**6, [0.0, 1.0, 0.0]),
+        ],
+    )
+    def test_rows_sum_to_the_universe(self, U, probs):
+        p = OneParticleDistribution(probs)
+        urns = quantum._prior_universes(U, p, 500, seed=2)
+        assert urns.shape == (500, len(probs)) and urns.dtype == np.int64
+        assert (urns >= 0).all() and (urns.sum(axis=1) == U).all()
+        assert (urns[:, p.probs == 0.0] == 0).all()
+
+    @pytest.mark.parametrize("total", [1 - 0.9e-12, 1 + 0.9e-12])
+    def test_probabilities_off_one_by_the_tolerance(self, total):
+        # numpy refuses probabilities whose all-but-last sum passes
+        # 1 + 1e-12, and gives its last colour the rest; a zero colour left
+        # last would get the shortfall (about 10^3 balls a universe here)
+        probs = [0.1, 0.2, 0.7 * total - 0.3 * (1 - total), 0.0]
+        p = OneParticleDistribution(probs)
+        urns = quantum._prior_universes(10**15, p, 200, seed=3)
+        assert (urns.sum(axis=1) == 10**15).all()
+        assert (urns[:, 3] == 0).all()
+
+    def test_colour_means_within_five_errors(self):
+        U, samples, probs = 1000, 4000, np.array([0.5, 0.3, 0.15, 0.05])
+        urns = quantum._prior_universes(U, OneParticleDistribution(probs), samples, seed=4)
+        se = np.sqrt(U * probs * (1 - probs) / samples)
+        assert (np.abs(urns.mean(axis=0) - U * probs) <= 5 * se).all()
+
+    def test_the_documented_draw(self):
+        p = OneParticleDistribution([0.2, 0.0, 0.8])
+        got = quantum._prior_universes(500, p, 30, seed=9)
+        want = np.random.default_rng(9).multinomial(500, [0.2, 0.8], size=30)
+        assert (got[:, [0, 2]] == want).all()
 
 
 class TestEmpiricalInformation:
