@@ -257,7 +257,7 @@ def holevo_chi(
             return HolevoEstimate(0.0, 0.0, "monte_carlo")
         bound = (61 + math.log2(N + 1) + math.log2(p.num_colors * mc_samples) / 2
                  ) * _EPS * math.lgamma(U + 1.0)
-        limit = 0.01 * (colours - 1) / 2 * -math.log1p(-N / U)
+        limit = 0.01 * (colours - 1) / 2 * (-math.log1p(-N / U) if N < U else math.inf)
         if bound > limit:
             raise CapExceededError(
                 f"monte_carlo rounding bound {bound:.3g} nats exceeds 1% of the "
