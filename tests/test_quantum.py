@@ -308,7 +308,6 @@ class TestHolevoChi:
         assert est.chi == pytest.approx(s_system - mean, abs=1e-12)
         assert est.standard_error == pytest.approx(se / math.sqrt(400), abs=1e-12)
 
-
     @pytest.mark.parametrize(
         "probs", [(0.3, 0.7), (0.5, 0.3, 0.2), (0.1, 0.15, 0.2, 0.25, 0.3)]
     )
