@@ -32,9 +32,8 @@ from .distributions import (
     MvhgDist,
     OneParticleDistribution,
     SzilardSplitDist,
-    _sample_counts,
     convergence_scan,
-    sample,  # noqa: F401  (perfbench's trace self-test restores cli.sample)
+    sample,
 )
 from .entropy import (
     _unit_factor,
@@ -348,7 +347,7 @@ def cmd_ledger(args) -> int:
 
 def cmd_sample(args) -> int:
     dist = parse_distribution_spec(_load_json_arg(args.spec, "distribution spec"))
-    counts = _sample_counts(dist, args.count, seed=args.seed)
+    counts = sample(dist, args.count, seed=args.seed)
     if args.format == "csv":
         sys.stdout.write(_sample_csv(counts))
     else:

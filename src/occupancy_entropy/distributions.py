@@ -39,7 +39,6 @@ __all__ = [
 # Fixed default seed for every sampling entry point (never time-based).
 DEFAULT_SEED = 42
 
-_PROVENANCES = ("model", "empirical", "user")
 _PROB_SUM_TOL = 1e-12
 
 
@@ -47,16 +46,11 @@ _PROB_SUM_TOL = 1e-12
 class OneParticleDistribution:
     """Probability simplex over the single-particle states ("colors").
 
-    ``provenance`` records where the numbers came from: "model" for
-    physics-derived spectra, "empirical" for relative frequencies u_c/U of
-    a measured urn (kept in ``empirical_urn``), "user" for everything else.
     Zero-probability colors stay in the support so color indexing survives
     spectrum truncation.
     """
 
     probs: np.ndarray
-    provenance: str = "user"
-    empirical_urn: OccupancyVector | None = None
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=np.float64).copy()
@@ -68,26 +62,22 @@ class OneParticleDistribution:
             raise ValueError("probabilities must be non-negative")
         if abs(float(p.sum()) - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
     @classmethod
-    def from_weights(
-        cls, weights: Sequence[float], provenance: str = "user"
-    ) -> "OneParticleDistribution":
+    def from_weights(cls, weights: Sequence[float]) -> "OneParticleDistribution":
         w = np.asarray(weights, dtype=np.float64)
         if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
             raise ValueError("weights must be finite, non-negative, with positive sum")
-        return cls(w / w.sum(), provenance=provenance)
+        return cls(w / w.sum())
 
     @classmethod
     def empirical_from_urn(cls, urn: OccupancyVector) -> "OneParticleDistribution":
         if urn.total == 0:
             raise ValueError("empirical distribution needs a non-empty urn")
         p = np.asarray(urn.counts, dtype=np.float64) / urn.total
-        return cls(p, provenance="empirical", empirical_urn=urn)
+        return cls(p)
 
     @property
     def num_colors(self) -> int:
@@ -287,13 +277,15 @@ def marginal(d: MultinomialDist | MvhgDist, color: int) -> np.ndarray:
 
 # --- sampling ---------------------------------------------------------------
 #
-# All samplers draw from numpy's PCG64 generator seeded explicitly, and use
-# fixed documented algorithms (categorical inversion with replacement,
-# sequential urn depletion without), so a (distribution, count, seed) triple
-# reproduces bit-identically on any platform. Each row reads its N uniforms
-# in row-major order; the Szilard split first reads `count` uniforms for the
-# left-side counts b, then per row b uniforms for the left side followed by
-# N - b for the right. PCG64 `random(a)` then `random(b)` is `random(a + b)`
+# sample() draws from numpy's PCG64 generator seeded explicitly, through
+# the sampler of the distribution's type, which writes its counts into the
+# (count, colours) zero matrix that sample() made, at N, count > 0. The
+# samplers use fixed documented algorithms (categorical inversion with
+# replacement, sequential urn depletion without), so a (distribution,
+# count, seed) triple reproduces bit-identically on any platform. Each row
+# reads its N uniforms in row-major order; the Szilard split first reads
+# `count` uniforms for the left-side counts b, then per row b uniforms for
+# the left side followed by N - b for the right. PCG64 `random(a)` then `random(b)` is `random(a + b)`
 # split at a, so drawing rows in pieces reads the same stream, and the rows
 # do not depend on the piece sizes. _uniform_pieces draws the (rows, N)
 # uniforms in pieces of at most a given number of cells into one buffer
@@ -363,22 +355,15 @@ def _categorical_counts(
     out[:, -1] += total - below
 
 
-def _sample_multinomial_counts(
-    rng: np.random.Generator, probs: np.ndarray, draws: int, count: int
-) -> np.ndarray:
-    out = np.zeros((count, probs.size), dtype=np.int64)
-    if draws == 0 or count == 0:
-        return out
+def _sample_multinomial_counts(rng: np.random.Generator, d: MultinomialDist, out) -> None:
+    count, draws = out.shape[0], d.N
     mask = np.empty(min(count * draws, _CHUNK_DRAWS), dtype=bool)
     for start, _, u in _uniform_pieces(rng, count, draws, _CHUNK_DRAWS):
         m, width = u.shape
-        _categorical_counts(u, probs, width, out[start : start + m], mask)
-    return out
+        _categorical_counts(u, d.p.probs, width, out[start : start + m], mask)
 
 
-def _sample_mvhg_counts(
-    rng: np.random.Generator, urn: OccupancyVector, draws: int, count: int
-) -> np.ndarray:
+def _sample_mvhg_counts(rng: np.random.Generator, d: MvhgDist, out) -> None:
     """Sequential urn depletion: draw t of a row takes the first colour whose
     cumulative remaining count exceeds u_t * (U - t), or the last colour if
     none does.
@@ -391,10 +376,8 @@ def _sample_mvhg_counts(
     one integer step held += held <= floor(u_t * (U - t)) + t over the
     (k - 1, rows) array of a block. held <= U and the targets are below U,
     so both fit the narrowest signed integer type that holds U."""
-    num_colors = urn.num_colors
-    out = np.zeros((count, num_colors), dtype=np.int64)
-    if draws == 0 or count == 0:
-        return out
+    urn, draws = d.urn, d.draw_count
+    count, num_colors = out.shape
     dtype = np.min_scalar_type(-urn.total - 1)
     edges = np.cumsum(np.asarray(urn.counts, dtype=np.int64))[:-1, None].astype(dtype)
     remaining = (urn.total - np.arange(draws)).astype(np.float64)
@@ -427,21 +410,16 @@ def _sample_mvhg_counts(
         block[:, -1] = draws
         block[:, 1:] -= held.T
         del targets, held, kept  # freed before the next block's uniforms are drawn
-    return out
 
 
-def _sample_szilard_counts(
-    rng: np.random.Generator, d: "SzilardSplitDist", count: int
-) -> np.ndarray:
+def _sample_szilard_counts(rng: np.random.Generator, d: SzilardSplitDist, out) -> None:
     """Left-side counts b of every row by inversion of the binomial split,
     then each row's left side from its first b uniforms and its right side
     from the other N - b, as one run of N uniforms per row."""
+    count = out.shape[0]
     split_cdf = np.cumsum(d.split_probabilities())
     split_cdf[-1] = 1.0
     b = np.searchsorted(split_cdf, rng.random(count), side="right")
-    out = np.zeros((count, d.num_colors), dtype=np.int64)
-    if d.N == 0 or count == 0:
-        return out
     k = d.left_dist.num_colors
     cells = min(count * d.N, _CHUNK_DRAWS)
     mask, on_left = np.empty(cells, dtype=bool), np.empty(cells, dtype=bool)
@@ -455,31 +433,27 @@ def _sample_szilard_counts(
         _categorical_counts(u, d.left_dist.probs, left, rows[:, :k], mask, side)
         _categorical_counts(
             u, d.right_dist.probs, width - left, rows[:, k:], mask, np.logical_not(side, out=side))
-    return out
 
 
-def sample(
-    d: OccupancyDistribution, count: int, seed: int = DEFAULT_SEED
-) -> list[OccupancyVector]:
-    """Draw `count` occupancy vectors; deterministic for a given seed."""
-    rows = _sample_counts(d, count, seed)
-    return [OccupancyVector(tuple(int(c) for c in row)) for row in rows]
+_SAMPLERS = {
+    MultinomialDist: _sample_multinomial_counts,
+    MvhgDist: _sample_mvhg_counts,
+    SzilardSplitDist: _sample_szilard_counts,
+}
 
 
-def _sample_counts(
-    d: OccupancyDistribution, count: int, seed: int = DEFAULT_SEED
-) -> np.ndarray:
-    """The draws of :func:`sample` as a (count, colours) int64 array."""
+def sample(d: OccupancyDistribution, count: int, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Draw ``count`` occupancy rows as a (count, colours) int64 array;
+    deterministic for a given seed. At N = 0 or count = 0 every row is
+    zero, and no uniform is read."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    rng = np.random.default_rng(seed)
-    if isinstance(d, MultinomialDist):
-        return _sample_multinomial_counts(rng, d.p.probs, d.N, count)
-    if isinstance(d, MvhgDist):
-        return _sample_mvhg_counts(rng, d.urn, d.draw_count, count)
-    if isinstance(d, SzilardSplitDist):
-        return _sample_szilard_counts(rng, d, count)
-    raise TypeError(f"cannot sample from {type(d).__name__}")
+    if type(d) not in _SAMPLERS:
+        raise TypeError(f"cannot sample from {type(d).__name__}")
+    out = np.zeros((count, d.num_colors), dtype=np.int64)
+    if d.N and count:
+        _SAMPLERS[type(d)](np.random.default_rng(seed), d, out)
+    return out
 
 
 # --- distances and convergence ----------------------------------------------

@@ -26,6 +26,9 @@ _WHOLE_GRID_CELLS = 2**12
 # ln k! and tau(k) are tabled at the counts 0.._TABLED_COUNTS - 1
 _TABLED_COUNTS = 2**12
 _BLOCK_CELLS = 2**18
+# _count_window bisects counts in float64: up to this many trials, the sum
+# a + b of two counts and each mid -+ 1 are exact, past it the search can stall
+_SEARCHED_COUNTS = 2**52
 # Binomial E{ln n!} below one mean count sums the counts 0..K for
 # K < _DILUTE_COUNTS: the threshold at K = 26 (2.17) exceeds every
 # N p / (1 - p) there, which is below 2 from N = 2 on (K is at most N)
@@ -137,17 +140,14 @@ def _log_choose(n, k):
 
 
 def _binomial_log_pmf(N: int, p, k):
-    """ln P(k) for k ~ Binomial(N, p), elementwise over p and k; the terms
-    of _log_choose(N, k), with ln N! read as a scalar."""
-    return (log_factorial(N) - _log_factorial(k) - _log_factorial(N - k)
-            + xlogy(k, p) + xlog1py(N - k, -p))
+    """ln P(k) for k ~ Binomial(N, p), elementwise over p and k."""
+    return _log_choose(N, k) + xlogy(k, p) + xlog1py(N - k, -p)
 
 
 def _hypergeometric_log_pmf(U: int, u, N: int, k):
     """ln P(k) for k ~ Hypergeometric(U, u, N), elementwise over u and k,
-    at N <= U; ln C(U, N) has the bits of _log_choose(U, N)."""
-    log_draws = log_factorial(U) - log_factorial(N) - log_factorial(U - N)
-    return _log_choose(u, k) + _log_choose(U - u, N - k) - log_draws
+    at N <= U."""
+    return _log_choose(u, k) + _log_choose(U - u, N - k) - _log_choose(U, N)
 
 
 def _binomial(N: int, p: np.ndarray):
@@ -196,7 +196,14 @@ def _count_window(
     hypergeometric count of n draws from an urn whose colour fraction is p,
     so the window serves both laws. A grid of at most _WHOLE_GRID_CELLS
     cells over all p is kept whole, without calling log_term.
+    CapExceededError if n is over _SEARCHED_COUNTS and some support holds
+    more than one count.
     """
+    if n > _SEARCHED_COUNTS and np.any(np.less(first, last)):
+        raise CapExceededError(
+            f"a count window over {n} trials is past the {_SEARCHED_COUNTS} (2**52) "
+            f"counts its float64 search can resolve", n, _SEARCHED_COUNTS
+        )
     n = float(n)
     p = np.asarray(p, dtype=np.float64)
     if p.size * (n + 1.0) <= _WHOLE_GRID_CELLS:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import DEFAULT_CAP, CapExceededError, OccupancyVector
-from .distributions import DEFAULT_SEED, OccupancyDistribution, _sample_counts
+from .distributions import DEFAULT_SEED, OccupancyDistribution, sample
 
 __all__ = [
     "ExactRational",
@@ -157,5 +157,5 @@ def mc_entropy_estimate(
     for bit."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    vals = -d.log_pmf_batch(_sample_counts(d, samples, seed))
+    vals = -d.log_pmf_batch(sample(d, samples, seed))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

@@ -263,7 +263,7 @@ def _probs_and_partition(
     # one probability per state, in non-decreasing energy order
     probs, partition = _boltzmann_weights(spec.energies, model, spec.degeneracy)
     per_state = np.repeat(probs, spec.degeneracy)
-    return OneParticleDistribution(per_state, provenance="model"), partition
+    return OneParticleDistribution(per_state), partition
 
 
 def boltzmann_distribution(

@@ -845,6 +845,60 @@ class TestSampleCommand:
         assert _sample_json(seed, counts) == want
 
 
+class TestOneSampleCall:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", TestSampleCommand.SPEC, "--count", "5"],
+            ["oracle", "mc-entropy", TestSampleCommand.SPEC, "--samples", "50"],
+        ],
+        ids=["sample", "mc-entropy"],
+    )
+    def test_each_command_calls_sample_once(self, capsys, monkeypatch, argv):
+        from occupancy_entropy import cli, distributions, oracle
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return distributions.sample(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample", counting)
+        monkeypatch.setattr(oracle, "sample", counting)
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1
+
+
+class TestSearchedCountLimit:
+    # the count window's float64 search resolves at most 2**52 trials; past
+    # it a support of more than one count is refused before any search
+    N = str(2**62)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entropy", '{"kind":"multinomial","N":%s,"probs":[0.5,0.5]}' % N],
+            ["gas", "--model", ELECTRON_BOX_3D, "--particles", N],
+            ["holevo", "--universe-size", N, "--draws", "100", "--probs", "0.5,0.3,0.2"],
+            ["entropy", '{"kind":"mvhg","urn":[%s,%d],"N":%s}' % (N, 2**62 - 1, N)],
+        ],
+        ids=["entropy_multinomial", "gas", "holevo_exact", "entropy_mvhg"],
+    )
+    def test_exits_3_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert f"over {self.N} trials" in captured.err and f"{2**52} (2**52)" in captured.err
+        assert elapsed < 1.0
+
+    def test_one_colour_holevo_still_runs(self, capsys):
+        code, out = run(
+            capsys, "holevo", "--universe-size", self.N, "--draws", "100", "--probs", "1")
+        assert code == 0 and json.loads(out)["chi"] == 0.0
+
+
 class TestOracleCommand:
     def test_mvhg_fractions(self, capsys):
         code, out = run(capsys, "oracle", "mvhg", "--urn", "2,2", "--draws", "2")

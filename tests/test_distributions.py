@@ -85,6 +85,18 @@ def reference_szilard(rng, d, count):
     return out
 
 
+def multinomial(probs, draws):
+    return MultinomialDist(draws, OneParticleDistribution(probs))
+
+
+def drawn(rng, d, count):
+    """The rows of sample(d, count), drawn by d's sampler from ``rng`` in
+    place of the seeded generator; needs d.N > 0."""
+    out = np.zeros((count, d.num_colors), dtype=np.int64)
+    distributions._SAMPLERS[type(d)](rng, d, out)
+    return out
+
+
 class FixedUniforms:
     """A stand-in generator whose random() hands out given values in order."""
 
@@ -162,13 +174,9 @@ class TestOneParticleDistribution:
     def test_from_weights_normalizes(self):
         p = OneParticleDistribution.from_weights([2, 2, 4])
         assert p.probs == pytest.approx([0.25, 0.25, 0.5])
-        assert p.provenance == "user"
 
-    def test_empirical_carries_urn(self):
-        urn = OccupancyVector((3, 1))
-        p = OneParticleDistribution.empirical_from_urn(urn)
-        assert p.provenance == "empirical"
-        assert p.empirical_urn == urn
+    def test_empirical_is_the_urn_fractions(self):
+        p = OneParticleDistribution.empirical_from_urn(OccupancyVector((3, 1)))
         assert p.probs == pytest.approx([0.75, 0.25])
 
     def test_entropy(self):
@@ -231,7 +239,7 @@ class TestLogPmfBatchIsRowIndependent:
     )
     def test_a_row_has_its_bits_in_any_batch(self, d):
         # each of the first 7 rows alone, among 7 rows and among 1,007
-        rows = distributions._sample_counts(d, 1007, seed=3)
+        rows = sample(d, 1007, seed=3)
         alone = np.concatenate([d.log_pmf_batch(rows[i : i + 1]) for i in range(7)])
         for batch in (rows[:7], rows):
             assert np.array_equal(d.log_pmf_batch(batch)[:7].view(np.int64), alone.view(np.int64))
@@ -322,7 +330,7 @@ class TestMvhgPmf:
         impossible = np.zeros((2, len(counts)), dtype=np.int64)
         impossible[:, :2] = [[counts[0] + 1, draws - counts[0] - 1], [-1, draws + 1]]
         for d in (MvhgDist(urn, draws), limit):
-            rows = distributions._sample_counts(d, 20000, seed=5)
+            rows = sample(d, 20000, seed=5)
             assert_scalar_has_the_batch_bits(d, np.concatenate((rows, impossible)))
 
 
@@ -420,20 +428,44 @@ class TestMarginal:
 
 
 class TestSampling:
-    def test_zero_count(self):
-        assert sample(MultinomialDist(2, uniform(2)), 0) == []
+    @pytest.mark.parametrize(
+        "d",
+        [
+            MultinomialDist(4, OneParticleDistribution([0.2, 0.0, 0.8])),
+            MultinomialDist(0, uniform(3)),
+            MvhgDist(OccupancyVector((5, 3, 2)), 4),
+            MvhgDist(OccupancyVector((5, 3, 2)), 0),
+            MvhgDist(OccupancyVector(()), 0),
+            SzilardSplitDist(5, 0.3, uniform(2), uniform(3)),
+            SzilardSplitDist(0, 0.3, uniform(2), uniform(3)),
+        ],
+        ids=["multinomial", "multinomial_N0", "mvhg", "mvhg_N0", "mvhg_no_colours",
+             "szilard", "szilard_N0"],
+    )
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_an_int64_count_matrix(self, d, count):
+        rows = sample(d, count, seed=4)
+        assert rows.dtype == np.int64
+        assert rows.shape == (count, d.num_colors)
+        assert (rows.sum(axis=1) == d.N).all()
+        if d.N == 0:
+            assert not rows.any()
+
+    def test_refuses_a_negative_count_and_an_unknown_law(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample(MultinomialDist(2, uniform(2)), -1)
+        with pytest.raises(TypeError, match="cannot sample from OneParticleDistribution"):
+            sample(uniform(2), 3)
 
     def test_exhaustive_draw(self):
         d = MvhgDist(OccupancyVector((3, 1)), 4)
-        for v in sample(d, 25, seed=5):
-            assert v.counts == (3, 1)
+        assert sample(d, 25, seed=5).tolist() == [[3, 1]] * 25
 
     def test_deterministic_given_seed(self):
         d = MvhgDist(OccupancyVector((5, 3, 2)), 4)
         a = sample(d, 50, seed=99)
-        b = sample(d, 50, seed=99)
-        assert a == b
-        assert a != sample(d, 50, seed=100)
+        assert np.array_equal(a, sample(d, 50, seed=99))
+        assert not np.array_equal(a, sample(d, 50, seed=100))
 
     def test_chunk_size_does_not_change_samples(self, monkeypatch):
         # PCG64 fills arrays in order, so rows drawn chunk by chunk are the
@@ -455,7 +487,7 @@ class TestSampling:
             for chunk in (7, default):
                 monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
                 rows[chunk] = sample(d, 40, seed=21)
-            assert rows[7] == rows[default]
+            assert np.array_equal(rows[7], rows[default])
 
     @pytest.mark.parametrize("seed", [0, 21, 2**40 + 3])
     def test_pcg64_stream_splits_at_any_point(self, seed):
@@ -476,44 +508,33 @@ class TestSampling:
 
     def test_multinomial_mean_within_3_sigma(self):
         d = MultinomialDist(10**4, uniform(2))
-        draws = sample(d, 10**4, seed=11)
-        mean0 = np.mean([v[0] for v in draws])
+        mean0 = sample(d, 10**4, seed=11)[:, 0].mean()
         # binomial moments: mean 5000, sd 50; sample-mean sd 0.5
         assert abs(mean0 - 5000.0) <= 3 * 50.0 / math.sqrt(10**4)
 
-    def test_empirical_pmf_within_4_sigma(self):
-        d = MvhgDist(OccupancyVector((4, 3)), 3)
-        n_samples = 10**5
-        draws = sample(d, n_samples, seed=3)
-        freq = {}
-        for v in draws:
-            freq[v.counts] = freq.get(v.counts, 0) + 1
-        for v in enumerate_occupancies(3, 2):
+    @staticmethod
+    def assert_pmf_within_4_sigma(d, n_samples, seed):
+        distinct, freq = np.unique(sample(d, n_samples, seed=seed), axis=0, return_counts=True)
+        observed = dict(zip(map(tuple, distinct.tolist()), freq.tolist()))
+        for v in enumerate_occupancies(d.N, d.num_colors):
             p = d.pmf(v.counts)
-            observed = freq.get(v.counts, 0) / n_samples
             sigma = math.sqrt(p * (1 - p) / n_samples)
-            assert abs(observed - p) <= 4 * sigma + 1e-12
+            assert abs(observed.get(v.counts, 0) / n_samples - p) <= 4 * sigma + 1e-12
+
+    def test_empirical_pmf_within_4_sigma(self):
+        self.assert_pmf_within_4_sigma(MvhgDist(OccupancyVector((4, 3)), 3), 10**5, 3)
 
     def test_million_sample_pmf_within_4_sigma(self):
         d = MultinomialDist(3, OneParticleDistribution([0.2, 0.3, 0.5]))
-        n_samples = 10**6
-        freq = {}
-        for v in sample(d, n_samples, seed=19):
-            freq[v.counts] = freq.get(v.counts, 0) + 1
-        for v in enumerate_occupancies(3, 3):
-            p = d.pmf(v.counts)
-            observed = freq.get(v.counts, 0) / n_samples
-            sigma = math.sqrt(p * (1 - p) / n_samples)
-            assert abs(observed - p) <= 4 * sigma + 1e-12
+        self.assert_pmf_within_4_sigma(d, 10**6, 19)
 
     def test_multinomial_sampler_never_picks_zero_prob_color(self):
         d = MultinomialDist(5, OneParticleDistribution([0.5, 0.0, 0.5]))
-        assert all(v[1] == 0 for v in sample(d, 500, seed=1))
+        assert not sample(d, 500, seed=1)[:, 1].any()
 
     def test_szilard_sampling_on_shell(self):
         d = SzilardSplitDist(3, 0.5, uniform(2), uniform(2))
-        for v in sample(d, 200, seed=8):
-            assert v.total == 3
+        assert (sample(d, 200, seed=8).sum(axis=1) == 3).all()
 
 
 class TestSamplersMatchScalarReferences:
@@ -531,9 +552,7 @@ class TestSamplersMatchScalarReferences:
     def test_mvhg(self, counts, rows, seed, data):
         urn = OccupancyVector(tuple(counts))
         draws = data.draw(st.integers(min_value=0, max_value=urn.total))
-        got = distributions._sample_mvhg_counts(
-            np.random.default_rng(seed), urn, draws, rows
-        )
+        got = sample(MvhgDist(urn, draws), rows, seed)
         want = reference_mvhg(np.random.default_rng(seed), urn, draws, rows)
         assert np.array_equal(got, want)
 
@@ -545,9 +564,7 @@ class TestSamplersMatchScalarReferences:
     )
     @settings(max_examples=120, deadline=None)
     def test_multinomial(self, p, draws, rows, seed):
-        got = distributions._sample_multinomial_counts(
-            np.random.default_rng(seed), p.probs, draws, rows
-        )
+        got = sample(MultinomialDist(draws, p), rows, seed)
         want = reference_multinomial(np.random.default_rng(seed), p.probs, draws, rows)
         assert np.array_equal(got, want)
 
@@ -562,7 +579,7 @@ class TestSamplersMatchScalarReferences:
     @settings(max_examples=120, deadline=None)
     def test_szilard(self, N, fraction, left, right, rows, seed):
         d = SzilardSplitDist(N, fraction, left, right)
-        got = distributions._sample_counts(d, rows, seed)
+        got = sample(d, rows, seed)
         want = reference_szilard(np.random.default_rng(seed), d, rows)
         assert np.array_equal(got, want)
 
@@ -571,15 +588,15 @@ class TestSamplersMatchScalarReferences:
         # cdf edges; a tie goes to the next colour, past zero-count colours
         grid = np.random.default_rng(3).integers(0, 8, size=4000) / 8.0
         urn = OccupancyVector((0, 2, 0, 2, 4, 0))
-        got = distributions._sample_mvhg_counts(FixedUniforms(grid), urn, 8, 50)
+        got = drawn(FixedUniforms(grid), MvhgDist(urn, 8), 50)
         want = reference_mvhg(FixedUniforms(grid), urn, 8, 50)
         assert np.array_equal(got, want)
         probs = np.array([0.25, 0.0, 0.25, 0.5])
-        got = distributions._sample_multinomial_counts(FixedUniforms(grid), probs, 8, 50)
+        got = drawn(FixedUniforms(grid), multinomial(probs, 8), 50)
         want = reference_multinomial(FixedUniforms(grid), probs, 8, 50)
         assert np.array_equal(got, want)
         d = SzilardSplitDist(8, 0.5, OneParticleDistribution(probs), uniform(4))
-        got = distributions._sample_szilard_counts(FixedUniforms(grid), d, 50)
+        got = drawn(FixedUniforms(grid), d, 50)
         want = reference_szilard(FixedUniforms(grid), d, 50)
         assert np.array_equal(got, want)
 
@@ -593,7 +610,7 @@ class TestMvhgUrnKernel:
     def test_matches_reference_at_integer_type_edges(self, total, tail):
         urn = OccupancyVector((total - sum(tail) - 3, 3, *tail))
         draws = 6 if total < 2**15 else 3
-        got = distributions._sample_mvhg_counts(np.random.default_rng(17), urn, draws, 40)
+        got = drawn(np.random.default_rng(17), MvhgDist(urn, draws), 40)
         want = reference_mvhg(np.random.default_rng(17), urn, draws, 40)
         assert np.array_equal(got, want)
 
@@ -613,7 +630,7 @@ class TestMvhgUrnKernel:
         # with 64-cell chunks a block is 512 bytes and a slice 16 uniforms
         monkeypatch.setattr(distributions, "_CHUNK_DRAWS", 64)
         urn = OccupancyVector(counts)
-        got = distributions._sample_mvhg_counts(np.random.default_rng(8), urn, draws, rows)
+        got = drawn(np.random.default_rng(8), MvhgDist(urn, draws), rows)
         want = reference_mvhg(np.random.default_rng(8), urn, draws, rows)
         assert np.array_equal(got, want)
 
@@ -624,7 +641,7 @@ class TestMvhgUrnKernel:
         values = np.random.default_rng(4).random(4000)
         values.setflags(write=False)
         urn = OccupancyVector((9, 4, 0, 7))
-        got = distributions._sample_mvhg_counts(FixedUniforms(values), urn, 6, 150)
+        got = drawn(FixedUniforms(values), MvhgDist(urn, 6), 150)
         want = reference_mvhg(FixedUniforms(values.copy()), urn, 6, 150)
         assert np.array_equal(got, want)
         assert np.array_equal(values, np.random.default_rng(4).random(4000))
@@ -654,7 +671,7 @@ class TestMvhgChunkMemory:
         rng = np.random.default_rng(5)
         tracemalloc.start()
         try:
-            out = distributions._sample_mvhg_counts(rng, urn, draws, rows)
+            out = drawn(rng, MvhgDist(urn, draws), rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -673,7 +690,7 @@ class TestColumnPieces:
     def test_multinomial(self, monkeypatch, draws, rows):
         monkeypatch.setattr(distributions, "_CHUNK_DRAWS", 64)
         probs = np.array([0.3, 0.0, 0.2, 0.5])
-        got = distributions._sample_multinomial_counts(np.random.default_rng(6), probs, draws, rows)
+        got = drawn(np.random.default_rng(6), multinomial(probs, draws), rows)
         want = reference_multinomial(np.random.default_rng(6), probs, draws, rows)
         assert np.array_equal(got, want)
 
@@ -685,7 +702,7 @@ class TestColumnPieces:
         d = SzilardSplitDist(
             N, 0.4, OneParticleDistribution([0.5, 0.0, 0.5]), OneParticleDistribution([0.2, 0.8])
         )
-        got = distributions._sample_szilard_counts(np.random.default_rng(7), d, rows)
+        got = drawn(np.random.default_rng(7), d, rows)
         want = reference_szilard(np.random.default_rng(7), d, rows)
         assert np.array_equal(got, want)
 
@@ -694,7 +711,7 @@ class TestColumnPieces:
     def test_mvhg(self, monkeypatch, draws, rows):
         monkeypatch.setattr(distributions, "_CHUNK_DRAWS", 64)
         urn = OccupancyVector((60, 0, 25, 40))
-        got = distributions._sample_mvhg_counts(np.random.default_rng(8), urn, draws, rows)
+        got = drawn(np.random.default_rng(8), MvhgDist(urn, draws), rows)
         want = reference_mvhg(np.random.default_rng(8), urn, draws, rows)
         assert np.array_equal(got, want)
 
@@ -704,13 +721,13 @@ class TestColumnPieces:
         monkeypatch.setattr(distributions, "_CHUNK_DRAWS", 4)
         grid = np.random.default_rng(3).integers(0, 8, size=4000) / 8.0
         urn = OccupancyVector((0, 2, 0, 2, 4, 0))
-        got = distributions._sample_mvhg_counts(FixedUniforms(grid), urn, 8, 50)
+        got = drawn(FixedUniforms(grid), MvhgDist(urn, 8), 50)
         assert np.array_equal(got, reference_mvhg(FixedUniforms(grid), urn, 8, 50))
         probs = np.array([0.25, 0.0, 0.25, 0.5])
-        got = distributions._sample_multinomial_counts(FixedUniforms(grid), probs, 8, 50)
+        got = drawn(FixedUniforms(grid), multinomial(probs, 8), 50)
         assert np.array_equal(got, reference_multinomial(FixedUniforms(grid), probs, 8, 50))
         d = SzilardSplitDist(8, 0.5, OneParticleDistribution(probs), uniform(4))
-        got = distributions._sample_szilard_counts(FixedUniforms(grid), d, 50)
+        got = drawn(FixedUniforms(grid), d, 50)
         assert np.array_equal(got, reference_szilard(FixedUniforms(grid), d, 50))
 
 
@@ -729,7 +746,7 @@ class TestByteSumCounts:
     def test_multinomial_matches_reference(self, monkeypatch, chunk, width):
         monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         probs = np.array([0.3, 0.0, 0.2, 0.5, 0.0])
-        got = distributions._sample_multinomial_counts(np.random.default_rng(9), probs, width, 3)
+        got = drawn(np.random.default_rng(9), multinomial(probs, width), 3)
         want = reference_multinomial(np.random.default_rng(9), probs, width, 3)
         assert np.array_equal(got, want)
 
@@ -738,7 +755,7 @@ class TestByteSumCounts:
     def test_eighths_grid_ties(self, monkeypatch, chunk, width):
         monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         probs = np.array([0.25, 0.0, 0.25, 0.5])
-        got = distributions._sample_multinomial_counts(FixedUniforms(self.TIES), probs, width, 3)
+        got = drawn(FixedUniforms(self.TIES), multinomial(probs, width), 3)
         want = reference_multinomial(FixedUniforms(self.TIES), probs, width, 3)
         assert np.array_equal(got, want)
 
@@ -748,8 +765,7 @@ class TestByteSumCounts:
         # takes all 65,537 draws of each row: one byte sum of a full mask
         monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         probs = np.array([0.0, 0.0, 0.5, 0.5])
-        got = distributions._sample_multinomial_counts(
-            FixedUniforms(np.zeros(2 * 65_537)), probs, 65_537, 2)
+        got = drawn(FixedUniforms(np.zeros(2 * 65_537)), multinomial(probs, 65_537), 2)
         assert got.tolist() == [[0, 0, 65_537, 0]] * 2
 
 
@@ -766,7 +782,7 @@ class TestSzilardSideMask:
         top = np.nextafter(1.0, 0.0)
         splits = [0.0, top, 0.0, top, 0.5]
         values = np.concatenate((splits, np.random.default_rng(4).random(len(splits) * N)))
-        got = distributions._sample_szilard_counts(FixedUniforms(values), d, len(splits))
+        got = drawn(FixedUniforms(values), d, len(splits))
         assert np.array_equal(got, reference_szilard(FixedUniforms(values), d, len(splits)))
         assert got[:4, :3].sum(axis=1).tolist() == [0, N, 0, N]
         assert (got.sum(axis=1) == N).all()
@@ -776,7 +792,7 @@ class TestSzilardSideMask:
         monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         grid = np.random.default_rng(5).integers(0, 8, size=40 * 21) / 8.0
         d = SzilardSplitDist(20, 0.5, OneParticleDistribution([0.25, 0.0, 0.75]), uniform(4))
-        got = distributions._sample_szilard_counts(FixedUniforms(grid), d, 40)
+        got = drawn(FixedUniforms(grid), d, 40)
         assert np.array_equal(got, reference_szilard(FixedUniforms(grid), d, 40))
 
 
@@ -796,10 +812,9 @@ class TestAdvanceRule:
     def test_with_replacement_rows(self, monkeypatch, chunk, r):
         monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         probs = np.array([0.3, 0.0, 0.2, 0.5])
-        rows = distributions._sample_multinomial_counts(
-            np.random.default_rng(self.SEED), probs, self.N, self.COUNT)
-        tail = distributions._sample_multinomial_counts(
-            self._advanced(r * self.N), probs, self.N, self.COUNT - r)
+        d = multinomial(probs, self.N)
+        rows = drawn(np.random.default_rng(self.SEED), d, self.COUNT)
+        tail = drawn(self._advanced(r * self.N), d, self.COUNT - r)
         assert np.array_equal(rows[r:], tail)
 
     @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 16])
@@ -807,10 +822,9 @@ class TestAdvanceRule:
     def test_urn_rows(self, monkeypatch, chunk, r):
         monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         urn = OccupancyVector((60, 0, 25, 40))
-        rows = distributions._sample_mvhg_counts(
-            np.random.default_rng(self.SEED), urn, self.N, self.COUNT)
-        tail = distributions._sample_mvhg_counts(
-            self._advanced(r * self.N), urn, self.N, self.COUNT - r)
+        d = MvhgDist(urn, self.N)
+        rows = drawn(np.random.default_rng(self.SEED), d, self.COUNT)
+        tail = drawn(self._advanced(r * self.N), d, self.COUNT - r)
         assert np.array_equal(rows[r:], tail)
 
     @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 16])
@@ -819,7 +833,7 @@ class TestAdvanceRule:
         monkeypatch.setattr(distributions, "_CHUNK_DRAWS", chunk)
         d = SzilardSplitDist(
             self.N, 0.4, OneParticleDistribution([0.5, 0.0, 0.5]), uniform(3))
-        rows = distributions._sample_counts(d, self.COUNT, self.SEED)
+        rows = sample(d, self.COUNT, self.SEED)
         split_cdf = np.cumsum(d.split_probabilities())
         split_cdf[-1] = 1.0
         splits = self._advanced(r).random(self.COUNT - r)
@@ -863,7 +877,7 @@ class TestWithReplacementChunkMemory:
         probs = np.array([0.3, 0.2, 0.5])
         rng = np.random.default_rng(5)
         out, peak = _traced_peak(
-            lambda: distributions._sample_multinomial_counts(rng, probs, draws, rows))
+            lambda: drawn(rng, multinomial(probs, draws), rows))
         assert peak <= chunk * (8 + 1) + out.nbytes + 2**17
 
     @pytest.mark.parametrize(
@@ -881,7 +895,7 @@ class TestWithReplacementChunkMemory:
         law = d.split_probabilities()
         monkeypatch.setattr(SzilardSplitDist, "split_probabilities", lambda self: law)
         rng = np.random.default_rng(5)
-        out, peak = _traced_peak(lambda: distributions._sample_szilard_counts(rng, d, rows))
+        out, peak = _traced_peak(lambda: drawn(rng, d, rows))
         assert peak <= law.nbytes + chunk * (8 + 1 + 1 + 8) + out.nbytes + 2**17
 
     @pytest.mark.parametrize("N, rows", [(50, 5000), (500, 2000)])
@@ -894,7 +908,7 @@ class TestWithReplacementChunkMemory:
         law = d.split_probabilities()
         monkeypatch.setattr(SzilardSplitDist, "split_probabilities", lambda self: law)
         rng = np.random.default_rng(5)
-        out, peak = _traced_peak(lambda: distributions._sample_szilard_counts(rng, d, rows))
+        out, peak = _traced_peak(lambda: drawn(rng, d, rows))
         chunk = distributions._CHUNK_DRAWS
         assert peak <= law.nbytes + chunk * (8 + 1 + 1) + out.nbytes + 2**18
 

