@@ -34,7 +34,6 @@ from .entropy import (
 )
 from .marginals import log_factorial
 from .oracle import (
-    ExactRational,
     brute_force_mvhg,
     brute_force_partial_trace,
     exact_multinomial_coeff,

@@ -41,9 +41,20 @@ from .entropy import (
     mvhg_entropy,
     szilard_split_entropy,
 )
-from .oracle import brute_force_mvhg, brute_force_partial_trace, mc_entropy_estimate
-from .physics import BoxModel, SpectrumTruncation, ideal_gas_entropy, szilard_insertion
-from .quantum import empirical_information, holevo_chi, measurement_ledger
+from .oracle import (
+    DEFAULT_URN_CAP,
+    brute_force_mvhg,
+    brute_force_partial_trace,
+    mc_entropy_estimate,
+)
+from .physics import (
+    DEFAULT_TRUNCATION,
+    BoxModel,
+    SpectrumTruncation,
+    ideal_gas_entropy,
+    szilard_insertion,
+)
+from .quantum import _MC_SAMPLES, empirical_information, holevo_chi, measurement_ledger
 
 SCHEMA_VERSION = 1
 
@@ -356,15 +367,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.oracle_command == "mvhg":
+    if args.oracle_command in ("mvhg", "ptrace"):
         urn = OccupancyVector(tuple(_int_list(args.urn, "--urn")))
-        table = brute_force_mvhg(urn, args.draws, urn_cap=args.cap)
-        _emit_json(
-            {"pmf": {" ".join(map(str, k.counts)): str(v) for k, v in table.items()}}
-        )
-    elif args.oracle_command == "ptrace":
-        urn = OccupancyVector(tuple(_int_list(args.urn, "--urn")))
-        table = brute_force_partial_trace(urn, args.draws, microstate_cap=args.cap)
+        walk = brute_force_mvhg if args.oracle_command == "mvhg" else brute_force_partial_trace
+        table = walk(urn, args.draws, args.cap)
         _emit_json(
             {"pmf": {" ".join(map(str, k.counts)): str(v) for k, v in table.items()}}
         )
@@ -386,8 +392,8 @@ def _arg(*flags, **kwargs):
 
 _SPEC = _arg("spec", help="inline JSON or path to a distribution spec")
 _MODEL = _arg("--model", required=True, help="inline JSON or path to a box model")
-_TRUNCATION = [_arg("--tail-bound", type=float, default=1e-14),
-               _arg("--max-states", type=_int64, default=4_000_000)]
+_TRUNCATION = [_arg("--tail-bound", type=float, default=DEFAULT_TRUNCATION.relative_tail_bound),
+               _arg("--max-states", type=_int64, default=DEFAULT_TRUNCATION.max_states)]
 _DRAWS = _arg("--draws", type=_int64, required=True)
 _SEED = _arg("--seed", type=int, default=DEFAULT_SEED)
 _CAP = _arg("--cap", type=_int64, default=DEFAULT_CAP)
@@ -411,7 +417,7 @@ COMMANDS = {
         _arg("--probs", required=True, help="comma-separated probabilities"),
         _arg("--normalize", action="store_true"),
         _arg("--mode", choices=["exact", "monte_carlo"], default="exact"),
-        _arg("--mc-samples", type=_int64, default=10_000), _SEED]),
+        _arg("--mc-samples", type=_int64, default=_MC_SAMPLES), _SEED]),
     "empirical-info": (cmd_empirical_info,
                        "entropy gap of the empirical model over the exact draw",
                        [_arg("--urn", required=True, help="comma-separated counts"), _DRAWS]),
@@ -421,7 +427,8 @@ COMMANDS = {
         _SPEC, _arg("--count", type=_int64, required=True), _SEED,
         _arg("--format", choices=["json", "csv"], default="json")]),
     "oracle": (cmd_oracle, None, {
-        "mvhg": [_arg("--urn", required=True), _DRAWS, _arg("--cap", type=_int64, default=10)],
+        "mvhg": [_arg("--urn", required=True), _DRAWS,
+                 _arg("--cap", type=_int64, default=DEFAULT_URN_CAP)],
         "ptrace": [_arg("--urn", required=True), _DRAWS, _CAP],
         "mc-entropy": [_arg("spec"), _arg("--samples", type=_int64, required=True), _SEED]}),
 }
@@ -470,7 +477,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except CapExceededError as exc:
+    except (CapExceededError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (InputSpecError, ValueError, KeyError, TypeError) as exc:

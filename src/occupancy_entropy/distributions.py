@@ -15,7 +15,14 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .combinatorics import DEFAULT_CAP, OccupancyVector, _check_support, support_matrix
+from .combinatorics import (
+    DEFAULT_CAP,
+    CapExceededError,
+    OccupancyVector,
+    _check_support,
+    require_int,
+    support_matrix,
+)
 from .marginals import (
     _binomial_marginal,
     _count_log_choose,
@@ -92,9 +99,18 @@ class OneParticleDistribution:
         return float(-(p * np.log(p)).sum())
 
 
-def _check_length(n: Sequence[int], num_colors: int) -> None:
-    if len(n) != num_colors:
-        raise ValueError(f"occupancy vector has {len(n)} colors, expected {num_colors}")
+# Each law takes these two as its own log_pmf and pmf: perfbench/tracing.py
+# patches both names in each class's own __dict__.
+def _one_row_log_pmf(d, n: Sequence[int]) -> float:
+    """ln P(n), the one-row view of the law's log_pmf_batch, so it has the
+    batch's bits."""
+    if len(n) != d.num_colors:
+        raise ValueError(f"occupancy vector has {len(n)} colors, expected {d.num_colors}")
+    return float(d.log_pmf_batch(np.asarray([n], dtype=np.int64))[0])
+
+
+def _pmf(d, n: Sequence[int]) -> float:
+    return math.exp(d.log_pmf(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +128,7 @@ class MultinomialDist:
     def num_colors(self) -> int:
         return self.p.num_colors
 
-    def log_pmf(self, n: Sequence[int]) -> float:
-        """The one-row view of log_pmf_batch, so it has the batch's bits."""
-        _check_length(n, self.num_colors)
-        return float(self.log_pmf_batch(np.asarray([n], dtype=np.int64))[0])
-
-    def pmf(self, n: Sequence[int]) -> float:
-        return math.exp(self.log_pmf(n))
+    log_pmf, pmf = _one_row_log_pmf, _pmf
 
     def log_pmf_batch(self, counts: np.ndarray) -> np.ndarray:
         """Log-pmf over rows of an occupancy matrix (rows must sum to N):
@@ -146,6 +156,7 @@ class MvhgDist:
     draw_count: int
 
     def __post_init__(self) -> None:
+        require_int(self.urn.total, "urn total")
         if not 0 <= self.draw_count <= self.urn.total:
             raise ValueError(
                 f"draw count {self.draw_count} outside [0, {self.urn.total}]"
@@ -159,30 +170,7 @@ class MvhgDist:
     def num_colors(self) -> int:
         return self.urn.num_colors
 
-    @cached_property
-    def _log_choose_draws(self) -> float:
-        """ln C(U, N), in the cancellation-free form of _count_log_choose."""
-        return _count_log_choose(self.urn.total, self.draw_count)
-
-    def log_pmf(self, n: Sequence[int]) -> float:
-        """The formula of _mvhg_log_pmf_grid, its terms summed by the same
-        numpy reduction, so it has the bits of log_pmf_batch. It is not the
-        batch's one-row view, as MultinomialDist.log_pmf is: that view costs
-        about six times as much a call, and row-by-row callers, such as the
-        check of every small urn's pmf against the exact draw tree, make
-        hundreds of thousands of calls."""
-        _check_length(n, self.num_colors)
-        counts = [int(c) for c in n]
-        if sum(counts) != self.draw_count or any(
-            not 0 <= c <= u for c, u in zip(counts, self.urn)
-        ):
-            return float("-inf")
-        terms = [log_factorial(u) - (log_factorial(c) + log_factorial(u - c))
-                 for u, c in zip(self.urn, counts)]
-        return float(np.add.reduce(np.array(terms))) - self._log_choose_draws
-
-    def pmf(self, n: Sequence[int]) -> float:
-        return math.exp(self.log_pmf(n))
+    log_pmf, pmf = _one_row_log_pmf, _pmf
 
     def log_pmf_batch(self, counts: np.ndarray) -> np.ndarray:
         counts = np.asarray(counts)
@@ -247,11 +235,7 @@ class SzilardSplitDist:
         weights = np.concatenate((f * self.left_dist.probs, (1 - f) * self.right_dist.probs))
         return MultinomialDist(self.N, OneParticleDistribution.from_weights(weights))
 
-    def log_pmf(self, n: Sequence[int]) -> float:
-        return self._multinomial.log_pmf(n)
-
-    def pmf(self, n: Sequence[int]) -> float:
-        return self._multinomial.pmf(n)
+    log_pmf, pmf = _one_row_log_pmf, _pmf
 
     def log_pmf_batch(self, counts: np.ndarray) -> np.ndarray:
         return self._multinomial.log_pmf_batch(counts)
@@ -309,6 +293,18 @@ def marginal(d: MultinomialDist | MvhgDist, color: int) -> np.ndarray:
 # A worker seed of seed + i would draw other rows.
 
 _CHUNK_DRAWS = 2**18
+# A seeded draw reads or holds at most this many cells: sample() checks its
+# count * max(N, colours), quantum._prior_universes its samples * colours,
+# before anything is allocated or drawn.
+_DRAW_CELLS = 2**30
+
+
+def _check_draw_cells(rows: int, width: int, what: str) -> None:
+    cells = rows * width
+    if cells > _DRAW_CELLS:
+        raise CapExceededError(
+            f"{what} needs {rows} x {width} = {cells} cells, over the cap of {_DRAW_CELLS}",
+            cells, _DRAW_CELLS)
 
 
 def _uniform_pieces(rng: np.random.Generator, count: int, draws: int, cells: int):
@@ -450,6 +446,7 @@ def sample(d: OccupancyDistribution, count: int, seed: int = DEFAULT_SEED) -> np
         raise ValueError("count must be non-negative")
     if type(d) not in _SAMPLERS:
         raise TypeError(f"cannot sample from {type(d).__name__}")
+    _check_draw_cells(count, max(d.N, d.num_colors), "a sample")
     out = np.zeros((count, d.num_colors), dtype=np.int64)
     if d.N and count:
         _SAMPLERS[type(d)](np.random.default_rng(seed), d, out)

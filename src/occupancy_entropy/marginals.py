@@ -69,7 +69,6 @@ def _stirling_remainder(x) -> np.ndarray:
 
 _TAU_COUNTS = _stirling_remainder(np.arange(float(_TABLED_COUNTS)))
 _LOG_FACTORIALS = gammaln(np.arange(_TABLED_COUNTS) + 1.0)
-_LOG_FACTORIAL_LIST = _LOG_FACTORIALS.tolist()
 
 
 def _dilute_thresholds() -> np.ndarray:
@@ -110,8 +109,6 @@ def log_factorial(n: int) -> float:
     """ln n! for a whole count n >= 0, with the bits of _log_factorial."""
     if n < 0:
         raise ValueError(f"factorial undefined for negative n={n}")
-    if n < _TABLED_COUNTS:
-        return _LOG_FACTORIAL_LIST[n]
     return float(_log_factorial(n))
 
 

@@ -16,16 +16,11 @@ from .combinatorics import DEFAULT_CAP, CapExceededError, OccupancyVector
 from .distributions import DEFAULT_SEED, OccupancyDistribution, sample
 
 __all__ = [
-    "ExactRational",
     "exact_multinomial_coeff",
     "brute_force_mvhg",
     "brute_force_partial_trace",
     "mc_entropy_estimate",
 ]
-
-# Arbitrary-precision reduced rationals with positive denominator: exactly
-# the stdlib Fraction contract.
-ExactRational = Fraction
 
 DEFAULT_URN_CAP = 10
 

@@ -32,6 +32,7 @@ from .distributions import (
     MultinomialDist,
     MvhgDist,
     OneParticleDistribution,
+    _check_draw_cells,
     _mvhg_log_pmf_grid,
 )
 from .entropy import multinomial_entropy, mvhg_entropy
@@ -51,6 +52,8 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-10
 _EPS = 2.0**-52
+# holevo_chi's default number of Monte Carlo universes, and the CLI's
+_MC_SAMPLES = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +190,7 @@ def holevo_chi(
     N: int,
     p: OneParticleDistribution,
     mode: str = "exact",
-    mc_samples: int = 10_000,
+    mc_samples: int = _MC_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> HolevoEstimate:
     """Upper bound on the information any measurement on the system can
@@ -283,6 +286,7 @@ def _prior_universes(
     Schmeiser 1988), O(k) at any U, and gives the last colour the rest;
     a colour of zero probability left last could otherwise get the
     rounding of the others' sum."""
+    _check_draw_cells(samples, p.num_colors, "a Monte Carlo prior draw")
     positive = p.probs > 0.0
     q = p.probs[positive]
     out = np.zeros((samples, p.num_colors), dtype=np.int64)
