@@ -33,6 +33,7 @@ from occupancy_entropy import (
     sandwich_check,
 )
 from occupancy_entropy.cli import main
+from occupancy_entropy.combinatorics import support_matrix
 
 ELECTRON_MASS = 9.11e-31
 
@@ -103,12 +104,12 @@ def test_criterion_02_oracle_equivalence(verdict):
                     assert mvhg_entropy(d).total == pytest.approx(
                         entropy_by_enumeration(d), abs=1e-10
                     ), (urn.counts, n)
-                    table = brute_force_mvhg(urn, n)
-                    for v in enumerate_occupancies(n, c):
-                        exact = float(table.get(v, 0))
-                        assert d.pmf(v.counts) == pytest.approx(
-                            exact, abs=1e-12
-                        ), (urn.counts, n, v.counts)
+                    # every system row of the support, by one batch call
+                    rows = support_matrix(n, c)
+                    table = {k.counts: float(v) for k, v in brute_force_mvhg(urn, n).items()}
+                    exact = np.array([table.get(r, 0.0) for r in map(tuple, rows.tolist())])
+                    gap = np.abs(np.exp(d.log_pmf_batch(rows)) - exact)
+                    assert np.all(gap <= 1e-12), (urn.counts, n, gap.max())
         # microstate-enumeration trace, inside its own documented domain
         for c, u_max in [(1, 10), (2, 10), (3, 10), (4, 8)]:
             for urn in all_urns(c, u_max):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from occupancy_entropy import cli
 from occupancy_entropy.cli import (
     COMMANDS,
     PUBLIC_COMMANDS,
@@ -897,6 +898,73 @@ class TestSearchedCountLimit:
         code, out = run(
             capsys, "holevo", "--universe-size", self.N, "--draws", "100", "--probs", "1")
         assert code == 0 and json.loads(out)["chi"] == 0.0
+
+
+class TestDrawBudget:
+    # every draw here is refused by the cell check before anything is
+    # allocated or drawn
+    CAP = 2**30
+
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            (["sample", '{"kind":"multinomial","N":3,"probs":[0.5,0.5]}', "--count", str(10**12)],
+             3 * 10**12),
+            (["sample", '{"kind":"mvhg","urn":[3,3],"N":3}', "--count", str(10**12)], 3 * 10**12),
+            (["oracle", "mc-entropy", '{"kind":"mvhg","urn":[3,3],"N":3}', "--samples",
+              str(10**12)], 3 * 10**12),
+            (["sample", '{"kind":"mvhg","urn":[%d,%d],"N":%d}' % (10**12, 10**12, 10**12),
+              "--count", "1"], 10**12),
+            (["sample", '{"kind":"multinomial","N":%d,"probs":[0.5,0.5]}' % 2**62, "--count", "1"],
+             2**62),
+            (["holevo", "--universe-size", "100", "--draws", "10", "--probs", "0.5,0.5",
+              "--mode", "monte_carlo", "--mc-samples", str(10**10)], 2 * 10**10),
+            (["holevo", "--universe-size", "100", "--draws", "10", "--probs", "0.5,0.5",
+              "--mode", "monte_carlo", "--mc-samples", str(2**62)], 2**63),
+        ],
+        ids=["multinomial_count", "mvhg_count", "mc_entropy", "mvhg_draws", "multinomial_2_62",
+             "holevo_mc", "holevo_mc_2_62"],
+    )
+    def test_exits_3_at_once_with_the_cells_and_the_cap(self, capsys, argv, cells):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert f"= {cells} cells, over the cap of {self.CAP}" in captured.err
+        assert elapsed < 1.0
+
+    def test_memory_error_exits_3_with_its_message(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(cli, "sample", refuse)
+        code = main(["sample", '{"kind":"multinomial","N":3,"probs":[0.5,0.5]}', "--count", "2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: Unable to allocate 8.00 GiB\n"
+
+
+class TestUrnPast64Bits:
+    URN = "9000000000000000000,9000000000000000000"
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["entropy", '{"kind":"mvhg","urn":[%s],"N":3}' % URN], 2),
+            (["empirical-info", "--urn", URN, "--draws", "3"], 2),
+            (["converge", "--base-urn", "4,6,10", "--draws", "10", "--scales", str(10**18)], 3),
+        ],
+        ids=["entropy", "empirical_info", "converge"],
+    )
+    def test_is_refused_at_once(self, capsys, argv, exit_code):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == exit_code and captured.out == ""
+        assert "urn total must be an integer of at most 64 bits" in captured.err
+        assert elapsed < 1.0
 
 
 class TestOracleCommand:

@@ -22,6 +22,7 @@ from occupancy_entropy.distributions import (
     tv_distance,
 )
 from occupancy_entropy.entropy import entropy_by_enumeration
+from occupancy_entropy.marginals import _log_factorial
 from occupancy_entropy.quantum import bayesian_marginal_check
 
 QUARTER_FOUR = OneParticleDistribution([0.25] * 4)
@@ -52,6 +53,13 @@ class TestLogFactorial:
         # ln 4096 within the rounding of two values of about 30,000
         step = log_factorial(4096) - log_factorial(4095)
         assert abs(step - math.log(4096)) <= 2 * math.ulp(log_factorial(4096))
+
+    def test_has_the_bits_of_the_array_kernel(self):
+        # in the table, at its edge and past it, for Python and numpy ints
+        counts = np.array([*range(4200), 10**6, 2**52, 2**62], dtype=np.int64)
+        kernel = _log_factorial(counts)
+        assert [log_factorial(n) for n in counts.tolist()] == kernel.tolist()
+        assert [log_factorial(n) for n in counts[::97]] == kernel[::97].tolist()
 
 
 class TestLogFactorialReal:

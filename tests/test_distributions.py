@@ -234,8 +234,11 @@ class TestLogPmfBatchIsRowIndependent:
                 OneParticleDistribution.from_weights(range(1, 6)),
                 OneParticleDistribution.from_weights(range(1, 8)),
             ),
+            MvhgDist(OccupancyVector(tuple(range(40))), 150),
+            MvhgDist(OccupancyVector((3000, 2000, 5000)), 4500),
         ],
-        ids=["3_colours", "8_colours", "12_colours", "40_colours", "szilard"],
+        ids=["3_colours", "8_colours", "12_colours", "40_colours", "szilard", "mvhg_40_colours",
+             "mvhg_past_the_table"],
     )
     def test_a_row_has_its_bits_in_any_batch(self, d):
         # each of the first 7 rows alone, among 7 rows and among 1,007
@@ -265,20 +268,22 @@ class TestMvhgPmf:
         with pytest.raises(ValueError):
             MvhgDist(OccupancyVector((2, 2)), -1)
 
+    def test_urn_total_past_64_bits_is_refused(self):
+        assert MvhgDist(OccupancyVector((2**63 - 2, 1)), 3).urn.total == 2**63 - 1
+        with pytest.raises(ValueError, match="urn total must be an integer of at most 64 bits"):
+            MvhgDist(OccupancyVector((2**62, 2**62)), 3)
+
     @given(small_urns(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_normalization_and_symmetry(self, urn, data):
         n = data.draw(st.integers(min_value=0, max_value=urn.total))
-        d = MvhgDist(urn, n)
-        total = 0.0
-        for v in enumerate_occupancies(n, urn.num_colors):
-            total += d.pmf(v.counts)
-            # system/environment exchange leaves the weight unchanged
-            mirror = tuple(u - c for u, c in zip(urn, v.counts))
-            assert MvhgDist(urn, urn.total - n).pmf(mirror) == pytest.approx(
-                d.pmf(v.counts), abs=1e-15
-            )
-        assert total == pytest.approx(1.0, abs=1e-10)
+        d, rows = MvhgDist(urn, n), support_matrix(n, urn.num_colors)
+        pmf = np.exp(d.log_pmf_batch(rows))
+        # system/environment exchange leaves the weight unchanged; a row
+        # with a count above its colour mirrors to a negative one
+        mirror = MvhgDist(urn, urn.total - n).log_pmf_batch(np.array(urn.counts) - rows)
+        assert np.exp(mirror) == pytest.approx(pmf, abs=1e-15)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_batch_matches_scalar(self):
         d = MvhgDist(OccupancyVector((3, 0, 2)), 3)
@@ -292,8 +297,13 @@ class TestMvhgPmf:
     def test_scalar_and_mirror_have_the_batch_bits_on_the_small_sweep(self):
         # every urn of 1-4 colours and at most 10 balls, every draw count and
         # every system row: the rows of acceptance criterion 2. Exchanging
-        # system and environment (n -> u - n, N -> U - N) keeps every bit.
-        # The multinomial limit of each urn's colour fractions, at N = U
+        # system and environment (n -> u - n, N -> U - N) keeps every bit of
+        # the batch. The scalar is the batch's one-row view, checked on the
+        # first, middle and last rows, as is the multinomial limit of each
+        # urn's colour fractions, at N = U
+        def few(rows):
+            return rows[[0, len(rows) // 2, -1]]
+
         for c in range(1, 5):
             for total in range(11):
                 for counts in support_matrix(total, c).tolist():
@@ -301,11 +311,11 @@ class TestMvhgPmf:
                     if total:
                         p = OneParticleDistribution.empirical_from_urn(urn)
                         assert_scalar_has_the_batch_bits(
-                            MultinomialDist(total, p), support_matrix(total, c)
+                            MultinomialDist(total, p), few(support_matrix(total, c))
                         )
                     for n in range(total + 1):
                         d, rows = MvhgDist(urn, n), support_matrix(n, c)
-                        assert_scalar_has_the_batch_bits(d, rows)
+                        assert_scalar_has_the_batch_bits(d, few(rows))
                         mirror = MvhgDist(urn, total - n).log_pmf_batch(np.array(counts) - rows)
                         assert np.array_equal(
                             mirror.view(np.int64), d.log_pmf_batch(rows).view(np.int64)
@@ -330,8 +340,10 @@ class TestMvhgPmf:
         impossible = np.zeros((2, len(counts)), dtype=np.int64)
         impossible[:, :2] = [[counts[0] + 1, draws - counts[0] - 1], [-1, draws + 1]]
         for d in (MvhgDist(urn, draws), limit):
-            rows = sample(d, 20000, seed=5)
+            rows = sample(d, 20, seed=5)
             assert_scalar_has_the_batch_bits(d, np.concatenate((rows, impossible)))
+        assert np.all(MvhgDist(urn, draws).log_pmf_batch(impossible) == -np.inf)
+        assert limit.log_pmf_batch(impossible)[1] == -np.inf
 
 
 class TestMarginal:
@@ -456,6 +468,20 @@ class TestSampling:
             sample(MultinomialDist(2, uniform(2)), -1)
         with pytest.raises(TypeError, match="cannot sample from OneParticleDistribution"):
             sample(uniform(2), 3)
+
+    @pytest.mark.parametrize(
+        "d",
+        [MultinomialDist(4, uniform(3)), MvhgDist(OccupancyVector((3, 3, 3)), 4),
+         MultinomialDist(1, uniform(4))],
+        ids=["multinomial", "mvhg", "more_colours_than_draws"],
+    )
+    def test_refuses_more_cells_than_the_cap_before_drawing(self, monkeypatch, d):
+        # count * max(N, colours) cells: 3 rows of 4 fit a cap of 12, 4 rows do not
+        monkeypatch.setattr(distributions, "_DRAW_CELLS", 12)
+        assert sample(d, 3, seed=1).shape == (3, d.num_colors)
+        with pytest.raises(CapExceededError, match="4 x 4 = 16 cells, over the cap of 12") as err:
+            sample(d, 4, seed=1)
+        assert (err.value.required, err.value.cap) == (16, 12)
 
     def test_exhaustive_draw(self):
         d = MvhgDist(OccupancyVector((3, 1)), 4)

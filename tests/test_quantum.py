@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from occupancy_entropy import quantum
+from occupancy_entropy import distributions, quantum
 from occupancy_entropy.combinatorics import (
     CapExceededError,
     OccupancyVector,
@@ -465,6 +465,15 @@ class TestPriorUniverses:
         urns = quantum._prior_universes(U, OneParticleDistribution(probs), samples, seed=4)
         se = np.sqrt(U * probs * (1 - probs) / samples)
         assert (np.abs(urns.mean(axis=0) - U * probs) <= 5 * se).all()
+
+    def test_refuses_more_cells_than_the_cap_before_drawing(self, monkeypatch):
+        # samples * colours cells, zero colours included: 4 x 3 fit a cap of
+        # 12, 5 x 3 do not
+        monkeypatch.setattr(distributions, "_DRAW_CELLS", 12)
+        p = OneParticleDistribution([0.5, 0.0, 0.5])
+        assert quantum._prior_universes(10, p, 4, seed=1).shape == (4, 3)
+        with pytest.raises(CapExceededError, match="5 x 3 = 15 cells, over the cap of 12"):
+            quantum._prior_universes(10, p, 5, seed=1)
 
     def test_the_documented_draw(self):
         p = OneParticleDistribution([0.2, 0.0, 0.8])
