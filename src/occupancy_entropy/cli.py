@@ -3,8 +3,9 @@
 Every command is deterministic given its arguments (seeds default to a
 fixed constant, never the clock) and emits machine-readable output:
 JSON with sorted keys or CSV with fixed headers. Exit codes: 0 success,
-2 input error, 3 resource-cap error. Schemas are documented in
-docs/formats.md.
+2 input error (the library's ValueError), 3 resource-cap error
+(CapExceededError or MemoryError); any other exception is a bug and shows
+its traceback. Schemas are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -63,24 +64,20 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
-class InputSpecError(ValueError):
-    """Malformed command input (maps to exit code 2)."""
-
-
 def _load_json_arg(text: str, what: str) -> dict:
     """Accept inline JSON (starts with '{') or a path to a JSON file."""
     raw = text
     if not text.lstrip().startswith("{"):
         path = Path(text)
         if not path.is_file():
-            raise InputSpecError(f"{what}: no such file {text!r}")
+            raise ValueError(f"{what}: no such file {text!r}")
         raw = path.read_text()
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise InputSpecError(f"{what}: invalid JSON ({exc})") from exc
+        raise ValueError(f"{what}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
-        raise InputSpecError(f"{what}: expected a JSON object")
+        raise ValueError(f"{what}: expected a JSON object")
     return obj
 
 
@@ -97,7 +94,7 @@ def _int_list(text: str, what: str) -> list[int]:
     try:
         return [require_int(int(tok), what) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
-        raise InputSpecError(
+        raise ValueError(
             f"{what}: expected comma-separated integers of at most 64 bits") from exc
 
 
@@ -105,7 +102,7 @@ def _float_list(text: str, what: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
-        raise InputSpecError(f"{what}: expected comma-separated numbers") from exc
+        raise ValueError(f"{what}: expected comma-separated numbers") from exc
 
 
 def _one_particle(probs, normalize: bool, what: str) -> OneParticleDistribution:
@@ -115,7 +112,7 @@ def _one_particle(probs, normalize: bool, what: str) -> OneParticleDistribution:
             return OneParticleDistribution.from_weights(arr)
         return OneParticleDistribution(arr)
     except ValueError as exc:
-        raise InputSpecError(f"{what}: {exc}") from exc
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def _spec_probs(spec: dict, key: str) -> OneParticleDistribution:
@@ -123,7 +120,7 @@ def _spec_probs(spec: dict, key: str) -> OneParticleDistribution:
     normalised when the spec's ``normalize`` is true."""
     normalize = spec.get("normalize", False)
     if not isinstance(normalize, bool):
-        raise InputSpecError(f"normalize must be true or false, got {normalize!r}")
+        raise ValueError(f"normalize must be true or false, got {normalize!r}")
     return _one_particle(_require_list(spec[key], key, _require_number), normalize, key)
 
 
@@ -152,7 +149,7 @@ def parse_distribution_spec(spec: dict):
             _spec_probs(spec, "left_probs"),
             _spec_probs(spec, "right_probs"),
         )
-    raise InputSpecError(f"distribution spec: unknown kind {kind!r}")
+    raise ValueError(f"distribution spec: unknown kind {kind!r}")
 
 
 def parse_box_model(spec: dict) -> BoxModel:
@@ -165,7 +162,7 @@ def parse_box_model(spec: dict) -> BoxModel:
             dimensions=require_int(spec.get("dims", 3), "dims"),
         )
     except ValueError as exc:
-        raise InputSpecError(f"box model: {exc}") from exc
+        raise ValueError(f"box model: {exc}") from exc
 
 
 def _emit_json(payload: dict) -> None:
@@ -233,28 +230,13 @@ def cmd_entropy(args) -> int:
 
 def cmd_converge(args) -> int:
     base = OccupancyVector(tuple(_int_list(args.base_urn, "--base-urn")))
-    scales = _int_list(args.scales, "--scales")
-    if not scales or any(s < 1 for s in scales):
-        raise InputSpecError("--scales: need positive integers")
-    if args.draws < 0:
-        raise InputSpecError("--draws must be non-negative")
-    if base.total < 1:
-        raise InputSpecError("--base-urn must hold at least one particle")
-    limit = MultinomialDist(
-        args.draws, OneParticleDistribution.empirical_from_urn(base)
-    )
+    scan = convergence_scan(base, args.draws, _int_list(args.scales, "--scales"), cap=args.cap)
+    limit = MultinomialDist(args.draws, OneParticleDistribution.empirical_from_urn(base))
     limit_entropy = multinomial_entropy(limit).total
     rows = []
-    try:
-        for U, tv in convergence_scan(base, args.draws, scales, cap=args.cap):
-            urn = base.scaled(U // base.total)
-            hyper = mvhg_entropy(MvhgDist(urn, args.draws)).total
-            rows.append([U, tv, hyper, limit_entropy, limit_entropy - hyper])
-    except ValueError as exc:
-        # a scaled urn smaller than the draw count ends the scan as a
-        # resource failure, matching the documented exit-code contract
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    for U, tv in scan:
+        hyper = mvhg_entropy(MvhgDist(base.scaled(U // base.total), args.draws)).total
+        rows.append([U, tv, hyper, limit_entropy, limit_entropy - hyper])
     header = ["U", "tv", "hyper_entropy", "multinomial_entropy", "empirical_information"]
     if args.format == "json":
         _emit_json({"columns": header, "rows": rows})
@@ -283,8 +265,6 @@ def cmd_gas(args) -> int:
 
 def cmd_szilard(args) -> int:
     model = parse_box_model(_load_json_arg(args.model, "box model"))
-    if model.dimensions != 1:
-        raise InputSpecError("szilard: the box model must be 1-D")
     trunc = SpectrumTruncation(args.tail_bound, args.max_states)
     result = szilard_insertion(model, args.particles, trunc)
     _emit_json(
@@ -306,8 +286,6 @@ def cmd_szilard(args) -> int:
 def cmd_holevo(args) -> int:
     probs = _float_list(args.probs, "--probs")
     p = _one_particle(probs, args.normalize, "--probs")
-    if args.draws > args.universe_size:
-        raise InputSpecError("--draws cannot exceed --universe-size")
     est = holevo_chi(
         args.universe_size,
         args.draws,
@@ -325,8 +303,6 @@ def cmd_holevo(args) -> int:
 
 def cmd_empirical_info(args) -> int:
     urn = OccupancyVector(tuple(_int_list(args.urn, "--urn")))
-    if args.draws > urn.total:
-        raise InputSpecError("--draws cannot exceed the urn size")
     _emit_json(
         {"empirical_information_nats": empirical_information(urn, args.draws)}
     )
@@ -336,8 +312,6 @@ def cmd_empirical_info(args) -> int:
 def cmd_ledger(args) -> int:
     scenario = _load_json_arg(args.scenario, "scenario")
     _require_fields(scenario, {"start", "steps"}, set(), "scenario")
-    if not isinstance(scenario["steps"], list):
-        raise InputSpecError(f"steps must be a list, got {scenario['steps']!r}")
     ledger = measurement_ledger(scenario["start"], scenario["steps"])
     _emit_json(
         {
@@ -379,7 +353,7 @@ def cmd_oracle(args) -> int:
         est, se = mc_entropy_estimate(dist, args.samples, seed=args.seed)
         _emit_json({"entropy_estimate": est, "standard_error": se})
     else:
-        raise InputSpecError("oracle: choose one of mvhg, ptrace, mc-entropy")
+        raise ValueError("oracle: choose one of mvhg, ptrace, mc-entropy")
     return EXIT_OK
 
 
@@ -480,7 +454,7 @@ def main(argv=None) -> int:
     except (CapExceededError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (InputSpecError, ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

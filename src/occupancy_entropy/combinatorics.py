@@ -12,7 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterator
 
 import numpy as np
@@ -163,26 +163,23 @@ def enumerate_occupancies(
         yield OccupancyVector(tuple(t))
 
 
-def _occupancy_tuples(total: int, num_colors: int) -> Iterator[tuple[int, ...]]:
-    if num_colors == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _occupancy_tuples(total - head, num_colors - 1):
-            yield (head,) + tail
-
-
 @lru_cache(maxsize=256)
 def support_matrix(total: int, num_colors: int, cap: int = DEFAULT_CAP) -> np.ndarray:
     """All occupancy vectors as a read-only (count, num_colors) int array.
 
     Order is by descending leading counts, i.e. (N,0,...,0) first and
     (0,...,0,N) last; cached because entropy and distance computations
-    revisit the same small supports many times.
+    revisit the same small supports many times. Each row is one placement
+    of num_colors - 1 bars among total + num_colors - 1 slots, the counts
+    the gaps between them: itertools.combinations gives the placements in
+    ascending order, which is the rows' order reversed.
     """
     count = _check_support(total, num_colors, cap)
-    flat = chain.from_iterable(_occupancy_tuples(total, num_colors))
-    out = np.fromiter(flat, dtype=np.int64, count=count * num_colors)
-    out = out.reshape(count, num_colors)
+    slots, bars = total + num_colors - 1, num_colors - 1
+    flat = chain.from_iterable(combinations(range(slots), bars))
+    placed = np.fromiter(flat, dtype=np.int64, count=count * bars).reshape(count, bars)
+    edges = np.empty((count, num_colors + 1), dtype=np.int64)
+    edges[:, 0], edges[:, 1:-1], edges[:, -1] = -1, placed[::-1], slots
+    out = np.diff(edges, axis=1) - 1
     out.setflags(write=False)
     return out

@@ -481,17 +481,22 @@ def convergence_scan(
 
     Scaling the urn by integers keeps the empirical color fractions fixed,
     so the rows trace the approach to the with-replacement limit at
-    constant one-particle distribution.
+    constant one-particle distribution. Every scale is checked before any
+    distance is computed: ValueError for no scales or one below 1, and
+    CapExceededError for a scaled urn of fewer than N balls or of more
+    than 2^63 - 1.
     """
     limit = MultinomialDist(N, OneParticleDistribution.empirical_from_urn(base_urn))
-    rows: list[tuple[int, float]] = []
-    for k in scales:
-        if k < 1:
-            raise ValueError("scales must be positive integers")
-        urn = base_urn.scaled(int(k))
-        if urn.total < N:
-            raise ValueError(
-                f"scaled urn holds {urn.total} particles, fewer than N={N}"
-            )
-        rows.append((urn.total, tv_distance(MvhgDist(urn, N), limit, cap=cap)))
-    return rows
+    scales = [int(k) for k in scales]
+    if not scales or min(scales) < 1:
+        raise ValueError(f"scales must be positive integers, got {scales}")
+    for total in (k * base_urn.total for k in scales):
+        if total > 2**63 - 1:
+            raise CapExceededError(
+                f"urn total must be an integer of at most 64 bits: a scaled urn of "
+                f"{total} balls is past {2**63 - 1}", total, 2**63 - 1)
+        if total < N:
+            raise CapExceededError(
+                f"scaled urn holds {total} particles, fewer than N={N}", N, total)
+    return [(base_urn.total * k, tv_distance(MvhgDist(base_urn.scaled(k), N), limit, cap=cap))
+            for k in scales]

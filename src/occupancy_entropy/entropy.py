@@ -181,9 +181,8 @@ def mvhg_entropy(d: MvhgDist) -> EntropyReport:
     """
     urn, N = d.urn, d.draw_count
     U = urn.total
-    e_fact, e_binom = _hypergeometric_log_expectations(U, urn.counts, N)
-    expected_logW = log_factorial(N) - float(e_fact.sum())
-    total = float(_count_log_choose(U, N) - e_binom.sum())
+    e_fact, total = (float(x[0]) for x in _mvhg_entropies(U, np.asarray([urn.counts]), N))
+    expected_logW = log_factorial(N) - e_fact
     mean = N * np.asarray(urn.counts, dtype=np.float64) / U if U else np.zeros(len(urn))
     return EntropyReport(
         microstate_term=total + expected_logW,
@@ -192,6 +191,14 @@ def mvhg_entropy(d: MvhgDist) -> EntropyReport:
         boltzmann=boltzmann_entropy(mean),
         unit="nats",
     )
+
+
+def _mvhg_entropies(U: int, urns: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of a (urns, colours) array of urns of U balls each, with
+    n ~ MVHG(urn, N): sum_c E{ln n_c!}, and the entropy
+    ln C(U, N) - sum_c E{ln C(u_c, n_c)}."""
+    e_fact, e_binom = _hypergeometric_log_expectations(U, urns, N)
+    return e_fact.sum(axis=1), _count_log_choose(U, N) - e_binom.sum(axis=1)
 
 
 def boltzmann_entropy(mean_occupancy: Sequence[float]) -> float:

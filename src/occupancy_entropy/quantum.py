@@ -35,8 +35,8 @@ from .distributions import (
     _check_draw_cells,
     _mvhg_log_pmf_grid,
 )
-from .entropy import multinomial_entropy, mvhg_entropy
-from .marginals import _BLOCK_CELLS, _count_log_choose, _hypergeometric_log_expectations
+from .entropy import _mvhg_entropies, multinomial_entropy, mvhg_entropy
+from .marginals import _BLOCK_CELLS
 
 __all__ = [
     "BosonicDensityOperator",
@@ -195,7 +195,8 @@ def holevo_chi(
 ) -> HolevoEstimate:
     """Upper bound on the information any measurement on the system can
     extract about the universe outcome:
-    chi = S(canonical) - E_prior{ S(traced) } >= 0.
+    chi = S(canonical) - E_prior{ S(traced) } >= 0. ValueError for N
+    outside [0, U].
 
     Exact mode evaluates the closed form
     chi = H(Mult(U, p)) - H(Mult(U - N, p)), which holds because the
@@ -247,8 +248,8 @@ def holevo_chi(
     the 1 % the ``cap``) before drawing anything: at N = 100 and
     p = (0.5, 0.3, 0.2), U = 10^6 runs and U = 10^7 is refused.
     """
-    if N > U:
-        raise ValueError("system cannot hold more particles than the universe")
+    if not 0 <= N <= U:
+        raise ValueError(f"draw count {N} outside [0, {U}]")
     if mode == "exact":
         whole, rest = (multinomial_entropy(MultinomialDist(n, p)).total for n in (U, U - N))
         return HolevoEstimate(whole - rest, None, "exact")
@@ -267,8 +268,7 @@ def holevo_chi(
                 f"leading-order chi, {limit:.3g} nats", bound, limit)
         s_system = multinomial_entropy(MultinomialDist(N, p)).total
         urns = _prior_universes(U, p, mc_samples, seed)
-        _, e_binom = _hypergeometric_log_expectations(U, urns, N)
-        vals = _count_log_choose(U, N) - e_binom.sum(axis=1)
+        vals = _mvhg_entropies(U, urns, N)[1]
         se = float(vals.std(ddof=1) / math.sqrt(mc_samples))
         return HolevoEstimate(s_system - float(vals.mean()), se, "monte_carlo")
     raise ValueError(f"unknown mode {mode!r}")
@@ -308,7 +308,8 @@ def empirical_information(universe: OccupancyVector, N: int) -> float:
 
 # --- measurement ledgers -----------------------------------------------------
 
-_START_KINDS = ("bayesian", "empirical", "agnostic")
+# each start kind -> the fields it needs besides kind and N
+_START_KINDS = {"bayesian": ("probs",), "empirical": ("urn",), "agnostic": ()}
 _STEP_OPS = ("pvm_on_universe", "povm_empirical_model", "pvm_on_system", "separate_system")
 _NEGATIVE_INFO_TOL = -1e-12
 
@@ -367,29 +368,30 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
 
     A projective measurement of the system always posts entropy zero and
     ends the scenario. Under an agnostic start the first gain is undefined
-    (None), never a sentinel number.
+    (None), never a sentinel number. A scenario with a field missing or
+    mistyped, N < 0 or steps not a list is refused with ValueError naming
+    the field.
     """
     _require_fields(start, {"kind"}, {"N", "probs", "urn"}, "scenario start")
     kind = start["kind"]
-    if kind not in _START_KINDS:
+    if not isinstance(kind, str) or kind not in _START_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}")
+    _require_fields(start, {"kind", "N", *_START_KINDS[kind]}, set(), f"{kind} start")
+    N = require_int(start["N"], "N")
+    if N < 0:
+        raise ValueError(f"N must be non-negative, got {N}")
+    steps = _require_list(steps, "steps", lambda step, _: step)
     declared_urn: OccupancyVector | None = None
     if kind == "bayesian":
-        _require_fields(start, {"kind", "N", "probs"}, set(), "bayesian start")
-        N = require_int(start["N"], "N")
         p = OneParticleDistribution(_require_list(start["probs"], "probs", _require_number))
         current: float | None = multinomial_entropy(MultinomialDist(N, p)).total
     elif kind == "empirical":
-        _require_fields(start, {"kind", "N", "urn"}, set(), "empirical start")
-        N = require_int(start["N"], "N")
         declared_urn = OccupancyVector(tuple(_require_list(start["urn"], "urn", require_int)))
         model = MultinomialDist(
             N, OneParticleDistribution.empirical_from_urn(declared_urn)
         )
         current = multinomial_entropy(model).total
     else:
-        _require_fields(start, {"kind", "N"}, set(), "agnostic start")
-        N = require_int(start["N"], "N")
         current = None
 
     rows: list[LedgerStep] = []
@@ -409,7 +411,7 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
         if op == "pvm_on_universe":
             if universe_measured:
                 raise ValueError("universe already measured in this scenario")
-            urn = OccupancyVector(tuple(_require_list(raw["urn"], "urn", require_int)))
+            urn = _step_urn(raw)
             if declared_urn is not None and urn != declared_urn:
                 raise ValueError(
                     "empirical model was built from a different universe outcome"
@@ -426,7 +428,7 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
                     "povm_empirical_model is only valid as the first step of "
                     "an agnostic scenario"
                 )
-            urn = OccupancyVector(tuple(_require_list(raw["urn"], "urn", require_int)))
+            urn = _step_urn(raw)
             pre = multinomial_entropy(
                 MultinomialDist(N, OneParticleDistribution.empirical_from_urn(urn))
             ).total
@@ -441,3 +443,9 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
         current = 0.0
         collapsed = True
     return MeasurementLedger(tuple(rows))
+
+
+def _step_urn(step: dict) -> OccupancyVector:
+    """The urn a universe step states, which it must."""
+    _require_fields(step, {"op", "urn"}, set(), f"{step['op']} step")
+    return OccupancyVector(tuple(_require_list(step["urn"], "urn", require_int)))

@@ -225,6 +225,13 @@ class TestHolevoFuzz:
             return
         assert payload["mode"] == mode
         assert ("standard_error" in payload) == (mode == "monte_carlo")
+        if mode == "exact":
+            # chi = S(canonical) - E{S(traced)} >= 0 (a negative draw count
+            # once gave a finite chi of about -0.008), up to the rounding of
+            # its two entropies: each is an exact sum of level terms of a few
+            # nats, each term within a few eps of itself, so a chi far below
+            # eps, as at p = (1e-291, 1), can come out as -1.6e-287
+            assert payload["chi"] >= -1e-13
 
 
 def _tokens(draw, good):
@@ -518,6 +525,19 @@ class TestConvergeCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "scales, draws, message",
+        [("0", "2", "scales must be positive integers, got [0]"),
+         ("", "2", "scales must be positive integers, got []"),
+         ("1", "-1", "N must be non-negative")],
+        ids=["zero_scale", "no_scales", "negative_draws"],
+    )
+    def test_bad_input_exit_2(self, scales, draws, message):
+        code, out, err = _run_captured(
+            ["converge", "--base-urn", "1,1", "--draws", draws, "--scales", scales])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_json_format(self, capsys):
         code, out = run(
             capsys, "converge", "--base-urn", "1,1", "--draws", "2",
@@ -723,6 +743,14 @@ class TestHolevoCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    def test_negative_draws_exit_2_never_a_number(self, mode):
+        code, out, err = _run_captured(
+            ["holevo", "--universe-size", "60", "--draws", "-1", "--probs", "0.5,0.5",
+             "--mode", mode, "--mc-samples", "100"])
+        assert (code, out) == (2, "")
+        assert err == "error: draw count -1 outside [0, 60]\n"
+
 
 class TestEmpiricalInfoCommand:
     def test_worked_example(self, capsys):
@@ -793,6 +821,39 @@ class TestLedgerCommand:
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            ({"start": {"kind": "agnostic", "N": -5}, "steps": []},
+             "N must be non-negative, got -5"),
+            ({"start": {"kind": "agnostic", "N": -5},
+              "steps": [{"op": "pvm_on_universe", "urn": [3, 3]}]},
+             "N must be non-negative, got -5"),
+            ({"start": {"kind": "agnostic", "N": 2}, "steps": [{"op": "pvm_on_universe"}]},
+             "pvm_on_universe step: missing fields ['urn']"),
+            ({"start": {"kind": "agnostic", "N": 2}, "steps": [{"op": "povm_empirical_model"}]},
+             "povm_empirical_model step: missing fields ['urn']"),
+            ({"start": {"kind": "bayesian", "N": 2, "probs": [1.0]}, "steps": math.nan},
+             "steps must be a list, got nan"),
+        ],
+        ids=["agnostic_negative_n", "agnostic_negative_n_measured", "universe_without_urn",
+             "povm_without_urn", "nan_steps"],
+    )
+    def test_bad_scenario_exit_2_naming_the_field(self, scenario, message):
+        code, out, err = _run_captured(["ledger", json.dumps(scenario)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_a_bug_is_not_an_input_error(self, monkeypatch):
+        # only ValueError means bad input; any other exception is a bug
+        # and propagates with its traceback
+        def broken(start, steps):
+            return {}["urn"]
+
+        monkeypatch.setattr(cli, "measurement_ledger", broken)
+        with pytest.raises(KeyError):
+            main(["ledger", self.SCENARIO])
 
     def test_ill_ordered_exit_2(self, capsys):
         scenario = json.dumps(

@@ -10,7 +10,6 @@ from occupancy_entropy import log_factorial
 from occupancy_entropy.combinatorics import (
     CapExceededError,
     OccupancyVector,
-    _occupancy_tuples,
     enumerate_occupancies,
     log_factorial_real,
     occupancy_count,
@@ -24,6 +23,17 @@ from occupancy_entropy.distributions import (
 from occupancy_entropy.entropy import entropy_by_enumeration
 from occupancy_entropy.marginals import _log_factorial
 from occupancy_entropy.quantum import bayesian_marginal_check
+
+def _occupancy_tuples(total, num_colors):
+    """The support in descending order, by recursion on the leading count:
+    the reference the stars-and-bars support_matrix is checked against."""
+    if num_colors == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for tail in _occupancy_tuples(total - head, num_colors - 1):
+            yield (head,) + tail
+
 
 QUARTER_FOUR = OneParticleDistribution([0.25] * 4)
 FIVE_COLOURS_20 = MultinomialDist(20, OneParticleDistribution([0.2] * 5))
@@ -152,9 +162,14 @@ class TestEnumerateOccupancies:
         assert np.array_equal(mat, stream)
         assert not mat.flags.writeable
 
-    @pytest.mark.parametrize("n, c", [(0, 1), (0, 4), (5, 1), (6, 4)])
+    @pytest.mark.parametrize(
+        "n, c",
+        [(0, 1), (0, 4), (5, 1), (6, 4), (3, 3), (10, 3), (30, 6), (1000, 3), (60, 4),
+         (200, 3), (100, 4)],
+    )
     def test_support_matrix_matches_the_tuples(self, n, c):
-        # no particles, one colour and a 4-colour support, row for row
+        # no particles, one colour, and supports of up to 324,632 rows, row
+        # for row against the recursion
         mat = support_matrix(n, c)
         tuples = np.array(list(_occupancy_tuples(n, c)), dtype=np.int64)
         assert mat.shape == (occupancy_count(n, c), c)

@@ -1022,8 +1022,17 @@ class TestConvergenceScan:
         assert r2 == pytest.approx(0.5, abs=0.005)
 
     def test_undersized_urn_rejected(self):
-        with pytest.raises(ValueError):
+        # a resource failure, not bad input: the urn needs 3 balls and has 2
+        with pytest.raises(CapExceededError, match="fewer than N=3") as info:
             convergence_scan(OccupancyVector((1, 1)), 3, [1])
+        assert (info.value.required, info.value.cap) == (3, 2)
+
+    def test_every_scale_checked_before_any_distance(self):
+        # the first scale alone would pass, and then be refused by the cap
+        # of 1 in tv_distance; the second is past 64 bits
+        with pytest.raises(CapExceededError, match="at most 64 bits") as info:
+            convergence_scan(OccupancyVector((1, 1)), 2, [1000, 2**62], cap=1)
+        assert (info.value.required, info.value.cap) == (2**63, 2**63 - 1)
 
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError):
