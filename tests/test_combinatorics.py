@@ -24,6 +24,7 @@ from occupancy_entropy.entropy import entropy_by_enumeration
 from occupancy_entropy.marginals import _log_factorial
 from occupancy_entropy.quantum import bayesian_marginal_check
 
+
 def _occupancy_tuples(total, num_colors):
     """The support in descending order, by recursion on the leading count:
     the reference the stars-and-bars support_matrix is checked against."""
