@@ -37,6 +37,7 @@ from .distributions import (
     sample,
 )
 from .entropy import (
+    _mvhg_entropies,
     _unit_factor,
     multinomial_entropy,
     mvhg_entropy,
@@ -232,11 +233,10 @@ def cmd_converge(args) -> int:
     base = OccupancyVector(tuple(_int_list(args.base_urn, "--base-urn")))
     scan = convergence_scan(base, args.draws, _int_list(args.scales, "--scales"), cap=args.cap)
     limit = MultinomialDist(args.draws, OneParticleDistribution.empirical_from_urn(base))
-    limit_entropy = multinomial_entropy(limit).total
-    rows = []
-    for U, tv in scan:
-        hyper = mvhg_entropy(MvhgDist(base.scaled(U // base.total), args.draws)).total
-        rows.append([U, tv, hyper, limit_entropy, limit_entropy - hyper])
+    s_limit = multinomial_entropy(limit).total
+    sizes = np.array([U for U, _ in scan])
+    hyper = _mvhg_entropies(sizes, np.outer(sizes // base.total, base.counts), args.draws)[1]
+    rows = [[U, tv, h, s_limit, s_limit - h] for (U, tv), h in zip(scan, hyper.tolist())]
     header = ["U", "tv", "hyper_entropy", "multinomial_entropy", "empirical_information"]
     if args.format == "json":
         _emit_json({"columns": header, "rows": rows})

@@ -24,6 +24,7 @@ from .combinatorics import (
     support_matrix,
 )
 from .marginals import (
+    _BLOCK_CELLS,
     _binomial_marginal,
     _count_log_choose,
     _hypergeometric_marginal,
@@ -180,12 +181,13 @@ class MvhgDist:
         return out
 
 
-def _mvhg_log_pmf_grid(urns: np.ndarray, counts: np.ndarray, U: int, N: int) -> np.ndarray:
+def _mvhg_log_pmf_grid(urns: np.ndarray, counts: np.ndarray, U, N: int) -> np.ndarray:
     """ln P(n | u) of N draws without replacement from urn u, over every
-    urn row u of U balls and every count row n of N draws: the (urns x
-    counts) grid of sum_c [ln u_c! - (ln n_c! + ln (u_c - n_c)!)] - ln C(U, N),
-    with ln C(U, N) from _count_log_choose, -inf where some n_c > u_c. Rows
-    that are not of U balls or N draws are not checked."""
+    urn row u of U balls (of U[r] balls in row r for an array U) and every
+    count row n of N draws: the (urns x counts) grid of
+    sum_c [ln u_c! - (ln n_c! + ln (u_c - n_c)!)] - ln C(U, N), with
+    ln C(U, N) from _count_log_choose, -inf where some n_c > u_c. Rows that
+    are not of U balls or N draws are not checked."""
     u, n = urns[:, None, :], counts[None, :, :]
     impossible = n > u
     # the rows with some n_c > u_c are set to -inf below, whatever they read
@@ -193,7 +195,7 @@ def _mvhg_log_pmf_grid(urns: np.ndarray, counts: np.ndarray, U: int, N: int) -> 
     # n and u - n enter alike, so the drawn and the left-behind counts of
     # the same split have the same bits
     terms = _log_factorial(u) - (_log_factorial(n) + _log_factorial(rest))
-    out = terms.sum(axis=-1) - _count_log_choose(U, N)
+    out = terms.sum(axis=-1) - _count_log_choose(U, N)[..., None]
     out[impossible.any(axis=-1)] = -np.inf
     return out
 
@@ -484,7 +486,9 @@ def convergence_scan(
     constant one-particle distribution. Every scale is checked before any
     distance is computed: ValueError for no scales or one below 1, and
     CapExceededError for a scaled urn of fewer than N balls or of more
-    than 2^63 - 1.
+    than 2^63 - 1, or for a support past ``cap``. The limit's pmf is formed
+    once, and the urns' log-pmfs in (urns x support x colours) blocks of at
+    most _BLOCK_CELLS cells (one urn at least); each row has tv_distance's bits.
     """
     limit = MultinomialDist(N, OneParticleDistribution.empirical_from_urn(base_urn))
     scales = [int(k) for k in scales]
@@ -498,5 +502,12 @@ def convergence_scan(
         if total < N:
             raise CapExceededError(
                 f"scaled urn holds {total} particles, fewer than N={N}", N, total)
-    return [(base_urn.total * k, tv_distance(MvhgDist(base_urn.scaled(k), N), limit, cap=cap))
-            for k in scales]
+    _check_support(N, limit.num_colors, cap, "use Monte Carlo estimation instead")
+    counts = support_matrix(N, limit.num_colors, cap=cap)
+    p = np.exp(limit.log_pmf_batch(counts))
+    urns, totals = np.outer(scales, base_urn.counts), np.multiply(scales, base_urn.total)
+    step = max(1, _BLOCK_CELLS // counts.size)
+    tv = [0.5 * np.abs(np.exp(_mvhg_log_pmf_grid(urns[i : i + step], counts,
+                                                 totals[i : i + step], N)) - p).sum(axis=1)
+          for i in range(0, len(scales), step)]
+    return list(zip(totals.tolist(), np.concatenate(tv).tolist()))

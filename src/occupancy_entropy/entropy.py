@@ -193,10 +193,10 @@ def mvhg_entropy(d: MvhgDist) -> EntropyReport:
     )
 
 
-def _mvhg_entropies(U: int, urns: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of a (urns, colours) array of urns of U balls each, with
-    n ~ MVHG(urn, N): sum_c E{ln n_c!}, and the entropy
-    ln C(U, N) - sum_c E{ln C(u_c, n_c)}."""
+def _mvhg_entropies(U, urns: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of a (urns, colours) array of urns of U balls each (of
+    U[r] balls in row r for an array U), with n ~ MVHG(urn, N):
+    sum_c E{ln n_c!}, and the entropy ln C(U, N) - sum_c E{ln C(u_c, n_c)}."""
     e_fact, e_binom = _hypergeometric_log_expectations(U, urns, N)
     return e_fact.sum(axis=1), _count_log_choose(U, N) - e_binom.sum(axis=1)
 

@@ -120,15 +120,18 @@ def _count_stirling_remainder(k) -> np.ndarray:
     return _stirling_remainder(k)
 
 
-def _count_log_choose(n: int, k: int) -> float:
-    """ln C(n, k) at whole counts 0 <= k <= n as tau(n) - tau(k) - tau(n - k)
-    + k ln(n / k) + (n - k) ln(n / (n - k)), tau the Stirling remainder: no
-    term is of the size of ln n!, as the three of _log_choose are. k and
-    n - k give the same bits."""
-    k = min(k, n - k)
+def _count_log_choose(n, k: int) -> np.ndarray:
+    """ln C(n, k) at whole counts 0 <= k <= n, elementwise over n (an int or
+    an int array), as tau(n) - tau(k) - tau(n - k) + k ln(n / k) + (n - k)
+    ln(n / (n - k)), tau the Stirling remainder: no term is of the size of
+    ln n!, as the three of _log_choose are. k and n - k give the same bits.
+    k / n is Python's int division, which is correctly rounded past 2**53."""
+    n = np.asarray(n, dtype=np.int64)
+    k = np.minimum(k, n - k)
     tau = _count_stirling_remainder([n, k, n - k])
-    drawn = k / n if n else 0.0
-    return float(tau[0] - tau[1] - tau[2] - xlogy(k, drawn) - xlog1py(n - k, -drawn))
+    drawn = np.array([a / b if b else 0.0 for a, b in zip(k.ravel().tolist(), n.ravel().tolist())])
+    drawn = drawn.reshape(n.shape)
+    return tau[0] - tau[1] - tau[2] - xlogy(k, drawn) - xlog1py(n - k, -drawn)
 
 
 def _log_choose(n, k):
@@ -160,23 +163,25 @@ def _binomial(N: int, p: np.ndarray):
     )
 
 
-def _hypergeometric(U: int, u: np.ndarray, N: int):
+def _hypergeometric(U, u: np.ndarray, N: int):
     """As _binomial, for Hypergeometric(U, u, N): the count of one colour of
-    u balls among N drawn without replacement from U."""
+    u balls among N drawn without replacement from U, elementwise over u and
+    U (one int, or an array of u's shape)."""
+    rest = U - u
     return (
-        np.maximum(0.0, N - (U - u)),
+        np.maximum(0.0, N - rest),
         np.minimum(float(N), u),
         lambda rows, k: (
             np.log(u[rows, None] - k + 1.0)
             + np.log(N - k + 1.0)
             - np.log(k)
-            - np.log(U - u[rows, None] - N + k)
+            - np.log(rest[rows, None] - N + k)
         ),
     )
 
 
 def _count_window(
-    n: int, p: np.ndarray, first, last, log_term, max_f
+    n: int, p: np.ndarray, first, last, log_term, max_f, size=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Counts [lo, hi] around n p over which to sum E{f(X)}, for X a count
     of n trials with success fraction p on the support [first, last], f >= 0
@@ -192,7 +197,8 @@ def _count_window(
     Gaussian-like ones. Hoeffding (1963) proves the same bounds for a
     hypergeometric count of n draws from an urn whose colour fraction is p,
     so the window serves both laws. A grid of at most _WHOLE_GRID_CELLS
-    cells over all p is kept whole, without calling log_term.
+    cells over all p is kept whole, without calling log_term; with an array
+    ``size``, the rows whose size x (n + 1) is at most that are kept whole.
     CapExceededError if n is over _SEARCHED_COUNTS and some support holds
     more than one count.
     """
@@ -203,7 +209,8 @@ def _count_window(
         )
     n = float(n)
     p = np.asarray(p, dtype=np.float64)
-    if p.size * (n + 1.0) <= _WHOLE_GRID_CELLS:
+    whole = (p.size if size is None else size) * (n + 1.0) <= _WHOLE_GRID_CELLS
+    if np.all(whole):
         return first, last
     mean = n * p
     k0 = np.clip(np.maximum(2.0, np.rint(mean)), first, last)
@@ -257,7 +264,8 @@ def _count_window(
         mid = np.ceil((a + b) / 2.0)
         ok = negligible(np.maximum(mid - 1.0, 0.0))
         a, b = np.where(ok, mid, a), np.where(ok, b, mid - 1.0)
-    return np.maximum(a, first), np.minimum(hi, last)
+    lo, hi = np.maximum(a, first), np.minimum(hi, last)
+    return np.where(whole, first, lo), np.where(whole, last, hi)
 
 
 def _mode_weights(lo, hi, steps, log_step) -> tuple[np.ndarray, np.ndarray]:
@@ -283,17 +291,24 @@ def _mode_weights(lo, hi, steps, log_step) -> tuple[np.ndarray, np.ndarray]:
     return k, weights
 
 
-def _width_classes(lo, hi) -> list[tuple[np.ndarray, int]]:
+def _width_classes(lo, hi, batch=None) -> list[tuple[np.ndarray, int]]:
     """Rows grouped by the class ceil(log2 width) of their windows [lo, hi],
     each group with the width of its widest window; one group when padding
-    every row to the widest window takes at most _WHOLE_GRID_CELLS cells."""
+    every row to the widest window takes at most _WHOLE_GRID_CELLS cells.
+    With an int array ``batch``, the rows of each batch are grouped so, as
+    if alone, and then the groups of equal width merged."""
     width = (hi - lo + 1.0).astype(np.int64)
-    widest = int(width.max(initial=1))
-    if width.size * widest <= _WHOLE_GRID_CELLS:
-        return [(np.arange(width.size), widest)]
-    cls = np.frexp(width - 1)[1]
-    groups = [np.flatnonzero(cls == c) for c in np.flatnonzero(np.bincount(cls))]
-    return [(rows, int(width[rows].max())) for rows in groups]
+    if batch is None and width.size * width.max(initial=1) <= _WHOLE_GRID_CELLS:
+        return [(np.arange(width.size), int(width.max(initial=1)))]
+    batch = np.zeros(width.size, np.intp) if batch is None else batch
+    # the widest window of each batch in column 0, of each class c in c + 1
+    widest = np.zeros((batch.max(initial=0) + 1, 65), np.int64)
+    np.maximum.at(widest, (batch, 0), width)
+    alone = np.bincount(batch)[batch] * widest[batch, 0] > _WHOLE_GRID_CELLS
+    cls = np.where(alone, np.frexp(width - 1)[1] + 1, 0)
+    np.maximum.at(widest, (batch, cls), width)
+    padded = widest[batch, cls]
+    return [(np.flatnonzero(padded == w), int(w)) for w in np.unique(padded)]
 
 
 def _window_means(classes, lo, hi, log_step, *fs) -> list[np.ndarray]:
@@ -435,19 +450,28 @@ def _binomial_log_factorial_gap(
 
 
 def _hypergeometric_log_expectations(
-    U: int, counts: np.ndarray, N: int
+    U, counts: np.ndarray, N: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E{ln n!}, E{ln C(u, n)}) for each colour count u of an array of
-    urns of U balls each, with n ~ Hypergeometric(U, u, N).
+    urns of U balls each, or of U[r] balls in row r for an array U, with
+    n ~ Hypergeometric(U, u, N).
 
-    Equal counts are evaluated once. Each expectation is summed over the
-    _count_window of the fraction u/U, cut to the support, which leaves
-    out under 1e-17 of it.
+    Equal (U, u) levels are evaluated once. Each expectation is summed over
+    the _count_window of the fraction u/U, cut to the support, which leaves
+    out under 1e-17 of it. The whole-grid and padding rules, which look at
+    all levels at once, look at the levels of one U at a time, so urns of
+    another U in the same call do not move a row's bits.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    levels, where = np.unique(counts, return_inverse=True)
-    u = levels.astype(np.float64)
-    frac = u / U if U else np.zeros_like(u)
+    totals, rows = np.unique(U, return_inverse=True) if np.ndim(U) else (np.array([U]), 0)
+    values, value = np.unique(counts, return_inverse=True)
+    key = np.reshape(rows, (-1, 1)) * values.size + np.reshape(value, counts.shape)
+    # a level is a distinct (U, u) pair; with one U, the keys number the levels
+    levels, where = (np.arange(values.size), key) if totals.size == 1 else np.unique(
+        key, return_inverse=True)
+    batch = levels // values.size
+    U, u = totals[batch], values[levels % values.size].astype(np.float64)
+    frac = u / np.maximum(U, 1)
     first, last, log_step = _hypergeometric(U, u, N)
 
     def log_term(k):
@@ -456,13 +480,9 @@ def _hypergeometric_log_expectations(
         smaller_f = np.minimum(_log_factorial(k), _log_choose(u, k))
         return _hypergeometric_log_pmf(U, u, N, k) + np.log(smaller_f.clip(0.0))
 
-    lo, hi = _count_window(N, frac, first, last, log_term, _log_factorial(u))
+    size = np.bincount(batch)[batch]
+    lo, hi = _count_window(N, frac, first, last, log_term, _log_factorial(u), size)
     e_fact, e_binom = _window_means(
-        _width_classes(lo, hi),
-        lo,
-        hi,
-        log_step,
-        lambda rows, k: _log_factorial(k),
-        lambda rows, k: _log_choose(u[rows, None], k),
-    )
+        _width_classes(lo, hi, batch if totals.size > 1 else None), lo, hi, log_step,
+        lambda rows, k: _log_factorial(k), lambda rows, k: _log_choose(u[rows, None], k))
     return e_fact[where].reshape(counts.shape), e_binom[where].reshape(counts.shape)

@@ -310,7 +310,9 @@ def empirical_information(universe: OccupancyVector, N: int) -> float:
 
 # each start kind -> the fields it needs besides kind and N
 _START_KINDS = {"bayesian": ("probs",), "empirical": ("urn",), "agnostic": ()}
-_STEP_OPS = ("pvm_on_universe", "povm_empirical_model", "pvm_on_system", "separate_system")
+# each step op -> the fields it needs besides op, and allows
+_STEP_OPS = {"pvm_on_universe": {"urn"}, "povm_empirical_model": {"urn"},
+             "pvm_on_system": set(), "separate_system": set()}
 _NEGATIVE_INFO_TOL = -1e-12
 
 
@@ -400,10 +402,13 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
     for raw in steps:
         _require_fields(raw, {"op"}, {"urn"}, "scenario step")
         op = raw["op"]
-        if op not in _STEP_OPS:
+        if not isinstance(op, str) or op not in _STEP_OPS:
             raise ValueError(f"unknown step op {op!r}")
+        _require_fields(raw, {"op", *_STEP_OPS[op]}, set(), f"{op} step")
         if collapsed:
             raise ValueError("scenario continues after the system was collapsed")
+        if "urn" in raw:
+            urn = OccupancyVector(tuple(_require_list(raw["urn"], "urn", require_int)))
         if op == "separate_system":
             rows.append(LedgerStep("separate_system", current, current,
                                    0.0 if current is not None else None))
@@ -411,7 +416,6 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
         if op == "pvm_on_universe":
             if universe_measured:
                 raise ValueError("universe already measured in this scenario")
-            urn = _step_urn(raw)
             if declared_urn is not None and urn != declared_urn:
                 raise ValueError(
                     "empirical model was built from a different universe outcome"
@@ -428,7 +432,6 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
                     "povm_empirical_model is only valid as the first step of "
                     "an agnostic scenario"
                 )
-            urn = _step_urn(raw)
             pre = multinomial_entropy(
                 MultinomialDist(N, OneParticleDistribution.empirical_from_urn(urn))
             ).total
@@ -444,8 +447,3 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
         collapsed = True
     return MeasurementLedger(tuple(rows))
 
-
-def _step_urn(step: dict) -> OccupancyVector:
-    """The urn a universe step states, which it must."""
-    _require_fields(step, {"op", "urn"}, set(), f"{step['op']} step")
-    return OccupancyVector(tuple(_require_list(step["urn"], "urn", require_int)))
