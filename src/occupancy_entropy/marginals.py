@@ -198,7 +198,7 @@ def _count_window(
     hypergeometric count of n draws from an urn whose colour fraction is p,
     so the window serves both laws. A grid of at most _WHOLE_GRID_CELLS
     cells over all p is kept whole, without calling log_term; with an array
-    ``size``, the rows whose size x (n + 1) is at most that are kept whole.
+    ``size`` of level counts, so is each row whose size x (n + 1) cells fit.
     CapExceededError if n is over _SEARCHED_COUNTS and some support holds
     more than one count.
     """

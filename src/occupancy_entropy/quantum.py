@@ -310,7 +310,7 @@ def empirical_information(universe: OccupancyVector, N: int) -> float:
 
 # each start kind -> the fields it needs besides kind and N
 _START_KINDS = {"bayesian": ("probs",), "empirical": ("urn",), "agnostic": ()}
-# each step op -> the fields it needs besides op, and allows
+# each step op -> the fields besides op that it needs, and the only ones it takes
 _STEP_OPS = {"pvm_on_universe": {"urn"}, "povm_empirical_model": {"urn"},
              "pvm_on_system": set(), "separate_system": set()}
 _NEGATIVE_INFO_TOL = -1e-12

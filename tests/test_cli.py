@@ -21,7 +21,15 @@ from occupancy_entropy.cli import (
     build_parser,
     main,
 )
+from occupancy_entropy.combinatorics import OccupancyVector
 from occupancy_entropy.constants import BOLTZMANN_KB, PLANCK_H
+from occupancy_entropy.distributions import (
+    MultinomialDist,
+    MvhgDist,
+    OneParticleDistribution,
+    tv_distance,
+)
+from occupancy_entropy.entropy import multinomial_entropy, mvhg_entropy
 
 ELECTRON_BOX_1D = '{"mass_kg":9.11e-31,"temperature_K":300,"side_m":20e-9,"dims":1}'
 ELECTRON_BOX_3D = '{"mass_kg":9.11e-31,"temperature_K":300,"side_m":20e-9,"dims":3}'
@@ -554,6 +562,37 @@ class TestConvergeCommand:
         _, second = run(capsys, *args)
         assert first == second
 
+    # ladders whose rows must each have the bits of the per-rung calls: 10
+    # rungs whose 30 levels x 201 counts would cross the 4,096-cell whole-grid
+    # rule if pooled; 4 colours up to U = 10**6; one colour; N = 0; a rung of
+    # U = N; a repeated scale; 1,000 rungs at N = 10
+    @pytest.mark.parametrize(
+        "base, draws, scales",
+        [((300, 200, 500), 200, [1, 2, 3, 4, 5, 10, 15, 20, 30, 50]),
+         ((1, 2, 3, 4), 12, [2, 3, 40, 409, 5000, 100_000]),
+         ((5,), 3, [1, 2, 7]),
+         ((4, 6, 10), 0, [1, 2, 3]),
+         ((2, 3), 5, [1, 2, 9, 9]),
+         ((4, 6, 10), 10, range(1, 1001))],
+        ids=["crossing", "four_colours", "one_colour", "no_draws", "u_equals_n", "long"],
+    )
+    def test_ladder_rows_equal_the_per_rung_calls(self, base, draws, scales):
+        argv = ["converge", "--base-urn", ",".join(map(str, base)), "--draws", str(draws),
+                "--scales", ",".join(map(str, scales)), "--format", "json"]
+        code, out, err = _run_captured(argv)
+        assert (code, err) == (0, "")
+        base = OccupancyVector(base)
+        limit = MultinomialDist(draws, OneParticleDistribution.empirical_from_urn(base))
+        s_limit = multinomial_entropy(limit).total
+        want = []
+        for k in scales:
+            rung = MvhgDist(base.scaled(k), draws)
+            hyper = mvhg_entropy(rung).total
+            want.append([base.total * k, tv_distance(rung, limit), hyper, s_limit, s_limit - hyper])
+        # JSON floats round-trip, so rows of equal reprs have equal bits
+        assert [list(map(repr, row)) for row in json.loads(out)["rows"]] == [
+            list(map(repr, row)) for row in want]
+
 
 class TestGasCommand:
     def test_small_gas(self, capsys):
@@ -836,9 +875,16 @@ class TestLedgerCommand:
              "povm_empirical_model step: missing fields ['urn']"),
             ({"start": {"kind": "bayesian", "N": 2, "probs": [1.0]}, "steps": math.nan},
              "steps must be a list, got nan"),
+            # only the universe steps read an urn, so no other step may state one
+            ({"start": {"kind": "bayesian", "N": 2, "probs": [0.5, 0.5]},
+              "steps": [{"op": "separate_system", "urn": [5, "x"]}]},
+             "separate_system step: unknown fields ['urn']"),
+            ({"start": {"kind": "bayesian", "N": 2, "probs": [0.5, 0.5]},
+              "steps": [{"op": "separate_system"}, {"op": "pvm_on_system", "urn": {}}]},
+             "pvm_on_system step: unknown fields ['urn']"),
         ],
         ids=["agnostic_negative_n", "agnostic_negative_n_measured", "universe_without_urn",
-             "povm_without_urn", "nan_steps"],
+             "povm_without_urn", "nan_steps", "separate_with_urn", "system_pvm_with_urn"],
     )
     def test_bad_scenario_exit_2_naming_the_field(self, scenario, message):
         code, out, err = _run_captured(["ledger", json.dumps(scenario)])

@@ -1037,3 +1037,21 @@ class TestConvergenceScan:
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError):
             convergence_scan(OccupancyVector((1, 1)), 1, [0])
+
+    def test_ladder_grid_is_built_in_blocks(self):
+        # 200 rungs over the 5,456 rows of N = 30 in 4 colours: one grid of
+        # every rung would take 200 x 5,456 x 4 x 8 bytes (35 MB) an array,
+        # where blocks of at most _BLOCK_CELLS cells (2 MB of int64 or float64)
+        # hold the peak to a few blocks
+        base, N = OccupancyVector((4, 6, 10, 12)), 30
+        support_matrix(N, 4)  # cached, so that the peak is the scan's own
+        rows, peak = _traced_peak(lambda: convergence_scan(base, N, range(1, 201)))
+        assert len(rows) == 200
+        block = distributions._BLOCK_CELLS * 8
+        assert peak <= 4 * block < 200 * 5456 * 4 * 8
+
+    def test_block_size_does_not_change_the_rows(self, monkeypatch):
+        base, N, scales = OccupancyVector((4, 6, 10, 12)), 6, [1, 2, 3, 50, 130, 1000]
+        whole = convergence_scan(base, N, scales)
+        monkeypatch.setattr(distributions, "_BLOCK_CELLS", 1)
+        assert convergence_scan(base, N, scales) == whole

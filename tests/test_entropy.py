@@ -14,10 +14,12 @@ from occupancy_entropy.distributions import (
     MvhgDist,
     OneParticleDistribution,
     SzilardSplitDist,
+    _mvhg_log_pmf_grid,
 )
 from occupancy_entropy.entropy import (
     EntropyReport,
     _hypergeometric_log_expectations,
+    _mvhg_entropies,
     boltzmann_entropy,
     entropy_by_enumeration,
     multinomial_entropy,
@@ -1014,3 +1016,53 @@ class TestSzilardSplitEntropy:
         for row, w in zip(counts, want):
             assert d.log_pmf(row) == pytest.approx(w, rel=1e-13, abs=1e-13)
             assert d.pmf(row) == pytest.approx(math.exp(w), rel=1e-12, abs=0.0)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+# urn rows of one or more universe sizes U, and the draw count N: sizes on
+# both sides of the 4096-count tables and past 2**53; urns whose levels x
+# (N + 1) fall on either side of the whole-grid rule (1 and 2 levels kept
+# whole, 3 searched, at N = 2000) and whose windows are padded alone (40
+# levels); N = 0; U = N; one U twice, as a ladder with a repeated scale has
+_ROW_U_CASES = {
+    "table_edges": ([[k, 2 * k, 3 * k, 4 * k] for k in (1, 100, 409, 410, 1000, 10**5)], 10),
+    "whole_grid_per_u": ([[701, 701, 701], [300, 600, 1200], [7, 7, 2087]], 2000),
+    "padding_per_u": ([list(range(50, 90)), [1000, 2000, 3000] + [0] * 37], 500),
+    "past_2_53": ([[2**60, 12345, 1], [3, 4, 5], [2**53 + 1, 2**40, 7]], 12),
+    "no_draws": ([[3, 4], [0, 5], [10, 10]], 0),
+    "u_equals_n": ([[2, 3], [1, 4], [10, 20]], 5),
+    "repeated_u": ([[4, 6, 10], [4, 6, 10], [8, 12, 20]], 10),
+}
+
+
+class TestPerRowUniverseSizes:
+    # the MVHG kernels given one U per urn row give each row the bits of a
+    # call on that row alone, as the converge ladder needs: the whole-grid
+    # and padding rules look at the levels of one U at a time
+    @pytest.mark.parametrize("urns, N", _ROW_U_CASES.values(), ids=_ROW_U_CASES)
+    def test_expectations_and_entropies_per_row(self, urns, N):
+        urns = np.array(urns, dtype=np.int64)
+        U = urns.sum(axis=1)
+        batch = _hypergeometric_log_expectations(U, urns, N)
+        entropies = _mvhg_entropies(U, urns, N)
+        log_choose = marginals._count_log_choose(U, N)
+        for r, row in enumerate(urns):
+            size = int(U[r])
+            alone = _hypergeometric_log_expectations(size, row[None], N)
+            assert [_bits(b[r]) for b in batch] == [_bits(a[0]) for a in alone]
+            alone = _mvhg_entropies(size, row[None], N)
+            assert [_bits(e[r]) for e in entropies] == [_bits(a[0]) for a in alone]
+            assert _bits(log_choose[r]) == _bits(marginals._count_log_choose(size, N))
+
+    @pytest.mark.parametrize(
+        "case", ["table_edges", "past_2_53", "no_draws", "u_equals_n", "repeated_u"])
+    def test_log_pmf_grid_per_row(self, case):
+        urns, N = _ROW_U_CASES[case]
+        urns = np.array(urns, dtype=np.int64)
+        U, counts = urns.sum(axis=1), support_matrix(N, urns.shape[1])
+        grid = _mvhg_log_pmf_grid(urns, counts, U, N)
+        for r, row in enumerate(urns):
+            assert _bits(grid[r]) == _bits(_mvhg_log_pmf_grid(row[None], counts, int(U[r]), N))
