@@ -10,11 +10,12 @@ its traceback. Schemas are documented in docs/formats.md.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,12 +84,8 @@ def _load_json_arg(text: str, what: str) -> dict:
 
 
 def _int64(text: str) -> int:
-    """An argparse type: an integer that fits in 64 bits."""
-    try:
-        return require_int(int(text), "value")
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer of at most 64 bits, got {text!r}") from None
+    """A CLI argument type: an integer that fits in 64 bits."""
+    return require_int(int(text), "value")
 
 
 def _int_list(text: str, what: str) -> list[int]:
@@ -348,22 +345,25 @@ def cmd_oracle(args) -> int:
         _emit_json(
             {"pmf": {" ".join(map(str, k.counts)): str(v) for k, v in table.items()}}
         )
-    elif args.oracle_command == "mc-entropy":
+    else:
         dist = parse_distribution_spec(_load_json_arg(args.spec, "distribution spec"))
         est, se = mc_entropy_estimate(dist, args.samples, seed=args.seed)
         _emit_json({"entropy_estimate": est, "standard_error": se})
-    else:
-        raise ValueError("oracle: choose one of mvhg, ptrace, mc-entropy")
     return EXIT_OK
 
 
 # --- parser -------------------------------------------------------------------
+# One pass of argv per (sub)command, read from COMMANDS: options by a unique
+# prefix, as `--opt value` or `--opt=value`; negative numbers are values.
+
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _arg(*flags, **kwargs):
-    return flags, kwargs
+    return flags, {"dest": flags[-1].lstrip("-").replace("-", "_"), **kwargs}
 
 
+_HELP = _arg("-h", "--help", action="help", help="show this help message and exit")
 _SPEC = _arg("spec", help="inline JSON or path to a distribution spec")
 _MODEL = _arg("--model", required=True, help="inline JSON or path to a box model")
 _TRUNCATION = [_arg("--tail-bound", type=float, default=DEFAULT_TRUNCATION.relative_tail_bound),
@@ -372,11 +372,11 @@ _DRAWS = _arg("--draws", type=_int64, required=True)
 _SEED = _arg("--seed", type=int, default=DEFAULT_SEED)
 _CAP = _arg("--cap", type=_int64, default=DEFAULT_CAP)
 
-# name -> (handler, help, arguments); a dict of arguments holds subcommands.
-# "oracle", a debugging aid without help, is left out of the advertised list.
+# name -> (handler, help, arguments), positionals last; a dict of arguments holds
+# subcommands. Commands without help ("oracle", a debugging aid) are not listed.
 COMMANDS = {
     "entropy": (cmd_entropy, "decomposed entropy of a distribution spec",
-                [_SPEC, _arg("--unit", choices=["nats", "bits", "kB"], default="nats")]),
+                [_arg("--unit", choices=["nats", "bits", "kB"], default="nats"), _SPEC]),
     "converge": (cmd_converge, "TV distance along scaled urns", [
         _arg("--base-urn", required=True, help="comma-separated counts"),
         _arg("--draws", type=_int64, required=True, help="system particle count N"),
@@ -389,7 +389,7 @@ COMMANDS = {
     "holevo": (cmd_holevo, "Holevo bound on accessible information", [
         _arg("--universe-size", type=_int64, required=True), _DRAWS,
         _arg("--probs", required=True, help="comma-separated probabilities"),
-        _arg("--normalize", action="store_true"),
+        _arg("--normalize", action="store_true", default=False),
         _arg("--mode", choices=["exact", "monte_carlo"], default="exact"),
         _arg("--mc-samples", type=_int64, default=_MC_SAMPLES), _SEED]),
     "empirical-info": (cmd_empirical_info,
@@ -398,59 +398,119 @@ COMMANDS = {
     "ledger": (cmd_ledger, "measurement scenario entropy ledger",
                [_arg("scenario", help="inline JSON or path to a scenario file")]),
     "sample": (cmd_sample, "seeded occupancy samples", [
-        _SPEC, _arg("--count", type=_int64, required=True), _SEED,
-        _arg("--format", choices=["json", "csv"], default="json")]),
-    "oracle": (cmd_oracle, None, {
-        "mvhg": [_arg("--urn", required=True), _DRAWS,
-                 _arg("--cap", type=_int64, default=DEFAULT_URN_CAP)],
-        "ptrace": [_arg("--urn", required=True), _DRAWS, _CAP],
-        "mc-entropy": [_arg("spec"), _arg("--samples", type=_int64, required=True), _SEED]}),
+        _arg("--count", type=_int64, required=True), _SEED,
+        _arg("--format", choices=["json", "csv"], default="json"), _SPEC]),
+    "oracle": (None, None, {
+        "mvhg": (cmd_oracle, "draw-tree pmf", [
+            _arg("--urn", required=True), _DRAWS,
+            _arg("--cap", type=_int64, default=DEFAULT_URN_CAP)]),
+        "ptrace": (cmd_oracle, "microstate pmf", [_arg("--urn", required=True), _DRAWS, _CAP]),
+        "mc-entropy": (cmd_oracle, "Monte Carlo entropy",
+                       [_arg("--samples", type=_int64, required=True), _SEED, _SPEC])}),
 }
 PUBLIC_COMMANDS = tuple(name for name, (_, help_text, _) in COMMANDS.items() if help_text)
+_MAIN = (None, "Exact occupancy-number distributions and entropies for bosonic systems.", COMMANDS)
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str, arguments) -> None:
-    if isinstance(arguments, dict):
-        sub = parser.add_subparsers(dest=f"{name}_command")
-        for sub_name, sub_arguments in arguments.items():
-            _add_arguments(sub.add_parser(sub_name), sub_name, sub_arguments)
-        return
-    for flags, kwargs in arguments:
-        parser.add_argument(*flags, **kwargs)
+def _shown(flags, kw) -> str:
+    """An argument as usage and help show it, in brackets when optional."""
+    if flags[0][0] != "-":
+        return kw.get("metavar", flags[0])
+    metavar = "{" + ",".join(kw["choices"]) + "}" if "choices" in kw else kw["dest"].upper()
+    text = "/".join(flags) + ("" if "action" in kw else " " + metavar)
+    return text if kw.get("required") else f"[{text}]"
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's argument parser. When ``command`` names one of COMMANDS,
-    only that command's subparser is built, which parses and documents its
-    arguments as the full tree does; otherwise every subparser is built,
-    for the top-level help and the usage errors."""
-    parser = argparse.ArgumentParser(
-        prog="occupancy-entropy",
-        description="Exact occupancy-number distributions and entropies "
-        "for bosonic systems.",
-    )
-    sub = parser.add_subparsers(
-        dest="command", metavar="{" + ",".join(PUBLIC_COMMANDS) + "}"
-    )
-    sub.required = True
-    for name in [command] if command in COMMANDS else COMMANDS:
-        func, help_text, arguments = COMMANDS[name]
-        p = sub.add_parser(name, **({"help": help_text} if help_text else {}))
-        p.set_defaults(func=func)
-        _add_arguments(p, name, arguments)
-    return parser
+def _usage(prog: str, entries) -> str:
+    return " ".join(["usage:", prog, *(_shown(*entry) for entry in entries)])
+
+
+def _help(prog: str, text, entries) -> str:
+    lines = [_usage(prog, entries), "", *([text, ""] if text else [])]
+    for flags, kw in entries:
+        lines.append(f"  {_shown(flags, kw):<21} {kw.get('help', '')}".rstrip())
+        subs = kw["choices"].items() if "metavar" in kw else ()
+        lines += [f"    {name:<19} {sub[1]}" for name, sub in subs if sub[1]]
+    return "\n".join(lines) + "\n"
+
+
+def _parse(prog: str, command, argv: list[str], dest: str) -> dict:
+    """What ``argv`` gives each argument of ``command`` (a COMMANDS entry),
+    or its default, and the handler as ``func``; a subcommand's name goes to
+    ``dest`` and the rest of argv to it. Help exits 0, a usage error 2."""
+    func, text, arguments = command
+    entries = [_HELP, *arguments] if isinstance(arguments, list) else [_HELP, _arg(
+        dest, choices=arguments,
+        metavar="{" + ",".join(name for name, sub in arguments.items() if sub[1]) + "} ...")]
+    options = {flag: entry for entry in entries for flag in entry[0] if flag[0] == "-"}
+    positionals = iter([entry for entry in entries if entry[0][0][0] != "-"])
+    values, extras = {"func": func, **{kw["dest"]: kw.get("default") for _, kw in entries[1:]}}, []
+
+    def fail(message: str):
+        sys.stderr.write(f"{_usage(prog, entries)}\n{prog}: error: {message}\n")
+        raise SystemExit(EXIT_INPUT)
+
+    def read(tok: str):
+        # an option's entry and explicit value (entry (None, {}) if unknown); None for a value
+        if len(tok) < 2 or tok[0] != "-" or _NEGATIVE.match(tok):
+            return None
+        name, eq, value = tok.partition("=")
+        hits = [name] if name in options else [
+            flag for flag in options if flag.startswith(name) and name[:2] == "--" != name]
+        if len(hits) > 1:
+            fail(f"ambiguous option: {name} could match {', '.join(hits)}")
+        if hits or " " not in tok:
+            return options[hits[0]] if hits else (None, {}), value if eq else None
+
+    def store(flags, kw, tok: str):
+        try:
+            values[kw["dest"]] = value = kw.get("type", str)(tok)
+        except ValueError as exc:
+            fail(f"argument {flags[0]}: {exc}")
+        if value not in kw.get("choices", (value,)):
+            fail(f"argument {flags[0]}: invalid choice: {value!r} "
+                 f"(choose from {', '.join(kw['choices'])})")
+
+    items = iter([(tok, read(tok)) for tok in argv])
+    for tok, kind in items:
+        (flags, kw), value = kind or ((None, {}), None)
+        if kind is None and (entry := next(positionals, None)):
+            store(*entry, tok)
+            if "metavar" in entry[1]:  # a subcommand, which takes the rest of argv
+                rest = [t for t, _ in items]
+                values.update(_parse(f"{prog} {tok}", arguments[tok], rest, f"{tok}_command"))
+        elif flags is None:
+            extras.append(tok)
+        elif "action" in kw and value is not None:
+            fail(f"argument {flags[-1]}: ignored explicit argument {value!r}")
+        elif kw.get("action") == "help":
+            sys.stdout.write(_help(prog, text, entries))
+            raise SystemExit(EXIT_OK)
+        elif "action" in kw:
+            values[kw["dest"]] = True
+        elif value is None and (following := next(items, (None, ())))[1] is not None:
+            fail(f"argument {flags[0]}: expected one argument")
+        else:
+            store(flags, kw, following[0] if value is None else value)
+    missing = [_shown(flags, kw) for flags, kw in entries[1:]
+               if (kw.get("required") or flags[0][0] != "-") and values[kw["dest"]] is None]
+    if missing or extras:
+        fail(f"the following arguments are required: {', '.join(missing)}" if missing
+             else f"unrecognized arguments: {' '.join(extras)}")
+    return values
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The arguments of one CLI call, with its handler as ``func``."""
+    return SimpleNamespace(**_parse("occupancy-entropy", _MAIN, list(argv), "command"))
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
-        return EXIT_INPUT if exc.code not in (0,) else 0
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
+    except SystemExit as exc:  # help, or a usage error
+        return exc.code
     except (CapExceededError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

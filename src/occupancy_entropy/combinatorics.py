@@ -89,6 +89,20 @@ def require_int(value, what: str) -> int:
     return int(value)
 
 
+def _require_cap(cap: int) -> None:
+    """ValueError for a negative cap, which is bad input, not a cap that a
+    walk could exceed; a cap of 0 refuses every walk as a cap error."""
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
+
+
+def _require_seed(seed) -> None:
+    """ValueError naming the seed unless it is a non-negative integer, the
+    seeds numpy's generators take."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _require_number(value, what: str) -> float:
     """``value`` as a float. Only ints and floats pass: bools, strings,
     nulls and containers are refused with ValueError instead of being
@@ -143,7 +157,8 @@ def occupancy_count(total: int, num_colors: int) -> int:
 
 def _check_support(total: int, num_colors: int, cap: int, advice: str = "") -> int:
     """:func:`occupancy_count`, or CapExceededError stating both numbers
-    and ``advice`` if it is over ``cap``."""
+    and ``advice`` if it is over ``cap``; ValueError for a negative cap."""
+    _require_cap(cap)
     count = occupancy_count(total, num_colors)
     if count > cap:
         hint = f"; {advice}" if advice else ""

@@ -20,6 +20,7 @@ from .combinatorics import (
     CapExceededError,
     OccupancyVector,
     _check_support,
+    _require_seed,
     require_int,
     support_matrix,
 )
@@ -446,6 +447,7 @@ def sample(d: OccupancyDistribution, count: int, seed: int = DEFAULT_SEED) -> np
     zero, and no uniform is read."""
     if count < 0:
         raise ValueError("count must be non-negative")
+    _require_seed(seed)
     if type(d) not in _SAMPLERS:
         raise TypeError(f"cannot sample from {type(d).__name__}")
     _check_draw_cells(count, max(d.N, d.num_colors), "a sample")

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import DEFAULT_CAP, CapExceededError, OccupancyVector
+from .combinatorics import DEFAULT_CAP, CapExceededError, OccupancyVector, _require_cap
 from .distributions import DEFAULT_SEED, OccupancyDistribution, sample
 
 __all__ = [
@@ -45,6 +45,7 @@ def brute_force_mvhg(
     its remaining count over the remaining total), merging branches that
     share a tally. No binomial coefficients anywhere.
     """
+    _require_cap(urn_cap)
     if urn.total > urn_cap:
         raise CapExceededError(
             f"urn of {urn.total} exceeds oracle cap {urn_cap}", urn.total, urn_cap
@@ -134,6 +135,7 @@ def brute_force_partial_trace(
     with equal weight, and the induced distribution of the occupancy of
     the first N particles is returned exactly.
     """
+    _require_cap(microstate_cap)
     if not 0 <= N <= urn.total:
         raise ValueError(f"system size {N} outside [0, {urn.total}]")
     total_microstates, tables = _prefix_tally_tables(urn.counts, microstate_cap)

@@ -20,9 +20,11 @@ from .combinatorics import (
     DEFAULT_CAP,
     CapExceededError,
     OccupancyVector,
+    _require_cap,
     _require_fields,
     _require_list,
     _require_number,
+    _require_seed,
     occupancy_count,
     require_int,
     support_matrix,
@@ -132,7 +134,8 @@ def _bayesian_mixture(
     colour) cells. Each block is added urn after urn (np.add.accumulate), so
     the sum does not depend on the block size, and at U == N the mixture is
     the prior bit for bit. CapExceededError if the urn and system supports
-    have more than ``cap`` pairs."""
+    have more than ``cap`` pairs, ValueError for a negative cap."""
+    _require_cap(cap)
     required = occupancy_count(U, p.num_colors) * occupancy_count(N, p.num_colors)
     if required > cap:
         raise CapExceededError(
@@ -196,7 +199,8 @@ def holevo_chi(
     """Upper bound on the information any measurement on the system can
     extract about the universe outcome:
     chi = S(canonical) - E_prior{ S(traced) } >= 0. ValueError for N
-    outside [0, U].
+    outside [0, U], and in either mode for fewer than 2 ``mc_samples`` or
+    a seed that is not a non-negative integer.
 
     Exact mode evaluates the closed form
     chi = H(Mult(U, p)) - H(Mult(U - N, p)), which holds because the
@@ -250,12 +254,13 @@ def holevo_chi(
     """
     if not 0 <= N <= U:
         raise ValueError(f"draw count {N} outside [0, {U}]")
+    if mc_samples < 2:  # refused in exact mode too, which draws none
+        raise ValueError(f"mc_samples must be at least 2, got {mc_samples}")
+    _require_seed(seed)
     if mode == "exact":
         whole, rest = (multinomial_entropy(MultinomialDist(n, p)).total for n in (U, U - N))
         return HolevoEstimate(whole - rest, None, "exact")
     if mode == "monte_carlo":
-        if mc_samples < 2:
-            raise ValueError("monte_carlo mode needs at least 2 samples")
         colours = int(np.count_nonzero(p.probs))
         if N == 0 or colours == 1:
             return HolevoEstimate(0.0, 0.0, "monte_carlo")
