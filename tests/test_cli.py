@@ -18,8 +18,8 @@ from occupancy_entropy.cli import (
     PUBLIC_COMMANDS,
     SCHEMA_VERSION,
     _sample_json,
-    build_parser,
     main,
+    parse_args,
 )
 from occupancy_entropy.combinatorics import OccupancyVector
 from occupancy_entropy.constants import BOLTZMANN_KB, PLANCK_H
@@ -1074,6 +1074,48 @@ class TestUrnPast64Bits:
         assert elapsed < 1.0
 
 
+class TestBadValuesExit2:
+    MVHG = '{"kind":"mvhg","urn":[3,2],"N":2}'
+    HOLEVO = ["holevo", "--universe-size", "10", "--draws", "5", "--probs", "0.5,0.5"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["converge", "--base-urn", "4,6,10", "--draws", "10", "--scales", "1", "--cap", "-1"],
+             "cap must be non-negative, got -1"),
+            (["oracle", "mvhg", "--urn", "3,2", "--draws", "2", "--cap", "-1"],
+             "cap must be non-negative, got -1"),
+            (["oracle", "ptrace", "--urn", "3,2", "--draws", "2", "--cap", "-1"],
+             "cap must be non-negative, got -1"),
+            (HOLEVO + ["--mc-samples", "-5"], "mc_samples must be at least 2, got -5"),
+            (HOLEVO + ["--mc-samples", "1", "--mode", "monte_carlo"], "at least 2, got 1"),
+            (["sample", MVHG, "--count", "2", "--seed", "-1"], "seed must be a non-negative"),
+            (["sample", MVHG, "--count", "0", "--seed", "-1"], "seed must be a non-negative"),
+            (HOLEVO + ["--mode", "monte_carlo", "--seed", "-3"], "seed must be a non-negative"),
+            (HOLEVO + ["--seed", "-3"], "seed must be a non-negative"),
+            (["oracle", "mc-entropy", MVHG, "--samples", "4", "--seed", "-1"],
+             "seed must be a non-negative"),
+        ],
+        ids=str,
+    )
+    def test_refused_with_a_message_naming_the_value(self, argv, message):
+        code, out, err = _run_captured(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["converge", "--base-urn", "4,6,10", "--draws", "10", "--scales", "1", "--cap", "0"],
+         ["oracle", "mvhg", "--urn", "3,2", "--draws", "2", "--cap", "0"],
+         ["oracle", "ptrace", "--urn", "3,2", "--draws", "2", "--cap", "0"]],
+        ids=str,
+    )
+    def test_a_zero_cap_is_still_a_cap_error(self, argv):
+        code, out, err = _run_captured(argv)
+        assert (code, out) == (3, "")
+        assert "cap" in err and "cap must be" not in err
+
+
 class TestOracleCommand:
     def test_mvhg_fractions(self, capsys):
         code, out = run(capsys, "oracle", "mvhg", "--urn", "2,2", "--draws", "2")
@@ -1122,9 +1164,96 @@ class TestOracleCommand:
         assert "oracle" not in out
 
 
-def subparsers(parser):
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
+def _reference_parser() -> argparse.ArgumentParser:
+    """An argparse parser built from COMMANDS, the reference the CLI's own
+    parser is checked against (as oracle.py's brute-force paths are for the
+    kernels). Every subcommand level is required."""
+
+    def add(parser, arguments, dest):
+        if isinstance(arguments, dict):
+            sub = parser.add_subparsers(dest=dest, required=True)
+            for name, (func, _, sub_arguments) in arguments.items():
+                child = sub.add_parser(name)
+                if func:
+                    child.set_defaults(func=func)
+                add(child, sub_arguments, f"{name}_command")
+        else:
+            for flags, kwargs in arguments:
+                # argparse derives a positional's dest from its name and refuses another
+                kwargs = {k: v for k, v in kwargs.items() if k != "dest" or flags[0][0] == "-"}
+                parser.add_argument(*flags, **kwargs)
+
+    parser = argparse.ArgumentParser(prog="occupancy-entropy")
+    add(parser, COMMANDS, "command")
+    return parser
+
+
+REFERENCE = _reference_parser()
+
+
+def _outcome(parse, argv):
+    """The namespace a parse gives, as a dict, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code
+
+
+# (argv before the options, arguments) of every command and oracle subcommand
+LEAVES = [
+    ([name, *sub], arguments)
+    for name, (_, _, table) in COMMANDS.items()
+    for sub, arguments in (
+        [((sub_name,), entry[2]) for sub_name, entry in table.items()]
+        if isinstance(table, dict) else [((), table)]
+    )
+]
+
+# values for any argument: valid ones for some type or choice, negative
+# numbers (never with an exponent, which argparse versions read differently),
+# option-like tokens, integers past 64 bits, bad numbers, JSON
+_ANY_VALUE = st.sampled_from([
+    "0", "1", "7", "60", "-1", "-3", "-0.5", "-.5", ".5", "1.5", "1e-3", "0.5,0.5",
+    "-0.5,0.5", "1,2,3", "abc", "", "-", "-x", "--bogus", "1" + "0" * 30,
+    "nats", "bits", "csv", "json", "exact", "monte_carlo", '{"kind":"mvhg","urn":[3,2],"N":2}',
+])
+
+
+@st.composite
+def _argvs(draw):
+    """An argv for one command or oracle subcommand: each argument given
+    zero to two times (the last repeat wins), as `--opt value`,
+    `--opt=value` or a prefix of either, with a valid value or any other,
+    among unknown options, ambiguous prefixes, extra positionals and help,
+    in any order."""
+    path, arguments = draw(st.sampled_from(LEAVES))
+    flags_all = ["--help", *(f for flags, _ in arguments for f in flags if f[0] == "-")]
+    ambiguous = sorted({f[:n] for f in flags_all for n in range(3, len(f))
+                        if sum(g.startswith(f[:n]) for g in flags_all) > 1})
+    groups = []
+    for flags, kw in arguments:
+        required = kw.get("required") or flags[0][0] != "-"
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2] if required else [0, 0, 1, 2]))):
+            good = [*kw.get("choices", []), *(["5", "-2"] if "type" in kw else [])]
+            value = draw(st.sampled_from(good) | _ANY_VALUE if good else _ANY_VALUE)
+            if flags[0][0] != "-":
+                groups.append([value])
+                continue
+            flag = flags[0][: draw(st.integers(3, len(flags[0])))] if draw(
+                st.booleans()) else flags[0]
+            flag_only = kw.get("action") == "store_true"
+            if draw(st.integers(0, 3)) == 0:
+                groups.append([f"{flag}={value}"])
+            else:
+                groups.append([flag] if flag_only else [flag, value])
+    noise = [["--bogus"], ["--bogus", "1"], ["--bogus=1"], ["-x"], ["extra"], ["--help"],
+             *([[a] for a in ambiguous] + [[a, "1"] for a in ambiguous])]
+    groups += draw(st.lists(st.sampled_from(noise), max_size=2))
+    return path + [tok for group in draw(st.permutations(groups)) for tok in group]
+
+
+HOLEVO_60 = ["holevo", "--universe-size", "60", "--draws", "10", "--probs", "0.5,0.5"]
 
 
 class TestParsing:
@@ -1139,7 +1268,7 @@ class TestParsing:
         ids=["particles", "universe_size", "draws", "urn"],
     )
     def test_integer_past_64_bits_exit_2(self, argv):
-        # an int64 array cannot hold them; argparse refuses them up front
+        # an int64 array cannot hold them; the parser refuses them up front
         code, out, err = _run_captured(argv)
         assert code == 2
         assert out == ""
@@ -1148,39 +1277,82 @@ class TestParsing:
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    @pytest.mark.parametrize("argv", [[], ["nosuch"], ["entropy"]], ids=str)
-    def test_usage_errors_exit_2(self, capsys, argv):
-        assert main(argv) == 2
-        assert "usage: occupancy-entropy" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, prog, message",
+        [
+            ([], "occupancy-entropy", "the following arguments are required: {entropy,"),
+            (["nosuch"], "occupancy-entropy", "invalid choice: 'nosuch'"),
+            (["entropy"], "occupancy-entropy entropy", "the following arguments are required: spec"),
+            (["oracle"], "occupancy-entropy oracle", "required: {mvhg,ptrace,mc-entropy}"),
+            (["holevo", "--universe-size", "60", "--draws", "10", "--probs", "0.5,0.5", "--bogus", "1"],
+             "occupancy-entropy holevo", "unrecognized arguments: --bogus 1"),
+            (["holevo", "--m", "exact"], "occupancy-entropy holevo",
+             "ambiguous option: --m could match --mode, --mc-samples"),
+            (["entropy", "--", "spec"], "occupancy-entropy entropy", "unrecognized arguments: --"),
+        ],
+        ids=str,
+    )
+    def test_usage_errors_exit_2(self, argv, prog, message):
+        code, out, err = _run_captured(argv)
+        assert (code, out) == (2, "")
+        usage, error = err.splitlines()
+        assert usage.startswith(f"usage: {prog} [-h/--help]")
+        assert error.startswith(f"{prog}: error: ") and message in error
 
     def test_help_lists_every_public_command(self, capsys):
         public = ["entropy", "converge", "gas", "szilard", "holevo",
                   "empirical-info", "ledger", "sample"]
         assert list(PUBLIC_COMMANDS) == public
-        assert main(["--help"]) == 0
+        for argv in (["--help"], ["-h"], ["--he"]):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("usage: occupancy-entropy [-h/--help] {" + ",".join(public) + "} ...")
+            for name in public:
+                assert f"\n    {name} " in out
+
+    @pytest.mark.parametrize("path, arguments", LEAVES, ids=[" ".join(p) for p, _ in LEAVES])
+    def test_command_help_names_every_option(self, capsys, path, arguments):
+        assert main([*path, "--help"]) == 0
         out = capsys.readouterr().out
-        assert "{" + ",".join(public) + "}" in out
-        for name in public:
-            assert f"\n    {name} " in out
+        assert out.startswith(f"usage: occupancy-entropy {' '.join(path)} [-h/--help]")
+        for flags, kw in arguments:
+            assert flags[0] in out
+            if "help" in kw:
+                assert kw["help"] in out
 
-    @pytest.mark.parametrize("name", list(COMMANDS))
-    def test_single_command_parser_matches_the_full_tree(self, name):
-        # compared within one process, so the terminal width is the same
-        full = subparsers(build_parser())
-        single = subparsers(build_parser(name))
-        assert list(single) == [name]
-        pairs = [(full[name], single[name])]
-        if name == "oracle":
-            nested_full, nested_single = subparsers(full[name]), subparsers(single[name])
-            assert list(nested_single) == ["mvhg", "ptrace", "mc-entropy"]
-            pairs += [(nested_full[n], nested_single[n]) for n in nested_full]
-        for want, got in pairs:
-            assert got.format_help() == want.format_help()
-            assert got.format_usage() == want.format_usage()
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            (["holevo", "--univ", "60", "--draws=10", "--probs", "-0.5", "--norm"],
+             {"universe_size": 60, "draws": 10, "probs": "-0.5", "normalize": True}),
+            (["sample", "--count", "-1", "spec", "--seed", "3", "--seed", "4"],
+             {"spec": "spec", "count": -1, "seed": 4, "format": "json"}),
+            (["oracle", "mvhg", "--urn", "3,2", "--d", "2"],
+             {"oracle_command": "mvhg", "urn": "3,2", "draws": 2, "cap": 10}),
+        ],
+        ids=str,
+    )
+    def test_option_syntax(self, argv, values):
+        args = vars(parse_args(argv))
+        assert args["command"] == argv[0]
+        assert {key: args[key] for key in values} == values
 
-    def test_unknown_word_builds_the_full_tree(self):
-        assert list(subparsers(build_parser("nosuch"))) == list(COMMANDS)
-        assert subparsers(build_parser()).keys() == subparsers(build_parser("-h")).keys()
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["-h"], ["nosuch"], ["-1"], ["--bogus", "entropy", "x"], ["oracle"],
+         ["oracle", "bogus"], ["oracle", "--help"], ["oracle", "ptrace", "-h"],
+         # a flag given a value, and tokens with a space, which are values
+         HOLEVO_60 + ["--norm=1"], HOLEVO_60 + ["--help=1"], HOLEVO_60[:-1] + ["-0.5 0.5"],
+         ["entropy", "-x y"], ["entropy", "--unit=bits", "--u", "kB", "spec"]],
+        ids=str,
+    )
+    def test_edge_cases_match_argparse(self, argv):
+        assert _outcome(parse_args, argv) == _outcome(REFERENCE.parse_args, argv)
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_argvs())
+    def test_same_values_or_both_refuse_as_argparse(self, argv):
+        assert _outcome(parse_args, argv) == _outcome(REFERENCE.parse_args, argv)
 
     def test_console_script_wiring(self):
         proc = subprocess.run(

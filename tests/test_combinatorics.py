@@ -22,6 +22,7 @@ from occupancy_entropy.distributions import (
 )
 from occupancy_entropy.entropy import entropy_by_enumeration
 from occupancy_entropy.marginals import _log_factorial
+from occupancy_entropy.oracle import brute_force_mvhg, brute_force_partial_trace
 from occupancy_entropy.quantum import bayesian_marginal_check
 
 
@@ -176,6 +177,27 @@ class TestEnumerateOccupancies:
         assert mat.shape == (occupancy_count(n, c), c)
         assert mat.dtype == np.int64
         assert np.array_equal(mat, tuples)
+
+
+class TestNegativeCap:
+    # a negative cap is bad input, refused as a ValueError naming the cap;
+    # a cap of 0 is a cap, which every walk exceeds
+    URN = OccupancyVector((3, 2))
+    CALLS = {
+        "check_support": lambda cap: support_matrix(3, 2, cap),
+        "tv_distance": lambda cap: tv_distance(FIVE_COLOURS_20, FIVE_COLOURS_20, cap=cap),
+        "brute_force_mvhg": lambda cap: brute_force_mvhg(TestNegativeCap.URN, 2, cap),
+        "brute_force_partial_trace":
+            lambda cap: brute_force_partial_trace(TestNegativeCap.URN, 2, cap),
+        "bayesian_mixture": lambda cap: bayesian_marginal_check(3, 2, QUARTER_FOUR, cap=cap),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_negative_is_bad_input_and_zero_a_cap(self, name):
+        with pytest.raises(ValueError, match="cap must be non-negative, got -1"):
+            self.CALLS[name](-1)
+        with pytest.raises(CapExceededError):
+            self.CALLS[name](0)
 
 
 class TestCapExceededError:

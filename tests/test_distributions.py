@@ -483,6 +483,17 @@ class TestSampling:
             sample(d, 4, seed=1)
         assert (err.value.required, err.value.cap) == (16, 12)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "7", None])
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_refuses_a_bad_seed_naming_it(self, seed, count):
+        # numpy's own refusal said only "expected non-negative integer"
+        with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got "):
+            sample(MvhgDist(OccupancyVector((3, 2)), 2), count, seed=seed)
+
+    def test_a_seed_past_64_bits_still_draws(self):
+        d = MvhgDist(OccupancyVector((3, 2)), 2)
+        assert sample(d, 3, seed=10**30).shape == (3, 2)
+
     def test_exhaustive_draw(self):
         d = MvhgDist(OccupancyVector((3, 1)), 4)
         assert sample(d, 25, seed=5).tolist() == [[3, 1]] * 25

@@ -245,6 +245,17 @@ def multinomial_entropy_mp(n, probs, sds=None):
 
 
 class TestHolevoChi:
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    @pytest.mark.parametrize("N", [0, 5])
+    def test_too_few_samples_or_a_bad_seed_refused_in_either_mode(self, mode, N):
+        # exact mode draws nothing, and neither does Monte Carlo at N = 0,
+        # but neither yields a number for bad input
+        with pytest.raises(ValueError, match="mc_samples must be at least 2, got -5"):
+            holevo_chi(10, N, FAIR_TWO, mode=mode, mc_samples=-5)
+        for seed in (-3, 1.5, True):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                holevo_chi(10, N, FAIR_TWO, mode=mode, seed=seed)
+
     @pytest.mark.parametrize(
         "U, N, probs",
         [
