@@ -14,6 +14,8 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -38,7 +40,6 @@ from .distributions import (
     sample,
 )
 from .entropy import (
-    _mvhg_entropies,
     _unit_factor,
     multinomial_entropy,
     mvhg_entropy,
@@ -57,7 +58,13 @@ from .physics import (
     ideal_gas_entropy,
     szilard_insertion,
 )
-from .quantum import _MC_SAMPLES, empirical_information, holevo_chi, measurement_ledger
+from .quantum import (
+    _MC_SAMPLES,
+    _limit_and_urn_entropies,
+    empirical_information,
+    holevo_chi,
+    measurement_ledger,
+)
 
 SCHEMA_VERSION = 1
 
@@ -186,26 +193,10 @@ def _sample_json(seed: int, counts: np.ndarray) -> str:
     )
 
 
-def _sample_csv(counts: np.ndarray) -> str:
-    """The text of ``_emit_csv`` for a (rows, colours) int array under its
-    ``n0,n1,...`` header, written by one %-format of every count."""
-    n, k = counts.shape
-    header = ",".join(f"n{i}" for i in range(k))
-    rows = ("\n" + ",".join(["%d"] * k)) * n % tuple(counts.ravel().tolist())
-    return header + rows + "\n"
-
-
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join(_csv_cell(v) for v in row))
-    sys.stdout.write("\n".join(out) + "\n")
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
+def _csv(header: list[str], row: str, rows: int, values: list) -> str:
+    """CSV text: the header, then ``rows`` lines of the %-format ``row``,
+    filled from the flat ``values`` row after row by one format call."""
+    return ",".join(header) + ("\n" + row) * rows % tuple(values) + "\n"
 
 
 # --- commands -----------------------------------------------------------------
@@ -229,16 +220,13 @@ def cmd_entropy(args) -> int:
 def cmd_converge(args) -> int:
     base = OccupancyVector(tuple(_int_list(args.base_urn, "--base-urn")))
     scan = convergence_scan(base, args.draws, _int_list(args.scales, "--scales"), cap=args.cap)
-    limit = MultinomialDist(args.draws, OneParticleDistribution.empirical_from_urn(base))
-    s_limit = multinomial_entropy(limit).total
-    sizes = np.array([U for U, _ in scan])
-    hyper = _mvhg_entropies(sizes, np.outer(sizes // base.total, base.counts), args.draws)[1]
-    rows = [[U, tv, h, s_limit, s_limit - h] for (U, tv), h in zip(scan, hyper.tolist())]
+    s_limit, hyper = _limit_and_urn_entropies(base, args.draws, [U for U, _ in scan])
+    rows = [[U, tv, h, s_limit, s_limit - h] for (U, tv), h in zip(scan, hyper)]
     header = ["U", "tv", "hyper_entropy", "multinomial_entropy", "empirical_information"]
     if args.format == "json":
         _emit_json({"columns": header, "rows": rows})
     else:
-        _emit_csv(header, rows)
+        sys.stdout.write(_csv(header, "%d" + ",%.12g" * 4, len(rows), [v for r in rows for v in r]))
     return EXIT_OK
 
 
@@ -291,10 +279,7 @@ def cmd_holevo(args) -> int:
         mc_samples=args.mc_samples,
         seed=args.seed,
     )
-    payload = {"chi": est.chi, "mode": est.mode}
-    if est.standard_error is not None:
-        payload["standard_error"] = est.standard_error
-    _emit_json(payload)
+    _emit_json({name: value for name, value in asdict(est).items() if value is not None})
     return EXIT_OK
 
 
@@ -312,15 +297,7 @@ def cmd_ledger(args) -> int:
     ledger = measurement_ledger(scenario["start"], scenario["steps"])
     _emit_json(
         {
-            "steps": [
-                {
-                    "label": s.label,
-                    "pre_entropy": s.pre_entropy,
-                    "post_entropy": s.post_entropy,
-                    "information_gained": s.information_gained,
-                }
-                for s in ledger.steps
-            ],
+            "steps": [asdict(s) for s in ledger.steps],
             "total_information": ledger.total_information,
         }
     )
@@ -331,24 +308,28 @@ def cmd_sample(args) -> int:
     dist = parse_distribution_spec(_load_json_arg(args.spec, "distribution spec"))
     counts = sample(dist, args.count, seed=args.seed)
     if args.format == "csv":
-        sys.stdout.write(_sample_csv(counts))
+        n, k = counts.shape
+        header = [f"n{i}" for i in range(k)]
+        sys.stdout.write(_csv(header, ",".join(["%d"] * k), n, counts.ravel().tolist()))
     else:
         sys.stdout.write(_sample_json(args.seed, counts) + "\n")
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    if args.oracle_command in ("mvhg", "ptrace"):
-        urn = OccupancyVector(tuple(_int_list(args.urn, "--urn")))
-        walk = brute_force_mvhg if args.oracle_command == "mvhg" else brute_force_partial_trace
-        table = walk(urn, args.draws, args.cap)
-        _emit_json(
-            {"pmf": {" ".join(map(str, k.counts)): str(v) for k, v in table.items()}}
-        )
-    else:
-        dist = parse_distribution_spec(_load_json_arg(args.spec, "distribution spec"))
-        est, se = mc_entropy_estimate(dist, args.samples, seed=args.seed)
-        _emit_json({"entropy_estimate": est, "standard_error": se})
+def cmd_oracle_pmf(walk, args) -> int:
+    """The exact pmf that ``walk`` (an oracle.py walk) finds for the draws."""
+    urn = OccupancyVector(tuple(_int_list(args.urn, "--urn")))
+    table = walk(urn, args.draws, args.cap)
+    _emit_json(
+        {"pmf": {" ".join(map(str, k.counts)): str(v) for k, v in table.items()}}
+    )
+    return EXIT_OK
+
+
+def cmd_oracle_mc_entropy(args) -> int:
+    dist = parse_distribution_spec(_load_json_arg(args.spec, "distribution spec"))
+    est, se = mc_entropy_estimate(dist, args.samples, seed=args.seed)
+    _emit_json({"entropy_estimate": est, "standard_error": se})
     return EXIT_OK
 
 
@@ -401,11 +382,12 @@ COMMANDS = {
         _arg("--count", type=_int64, required=True), _SEED,
         _arg("--format", choices=["json", "csv"], default="json"), _SPEC]),
     "oracle": (None, None, {
-        "mvhg": (cmd_oracle, "draw-tree pmf", [
+        "mvhg": (partial(cmd_oracle_pmf, brute_force_mvhg), "draw-tree pmf", [
             _arg("--urn", required=True), _DRAWS,
             _arg("--cap", type=_int64, default=DEFAULT_URN_CAP)]),
-        "ptrace": (cmd_oracle, "microstate pmf", [_arg("--urn", required=True), _DRAWS, _CAP]),
-        "mc-entropy": (cmd_oracle, "Monte Carlo entropy",
+        "ptrace": (partial(cmd_oracle_pmf, brute_force_partial_trace), "microstate pmf",
+                   [_arg("--urn", required=True), _DRAWS, _CAP]),
+        "mc-entropy": (cmd_oracle_mc_entropy, "Monte Carlo entropy",
                        [_arg("--samples", type=_int64, required=True), _SEED, _SPEC])}),
 }
 PUBLIC_COMMANDS = tuple(name for name, (_, help_text, _) in COMMANDS.items() if help_text)

@@ -155,18 +155,14 @@ class MvhgDist:
     """
 
     urn: OccupancyVector
-    draw_count: int
+    N: int
 
     def __post_init__(self) -> None:
         require_int(self.urn.total, "urn total")
-        if not 0 <= self.draw_count <= self.urn.total:
+        if not 0 <= self.N <= self.urn.total:
             raise ValueError(
-                f"draw count {self.draw_count} outside [0, {self.urn.total}]"
+                f"draw count {self.N} outside [0, {self.urn.total}]"
             )
-
-    @property
-    def N(self) -> int:
-        return self.draw_count
 
     @property
     def num_colors(self) -> int:
@@ -177,8 +173,8 @@ class MvhgDist:
     def log_pmf_batch(self, counts: np.ndarray) -> np.ndarray:
         counts = np.asarray(counts)
         u = np.asarray(self.urn.counts)[None, :]
-        out = _mvhg_log_pmf_grid(u, counts, self.urn.total, self.draw_count)[0]
-        out[(counts < 0).any(axis=1) | (counts.sum(axis=1) != self.draw_count)] = -np.inf
+        out = _mvhg_log_pmf_grid(u, counts, self.urn.total, self.N)[0]
+        out[(counts < 0).any(axis=1) | (counts.sum(axis=1) != self.N)] = -np.inf
         return out
 
 
@@ -258,7 +254,7 @@ def marginal(d: MultinomialDist | MvhgDist, color: int) -> np.ndarray:
     if isinstance(d, MultinomialDist):
         return _binomial_marginal(d.N, float(d.p.probs[color]))
     if isinstance(d, MvhgDist):
-        return _hypergeometric_marginal(d.urn.total, d.urn[color], d.draw_count)
+        return _hypergeometric_marginal(d.urn.total, d.urn[color], d.N)
     raise TypeError(f"no closed-form marginal for {type(d).__name__}")
 
 
@@ -375,7 +371,7 @@ def _sample_mvhg_counts(rng: np.random.Generator, d: MvhgDist, out) -> None:
     one integer step held += held <= floor(u_t * (U - t)) + t over the
     (k - 1, rows) array of a block. held <= U and the targets are below U,
     so both fit the narrowest signed integer type that holds U."""
-    urn, draws = d.urn, d.draw_count
+    urn, draws = d.urn, d.N
     count, num_colors = out.shape
     dtype = np.min_scalar_type(-urn.total - 1)
     edges = np.cumsum(np.asarray(urn.counts, dtype=np.int64))[:-1, None].astype(dtype)

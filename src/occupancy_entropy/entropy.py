@@ -9,7 +9,7 @@ Units: natural log (nats) by default. "kB" is the same number relabelled;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -67,25 +67,12 @@ class EntropyReport:
             raise ValueError(f"unknown unit {self.unit!r}")
 
     def in_unit(self, unit: str) -> "EntropyReport":
-        if unit not in _UNITS:
-            raise ValueError(f"unknown unit {unit!r}")
         factor = _unit_factor(self.unit, unit)
-        return EntropyReport(
-            microstate_term=self.microstate_term * factor,
-            expected_logW=self.expected_logW * factor,
-            total=self.total * factor,
-            boltzmann=self.boltzmann * factor,
-            unit=unit,
-        )
+        scaled = {name: value * factor for name, value in self.as_dict().items() if name != "unit"}
+        return replace(self, **scaled, unit=unit)
 
     def as_dict(self) -> dict:
-        return {
-            "microstate_term": self.microstate_term,
-            "expected_logW": self.expected_logW,
-            "total": self.total,
-            "boltzmann": self.boltzmann,
-            "unit": self.unit,
-        }
+        return asdict(self)
 
 
 def _unit_factor(src: str, dst: str) -> float:
@@ -179,7 +166,7 @@ def mvhg_entropy(d: MvhgDist) -> EntropyReport:
     term of size ln U! either. The microstate term is reported as
     total + expected_logW.
     """
-    urn, N = d.urn, d.draw_count
+    urn, N = d.urn, d.N
     U = urn.total
     e_fact, total = (float(x[0]) for x in _mvhg_entropies(U, np.asarray([urn.counts]), N))
     expected_logW = log_factorial(N) - e_fact
@@ -196,9 +183,18 @@ def mvhg_entropy(d: MvhgDist) -> EntropyReport:
 def _mvhg_entropies(U, urns: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """For each row of a (urns, colours) array of urns of U balls each (of
     U[r] balls in row r for an array U), with n ~ MVHG(urn, N):
-    sum_c E{ln n_c!}, and the entropy ln C(U, N) - sum_c E{ln C(u_c, n_c)}."""
+    sum_c E{ln n_c!}, and the entropy ln C(U, N) - sum_c E{ln C(u_c, n_c)}.
+    The draw is certain where at most one colour holds balls, so its entropy
+    is then 0.0. One draw is the same law with and without replacement, so
+    at N = 1 a row's entropy is the multinomial kernel's on its urn's colour
+    fractions, with the bits of multinomial_entropy on them."""
     e_fact, e_binom = _hypergeometric_log_expectations(U, urns, N)
-    return e_fact.sum(axis=1), _count_log_choose(U, N) - e_binom.sum(axis=1)
+    total = _count_log_choose(U, N) - e_binom.sum(axis=1)
+    if N == 1:
+        total = np.array([_multinomial_report(1, *np.unique(f, return_counts=True)).total
+                          for f in urns / np.reshape(U, (-1, 1))])
+    total[np.count_nonzero(urns, axis=1) <= 1] = 0.0
+    return e_fact.sum(axis=1), total
 
 
 def boltzmann_entropy(mean_occupancy: Sequence[float]) -> float:

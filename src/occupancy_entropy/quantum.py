@@ -264,8 +264,7 @@ def holevo_chi(
         colours = int(np.count_nonzero(p.probs))
         if N == 0 or colours == 1:
             return HolevoEstimate(0.0, 0.0, "monte_carlo")
-        bound = (61 + math.log2(N + 1) + math.log2(p.num_colors * mc_samples) / 2
-                 ) * _EPS * math.lgamma(U + 1.0)
+        bound = _rounding_bound(U, N, p.num_colors, mc_samples)
         limit = 0.01 * (colours - 1) / 2 * (-math.log1p(-N / U) if N < U else math.inf)
         if bound > limit:
             raise CapExceededError(
@@ -299,16 +298,57 @@ def _prior_universes(
     return out
 
 
+def _rounding_bound(U: int, N: int, colours: int, samples: int) -> float:
+    """B, the bound proven in holevo_chi's docstring on the rounding of the
+    mean over ``samples`` urns of U balls in ``colours`` colours of the
+    entropy of N draws without replacement; one sample bounds one urn's."""
+    return (61 + math.log2(N + 1) + math.log2(colours * samples) / 2) * _EPS * math.lgamma(U + 1.0)
+
+
+def _limit_and_urn_entropies(
+    base: OccupancyVector, N: int, sizes: Sequence[int]
+) -> tuple[float, list[float]]:
+    """The entropy of the multinomial limit Mult(N, base / |base|), and that
+    of MVHG(urn, N) for the urn of each size U in ``sizes`` with the base's
+    colour fractions (the base scaled by U // |base|), from one
+    _mvhg_entropies call; the first less an urn's is its empirical
+    information. ValueError for an empty base, a size past 64 bits or below N.
+
+    An urn's entropy is within B (_rounding_bound, one sample) of itself. B
+    grows like U ln U, while the information falls like its leading order
+    (k+ - 1)/2 ln((U - 1)/(U - N)), for k+ colours holding balls. Where B at
+    the largest size exceeds half that, CapExceededError (B ``required``,
+    that half the ``cap``). B overstates the error by two to three orders of
+    magnitude, so 1 % would refuse good values; at the whole leading order,
+    urn (1, 1) at N = 2 kept values 1.3 % off (docs/formats.md). At N <= 1
+    or k+ <= 1 the information is exactly 0.0, and nothing is refused.
+    """
+    s_limit = multinomial_entropy(
+        MultinomialDist(N, OneParticleDistribution.empirical_from_urn(base))).total
+    sizes = np.array([require_int(U, "urn total") for U in sizes])
+    if N > sizes.min():
+        raise ValueError(f"draw count {N} outside [0, {sizes.min()}]")
+    colours, U = np.count_nonzero(base.counts), int(sizes.max())
+    if N > 1 and colours > 1:
+        bound = _rounding_bound(U, N, base.num_colors, 1)
+        limit = (colours - 1) / 4 * (-math.log1p(-(N - 1) / (U - 1)) if N < U else math.inf)
+        if bound > limit:
+            raise CapExceededError(
+                f"rounding bound {bound:.3g} nats at U = {U} exceeds half the leading-order "
+                f"empirical information, {limit:.3g} nats", bound, limit)
+    urns = np.outer(sizes // base.total, base.counts)
+    return s_limit, _mvhg_entropies(sizes, urns, N)[1].tolist()
+
+
 def empirical_information(universe: OccupancyVector, N: int) -> float:
     """Entropy surplus of the empirical multinomial model over the actual
     without-replacement distribution; non-negative because the multinomial
-    maximizes entropy at fixed one-particle distribution."""
+    maximizes entropy at fixed one-particle distribution. The one-urn view
+    of _limit_and_urn_entropies, which refuses it past its rounding bound."""
     if N == 0:
         return 0.0
-    if N > universe.total:
-        raise ValueError("system cannot hold more particles than the universe")
-    model = MultinomialDist(N, OneParticleDistribution.empirical_from_urn(universe))
-    return multinomial_entropy(model).total - mvhg_entropy(MvhgDist(universe, N)).total
+    s_limit, (hyper,) = _limit_and_urn_entropies(universe, N, [universe.total])
+    return s_limit - hyper
 
 
 # --- measurement ledgers -----------------------------------------------------
@@ -389,17 +429,14 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
         raise ValueError(f"N must be non-negative, got {N}")
     steps = _require_list(steps, "steps", lambda step, _: step)
     declared_urn: OccupancyVector | None = None
+    current: float | None = None
     if kind == "bayesian":
         p = OneParticleDistribution(_require_list(start["probs"], "probs", _require_number))
-        current: float | None = multinomial_entropy(MultinomialDist(N, p)).total
     elif kind == "empirical":
         declared_urn = OccupancyVector(tuple(_require_list(start["urn"], "urn", require_int)))
-        model = MultinomialDist(
-            N, OneParticleDistribution.empirical_from_urn(declared_urn)
-        )
-        current = multinomial_entropy(model).total
-    else:
-        current = None
+        p = OneParticleDistribution.empirical_from_urn(declared_urn)
+    if kind != "agnostic":
+        current = multinomial_entropy(MultinomialDist(N, p)).total
 
     rows: list[LedgerStep] = []
     universe_measured = False
@@ -414,41 +451,29 @@ def measurement_ledger(start: dict, steps: Sequence[dict]) -> MeasurementLedger:
             raise ValueError("scenario continues after the system was collapsed")
         if "urn" in raw:
             urn = OccupancyVector(tuple(_require_list(raw["urn"], "urn", require_int)))
-        if op == "separate_system":
-            rows.append(LedgerStep("separate_system", current, current,
-                                   0.0 if current is not None else None))
-            continue
-        if op == "pvm_on_universe":
+        pre = post = current  # separate_system, a zero-gain annotation
+        if op == "pvm_on_system":
+            post = 0.0
+            collapsed = True
+        elif op != "separate_system":
+            if op == "povm_empirical_model" and (kind != "agnostic" or rows):
+                raise ValueError(
+                    "povm_empirical_model is only valid as the first step of "
+                    "an agnostic scenario"
+                )
             if universe_measured:
                 raise ValueError("universe already measured in this scenario")
             if declared_urn is not None and urn != declared_urn:
                 raise ValueError(
                     "empirical model was built from a different universe outcome"
                 )
-            post = mvhg_entropy(MvhgDist(urn, N)).total
-            gain = current - post if current is not None else None
-            rows.append(LedgerStep("pvm_on_universe", current, post, gain))
-            current = post
+            # an empirical model's entropy less the urn's is its empirical information
+            if op == "povm_empirical_model" or declared_urn is not None:
+                pre, (post,) = _limit_and_urn_entropies(urn, N, [urn.total])
+            else:
+                post = mvhg_entropy(MvhgDist(urn, N)).total
             universe_measured = True
-            continue
-        if op == "povm_empirical_model":
-            if kind != "agnostic" or universe_measured or rows:
-                raise ValueError(
-                    "povm_empirical_model is only valid as the first step of "
-                    "an agnostic scenario"
-                )
-            pre = multinomial_entropy(
-                MultinomialDist(N, OneParticleDistribution.empirical_from_urn(urn))
-            ).total
-            post = mvhg_entropy(MvhgDist(urn, N)).total
-            rows.append(LedgerStep("povm_empirical_model", pre, post, pre - post))
-            current = post
-            universe_measured = True
-            continue
-        # pvm_on_system
-        gain = current if current is not None else None
-        rows.append(LedgerStep("pvm_on_system", current, 0.0, gain))
-        current = 0.0
-        collapsed = True
+        rows.append(LedgerStep(op, pre, post, None if pre is None else pre - post))
+        current = post
     return MeasurementLedger(tuple(rows))
 

@@ -593,6 +593,28 @@ class TestConvergeCommand:
         assert [list(map(repr, row)) for row in json.loads(out)["rows"]] == [
             list(map(repr, row)) for row in want]
 
+    # one urn and N: a converge row at scale 1, empirical-info and the
+    # agnostic ledger's povm_empirical_model gain, across the exact zeros
+    # (N = 1, one colour) and the crossing ladder's urn
+    @pytest.mark.parametrize(
+        "urn, draws",
+        [((300, 200, 500), 200), ((4, 6, 10), 10), ((2, 3), 5), ((7, 3), 1), ((5, 0, 0), 3),
+         ((1, 2, 3, 4), 4), ((30, 20, 10), 12)],
+    )
+    def test_row_info_and_ledger_gain_have_the_same_bits(self, urn, draws):
+        text = ",".join(map(str, urn))
+        row = json.loads(_run_captured(["converge", "--base-urn", text, "--draws", str(draws),
+                                        "--scales", "1", "--format", "json"])[1])["rows"][0]
+        info = json.loads(_run_captured(["empirical-info", "--urn", text, "--draws",
+                                         str(draws)])[1])["empirical_information_nats"]
+        scenario = {"start": {"kind": "agnostic", "N": draws},
+                    "steps": [{"op": "povm_empirical_model", "urn": list(urn)}]}
+        step = json.loads(_run_captured(["ledger", json.dumps(scenario)])[1])["steps"][0]
+        assert row[3] - row[2] == row[4]
+        assert (repr(row[4]), repr(info), repr(step["information_gained"])) == (repr(row[4]),) * 3
+        assert (repr(step["pre_entropy"]), repr(step["post_entropy"])) == (
+            repr(row[3]), repr(row[2]))
+
 
 class TestGasCommand:
     def test_small_gas(self, capsys):
@@ -798,6 +820,89 @@ class TestEmpiricalInfoCommand:
         assert json.loads(out)["empirical_information_nats"] == pytest.approx(
             0.172158, abs=1e-5
         )
+
+
+class TestEmpiricalInformationBounds:
+    """Exact zeros where the two laws coincide, and refusals where rounding
+    would swamp the empirical information."""
+
+    def test_one_draw_gives_zero_information(self, capsys):
+        for urn in ("300,200,500", "7,3"):
+            code, out = run(capsys, "empirical-info", "--urn", urn, "--draws", "1")
+            assert (code, json.loads(out)["empirical_information_nats"]) == (0, 0.0)
+            assert '"empirical_information_nats": 0.0,\n' in out
+
+    def test_one_colour_gives_zero_information_and_entropy(self, capsys):
+        code, out = run(capsys, "empirical-info", "--urn", "5,0,0", "--draws", "3")
+        assert (code, json.loads(out)["empirical_information_nats"]) == (0, 0.0)
+        code, out = run(capsys, "entropy", '{"kind":"mvhg","urn":[5,0,0],"N":3}')
+        report = json.loads(out)
+        assert (code, report["total"], report["microstate_term"]) == (0, 0.0, 0.0)
+        code, out = run(capsys, "converge", "--base-urn", "0,5", "--draws", "3", "--scales", "1,2")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == 0 and [row[0] for row in rows] == ["5", "10"]
+        assert all(row[2:] == ["0", "0", "0"] for row in rows)
+
+    def test_one_draw_entropy_is_the_multinomial_one(self, capsys):
+        urn = (300, 200, 500)
+        spec = json.dumps({"kind": "mvhg", "urn": list(urn), "N": 1})
+        total = json.loads(run(capsys, "entropy", spec)[1])["total"]
+        limit = MultinomialDist(1, OneParticleDistribution.empirical_from_urn(OccupancyVector(urn)))
+        assert total == multinomial_entropy(limit).total
+        code, out = run(capsys, "converge", "--base-urn", "3,2,5", "--draws", "1",
+                        "--scales", "1,7,100,1000", "--format", "json")
+        rows = json.loads(out)["rows"]
+        assert code == 0 and all(row[2] == row[3] == total and row[4] == 0.0 for row in rows)
+
+    @staticmethod
+    def bound_and_cap(urn, draws):
+        """B at one sample, and half the leading-order information."""
+        U, k_plus = sum(urn), sum(1 for c in urn if c)
+        bound = (61 + math.log2(draws + 1) + math.log2(len(urn)) / 2) * 2.0**-52 * math.lgamma(U + 1)
+        return bound, (k_plus - 1) / 4 * -math.log1p(-(draws - 1) / (U - 1))
+
+    FOUND_URN = (4_000_000_000, 6_000_000_000, 10_000_000_000)
+
+    @pytest.mark.parametrize(
+        "argv, urn, draws",
+        [(["empirical-info", "--urn", "4000000000,6000000000,10000000000", "--draws", "200"],
+          FOUND_URN, 200),
+         (["ledger", json.dumps({"start": {"kind": "agnostic", "N": 200}, "steps": [
+             {"op": "povm_empirical_model", "urn": list(FOUND_URN)}]})], FOUND_URN, 200),
+         (["ledger", json.dumps({"start": {"kind": "empirical", "N": 200, "urn": list(FOUND_URN)},
+                                 "steps": [{"op": "separate_system"},
+                                           {"op": "pvm_on_universe", "urn": list(FOUND_URN)}]})],
+          FOUND_URN, 200),
+         (["converge", "--base-urn", "4,6,10", "--draws", "10", "--scales", "500000"],
+          (2_000_000, 3_000_000, 5_000_000), 10),
+         (["converge", "--base-urn", "4,6,10", "--draws", "10", "--scales", "1,1000000"],
+          (4_000_000, 6_000_000, 10_000_000), 10),
+         (["converge", "--base-urn", "4,6,10", "--draws", "10", "--scales", "10000000"],
+          (40_000_000, 60_000_000, 100_000_000), 10),
+         (["converge", "--base-urn", "4,6,10", "--draws", "10", "--scales", "1000000000"],
+          (4_000_000_000, 6_000_000_000, 10_000_000_000), 10),
+         (["converge", "--base-urn", "1,1", "--draws", "2", "--scales", "1000000"],
+          (1_000_000, 1_000_000), 2)],
+        ids=["empirical_info", "ledger_povm", "ledger_empirical_start", "converge_1e7",
+             "converge_2e7", "converge_2e8", "converge_2e10", "converge_pair_2e6"],
+    )
+    def test_past_the_rounding_bound_exits_3_naming_both_numbers(self, argv, urn, draws):
+        code, out, err = _run_captured(argv)
+        bound, cap = self.bound_and_cap(urn, draws)
+        assert (code, out) == (3, "") and bound > cap
+        assert err == (f"error: rounding bound {bound:.3g} nats at U = {sum(urn)} exceeds half "
+                       f"the leading-order empirical information, {cap:.3g} nats\n")
+
+    @pytest.mark.parametrize(
+        "base, draws, scales",
+        [("4,6,10", "10", "1,100000,200000"), ("1,1", "2", "1,100000"),
+         ("3,0,0", "10", "10000000")],
+    )
+    def test_within_the_bound_runs(self, base, draws, scales):
+        code, out, err = _run_captured(["converge", "--base-urn", base, "--draws", draws,
+                                        "--scales", scales])
+        assert (code, err) == (0, "")
+        assert all(float(line.split(",")[4]) >= 0.0 for line in out.splitlines()[1:])
 
 
 class TestLedgerCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -263,10 +264,15 @@ class TestMvhgPmf:
         assert d.pmf((3, 0)) == 0.0
 
     def test_draw_count_bounds(self):
-        with pytest.raises(ValueError):
-            MvhgDist(OccupancyVector((2, 2)), 5)
+        with pytest.raises(ValueError, match=r"^draw count 5 outside \[0, 4\]$"):
+            MvhgDist(OccupancyVector((2, 2)), N=5)
         with pytest.raises(ValueError):
             MvhgDist(OccupancyVector((2, 2)), -1)
+
+    def test_draw_count_is_the_field_n(self):
+        d = MvhgDist(urn=OccupancyVector((2, 2)), N=3)
+        assert [f.name for f in dataclasses.fields(MvhgDist)] == ["urn", "N"]
+        assert d.N == 3 and not hasattr(d, "draw_count")
 
     def test_urn_total_past_64_bits_is_refused(self):
         assert MvhgDist(OccupancyVector((2**63 - 2, 1)), 3).urn.total == 2**63 - 1

@@ -28,6 +28,7 @@ from occupancy_entropy.entropy import (
     sandwich_check,
     szilard_split_entropy,
 )
+from occupancy_entropy.constants import LN2
 from occupancy_entropy.marginals import _binomial_log_factorial_gap
 from test_quantum import multinomial_entropy_mp
 
@@ -418,6 +419,18 @@ class TestUnits:
     def test_unknown_unit_rejected(self):
         with pytest.raises(ValueError):
             EntropyReport(1.0, 0.5, 0.5, 0.6, unit="joules")
+        with pytest.raises(ValueError, match="^unknown unit 'furlongs'$"):
+            EntropyReport(1.0, 0.5, 0.5, 0.6).in_unit("furlongs")
+
+    def test_in_unit_scales_every_field_and_as_dict_lists_them(self):
+        r = EntropyReport(1.0, 0.5, 0.5, 0.6)
+        bits, per_nat = r.in_unit("bits"), 1.0 / LN2
+        assert bits.as_dict() == {"microstate_term": per_nat, "expected_logW": 0.5 * per_nat,
+                                  "total": 0.5 * per_nat, "boltzmann": 0.6 * per_nat,
+                                  "unit": "bits"}
+        assert list(bits.as_dict()) == ["microstate_term", "expected_logW", "total",
+                                        "boltzmann", "unit"]
+        assert r.in_unit("kB") == EntropyReport(1.0, 0.5, 0.5, 0.6, unit="kB")
 
 
 def _mp_expected_log_factorial(N, p):
@@ -1056,6 +1069,21 @@ class TestPerRowUniverseSizes:
             alone = _mvhg_entropies(size, row[None], N)
             assert [_bits(e[r]) for e in entropies] == [_bits(a[0]) for a in alone]
             assert _bits(log_choose[r]) == _bits(marginals._count_log_choose(size, N))
+
+    # a certain draw (one colour holds every ball) has entropy exactly 0.0,
+    # and one draw has the multinomial kernel's bits on the urn's fractions
+    def test_exact_where_the_draw_is_certain_or_single(self):
+        urns = np.array([[5, 0, 0], [0, 0, 9], [0, 3, 0], [3, 2, 5], [30, 20, 50]])
+        U = urns.sum(axis=1)
+        for N in (0, 1, 2, 3):
+            total = _mvhg_entropies(U, urns, N)[1]
+            assert (total[:3] == 0.0).all() and (np.copysign(1.0, total[:3]) == 1.0).all()
+        total = _mvhg_entropies(U, urns, 1)[1]
+        for row, got in zip(urns[3:], total[3:]):
+            p = OneParticleDistribution.empirical_from_urn(OccupancyVector(tuple(row.tolist())))
+            assert _bits(got) == _bits(multinomial_entropy(MultinomialDist(1, p)).total)
+        report = mvhg_entropy(MvhgDist(OccupancyVector((5, 0, 0)), 3))
+        assert (report.total, report.microstate_term, report.expected_logW) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "case", ["table_edges", "past_2_53", "no_draws", "u_equals_n", "repeated_u"])

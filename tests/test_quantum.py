@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -368,7 +369,9 @@ class TestHolevoChi:
             bound = (61 + math.log2(101) + math.log2(3 * 10_000) / 2) * 2.0**-52 * math.lgamma(U + 1)
             assert info.value.required == pytest.approx(bound, rel=1e-12)
             assert info.value.cap == pytest.approx(0.01 * -math.log1p(-100 / U), rel=1e-12)
-            assert f"{bound:.3g}" in str(info.value) and f"{info.value.cap:.3g}" in str(info.value)
+            assert str(info.value) == (
+                f"monte_carlo rounding bound {bound:.3g} nats exceeds 1% of the "
+                f"leading-order chi, {info.value.cap:.3g} nats")
 
     @pytest.mark.parametrize(
         "N, probs", [(0, [0.5, 0.3, 0.2]), (100, [1.0]), (100, [0.0, 1.0, 0.0])]
@@ -521,6 +524,64 @@ class TestEmpiricalInformation:
         n = data.draw(st.integers(min_value=0, max_value=urn.total))
         assert empirical_information(urn, n) >= -1e-12
 
+    @pytest.mark.parametrize("counts, n", [((300, 200, 500), 1), ((7, 3), 1), ((5, 0, 0), 3),
+                                           ((0, 9), 9), ((1, 1), 1), ((4,), 2)])
+    def test_exactly_zero_where_the_laws_coincide(self, counts, n):
+        info = empirical_information(OccupancyVector(counts), n)
+        assert info == 0.0 and math.copysign(1.0, info) == 1.0
+
+    @staticmethod
+    def reference(urn, N):
+        """H(Mult(N, urn / U)) - H(MVHG(urn, N)) at 40 digits, over the support."""
+        with mp.workdps(40):
+            U, p = sum(urn), [mp.mpf(u) / sum(urn) for u in urn]
+            info = mp.mpf(0)
+            for row in support_matrix(N, len(urn)).tolist():
+                mult = mp.factorial(N) * mp.fprod(pc**nc / mp.factorial(nc)
+                                                  for pc, nc in zip(p, row))
+                draw = mp.fprod(mp.binomial(u, n) for u, n in zip(urn, row)) / mp.binomial(U, N)
+                info += (draw * mp.log(draw) if draw else 0) - (mult * mp.log(mult) if mult else 0)
+            return float(info)
+
+    # the border of the refusal on two ladders: every accepted value is
+    # within 1 % of mpmath, and the sweep reaches past the border
+    @pytest.mark.parametrize(
+        "base, N, scales",
+        [((4, 6, 10), 10, range(150_000, 260_001, 5_000)),
+         ((1, 1), 2, range(500_000, 700_001, 5_000))],
+        ids=["urn_4_6_10", "pair"],
+    )
+    def test_accepted_values_near_the_border_within_one_percent(self, base, N, scales):
+        accepted = refused = 0
+        for k in scales:
+            urn = tuple(k * c for c in base)
+            try:
+                got = empirical_information(OccupancyVector(urn), N)
+            except CapExceededError:
+                refused += 1
+                continue
+            accepted += 1
+            want = self.reference(urn, N)
+            assert abs(got - want) <= 0.01 * want, (urn, got, want)
+        assert accepted >= 5 and refused >= 5
+
+    def test_refusal_reports_the_bound_and_the_cap(self):
+        urn = OccupancyVector((4_000_000_000, 6_000_000_000, 10_000_000_000))
+        with pytest.raises(CapExceededError) as info:
+            empirical_information(urn, 200)
+        bound = (61 + math.log2(201) + math.log2(3) / 2) * 2.0**-52 * math.lgamma(urn.total + 1)
+        cap = 2 / 4 * -math.log1p(-199 / (urn.total - 1))
+        assert info.value.required == pytest.approx(bound, rel=1e-12)
+        assert info.value.cap == pytest.approx(cap, rel=1e-12)
+        assert f"{bound:.3g}" in str(info.value) and f"{cap:.3g}" in str(info.value)
+
+    def test_a_ladder_is_refused_by_its_largest_urn(self):
+        base = OccupancyVector((4, 6, 10))
+        s_limit, hyper = quantum._limit_and_urn_entropies(base, 10, [20, 2_000_000, 4_000_000])
+        assert len(hyper) == 3 and s_limit - hyper[2] > 0
+        with pytest.raises(CapExceededError, match="at U = 10000000 "):
+            quantum._limit_and_urn_entropies(base, 10, [20, 10_000_000, 40])
+
 
 class TestMeasurementLedger:
     BAYES_START = {"kind": "bayesian", "N": 2, "probs": [0.5, 0.5]}
@@ -632,6 +693,61 @@ class TestMeasurementLedger:
                 {"kind": "bayesian", "N": 2, "probs": [0.9, 0.1]},
                 [{"op": "pvm_on_universe", "urn": [2, 2]}],
             )
+
+    @pytest.mark.parametrize(
+        "start, steps, message",
+        [({"kind": "bayesian", "N": 2, "probs": [0.5, 0.5]},
+          [{"op": "povm_empirical_model", "urn": [2, 2]}],
+          "povm_empirical_model is only valid as the first step of an agnostic scenario"),
+         ({"kind": "agnostic", "N": 2},
+          [{"op": "separate_system"}, {"op": "povm_empirical_model", "urn": [2, 2]}],
+          "povm_empirical_model is only valid as the first step of an agnostic scenario"),
+         ({"kind": "agnostic", "N": 2},
+          [{"op": "povm_empirical_model", "urn": [2, 2]},
+           {"op": "povm_empirical_model", "urn": [2, 2]}],
+          "povm_empirical_model is only valid as the first step of an agnostic scenario"),
+         ({"kind": "agnostic", "N": 2},
+          [{"op": "povm_empirical_model", "urn": [2, 2]}, {"op": "pvm_on_universe", "urn": [2, 2]}],
+          "universe already measured in this scenario"),
+         ({"kind": "empirical", "N": 2, "urn": [2, 2]},
+          [{"op": "pvm_on_universe", "urn": [3, 1]}],
+          "empirical model was built from a different universe outcome"),
+         ({"kind": "agnostic", "N": 1}, [{"op": "povm_empirical_model", "urn": [0, 0]}],
+          "empirical distribution needs a non-empty urn"),
+         ({"kind": "agnostic", "N": 5}, [{"op": "povm_empirical_model", "urn": [2, 2]}],
+          r"draw count 5 outside \[0, 4\]"),
+         ({"kind": "empirical", "N": 5, "urn": [2, 2]}, [{"op": "pvm_on_universe", "urn": [2, 2]}],
+          r"draw count 5 outside \[0, 4\]"),
+         ({"kind": "agnostic", "N": 1}, [{"op": "povm_empirical_model", "urn": [2**62, 2**62]}],
+          "urn total must be an integer of at most 64 bits")],
+    )
+    def test_universe_step_refusals_and_their_messages(self, start, steps, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            measurement_ledger(start, steps)
+
+    def test_empirical_steps_book_the_empirical_information(self):
+        urn = [30, 20, 10]
+        want = empirical_information(OccupancyVector(tuple(urn)), 10)
+        agnostic = measurement_ledger({"kind": "agnostic", "N": 10},
+                                      [{"op": "povm_empirical_model", "urn": urn}])
+        empirical = measurement_ledger({"kind": "empirical", "N": 10, "urn": urn},
+                                       [{"op": "pvm_on_universe", "urn": urn}])
+        assert agnostic.steps == (LedgerStep("povm_empirical_model", *self.entropies(urn, 10)),)
+        assert empirical.steps[0].information_gained == want
+        assert agnostic.steps[0].information_gained == want
+
+    @staticmethod
+    def entropies(urn, N):
+        s_limit, (hyper,) = quantum._limit_and_urn_entropies(OccupancyVector(tuple(urn)), N,
+                                                             [sum(urn)])
+        return s_limit, hyper, s_limit - hyper
+
+    def test_empirical_steps_refused_past_the_rounding_bound(self):
+        urn = [4_000_000_000, 6_000_000_000, 10_000_000_000]
+        for start, op in (({"kind": "agnostic", "N": 200}, "povm_empirical_model"),
+                          ({"kind": "empirical", "N": 200, "urn": urn}, "pvm_on_universe")):
+            with pytest.raises(CapExceededError, match="rounding bound"):
+                measurement_ledger(start, [{"op": op, "urn": urn}])
 
     def test_row_consistency_enforced(self):
         with pytest.raises(ValueError):
