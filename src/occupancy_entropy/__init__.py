@@ -7,7 +7,6 @@ from .combinatorics import (
     CapExceededError,
     OccupancyVector,
     enumerate_occupancies,
-    log_factorial_real,
     occupancy_count,
 )
 from .distributions import (

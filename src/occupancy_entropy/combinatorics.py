@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "CapExceededError",
     "OccupancyVector",
-    "log_factorial_real",
     "enumerate_occupancies",
     "occupancy_count",
     "DEFAULT_CAP",
@@ -135,17 +134,6 @@ def _require_fields(obj: dict, required: set, optional: set, what: str) -> None:
     unknown = set(obj) - required - optional
     if unknown:
         raise ValueError(f"{what}: unknown fields {sorted(unknown)}")
-
-
-def log_factorial_real(x: float) -> float:
-    """ln Gamma(x+1), the factorial extended to real x >= 0.
-
-    Agrees with the whole-count ``marginals.log_factorial`` to better than
-    1e-12.
-    """
-    if x < 0:
-        raise ValueError(f"real factorial undefined for negative x={x}")
-    return math.lgamma(x + 1.0)
 
 
 def occupancy_count(total: int, num_colors: int) -> int:

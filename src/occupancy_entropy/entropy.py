@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import xlogy
 
-from .combinatorics import DEFAULT_CAP, log_factorial_real, support_matrix
+from .combinatorics import DEFAULT_CAP, support_matrix
 from .constants import BOLTZMANN_KB, LN2, PLANCK_H
 from .distributions import (
     MultinomialDist,
@@ -28,6 +28,7 @@ from .marginals import (
     _count_log_choose,
     _count_stirling_remainder,
     _hypergeometric_log_expectations,
+    _stirling_remainder,
     log_factorial,
 )
 
@@ -199,11 +200,16 @@ def _mvhg_entropies(U, urns: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray
 
 def boltzmann_entropy(mean_occupancy: Sequence[float]) -> float:
     """ln of the Gamma-extended multiplicity of a (real-valued) mean
-    occupancy vector."""
+    occupancy vector m, ln Gamma(M + 1) - sum_c ln Gamma(m_c + 1) with
+    M = sum_c m_c, formed as sum_c m_c ln(M / m_c) - sum_c tau(m_c) + tau(M),
+    tau the Stirling remainder: no term is of size ln M!, and a mean in one
+    colour gives exactly 0.0."""
     mean = np.asarray(mean_occupancy, dtype=np.float64)
     if np.any(mean < 0):
         raise ValueError("mean occupancies must be non-negative")
-    return log_factorial_real(float(mean.sum())) - float(gammaln(mean + 1.0).sum())
+    M = float(mean.sum())
+    terms = (*-xlogy(mean, mean / (M or 1.0)), *-_stirling_remainder(mean), _stirling_remainder(M))
+    return math.fsum(terms) + 0.0
 
 
 def sandwich_check(d: MultinomialDist, tol: float = 1e-9) -> SandwichResult:

@@ -106,10 +106,11 @@ def _log_factorial(k) -> np.ndarray:
 
 
 def log_factorial(n: int) -> float:
-    """ln n! for a whole count n >= 0, with the bits of _log_factorial."""
+    """ln n! for a whole count n >= 0, with the bits of _log_factorial; as a
+    float, so that counts past 64 bits are taken too."""
     if n < 0:
         raise ValueError(f"factorial undefined for negative n={n}")
-    return float(_log_factorial(n))
+    return float(_log_factorial(float(n)))
 
 
 def _count_stirling_remainder(k) -> np.ndarray:

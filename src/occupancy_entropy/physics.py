@@ -15,18 +15,8 @@ import numpy as np
 
 from .combinatorics import CapExceededError
 from .constants import BOLTZMANN_KB, LN2, PLANCK_H
-from .distributions import (
-    MultinomialDist,
-    OneParticleDistribution,
-    SzilardSplitDist,
-)
-from .entropy import (
-    EntropyReport,
-    _multinomial_report,
-    multinomial_entropy,
-    sackur_tetrode,
-    szilard_split_entropy,
-)
+from .distributions import OneParticleDistribution
+from .entropy import EntropyReport, _multinomial_report, sackur_tetrode
 
 __all__ = [
     "BoxModel",
@@ -257,22 +247,14 @@ def _boltzmann_weights(energies: np.ndarray, model: BoxModel, multiplicity) -> t
     return scaled / norm, norm * math.exp(-energies[0] / kT)
 
 
-def _probs_and_partition(
-    spec: BoxSpectrum, model: BoxModel
-) -> tuple[OneParticleDistribution, float]:
-    # one probability per state, in non-decreasing energy order
-    probs, partition = _boltzmann_weights(spec.energies, model, spec.degeneracy)
-    per_state = np.repeat(probs, spec.degeneracy)
-    return OneParticleDistribution(per_state), partition
-
-
 def boltzmann_distribution(
     model: BoxModel, truncation: SpectrumTruncation = DEFAULT_TRUNCATION
 ) -> tuple[OneParticleDistribution, float]:
     """Truncated one-particle Boltzmann distribution, one probability per
     state in non-decreasing energy order, and its partition sum."""
     spec = box_spectrum(model, truncation)
-    return _probs_and_partition(spec, model)
+    probs, partition = _boltzmann_weights(spec.energies, model, spec.degeneracy)
+    return OneParticleDistribution(np.repeat(probs, spec.degeneracy)), partition
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +324,10 @@ def szilard_insertion(
 
     For a single particle the post-insertion entropy is exactly ln 2 (the
     equiprobable side choice) plus the half-box one-particle entropy. For
-    N > 1 it is the entropy of the split distribution, one multinomial.
+    N > 1 both entropies are the level kernel's: before, Mult(N, p_full);
+    after, each particle takes either side with probability 1/2 and then a
+    level there, so one multinomial over the half-box levels at p_half / 2,
+    each twice as degenerate.
     """
     if model.dimensions != 1:
         raise ValueError("piston insertion is modelled for 1-D boxes only")
@@ -351,15 +336,16 @@ def szilard_insertion(
     half = model.with_side(model.side_length / 2.0)
     spec_full = box_spectrum(model, truncation)
     spec_half = box_spectrum(half, truncation)
-    p_full, z_full = _probs_and_partition(spec_full, model)
-    p_half, z_half = _probs_and_partition(spec_half, half)
-    s_half = p_half.entropy()
+    p_full, z_full = _boltzmann_weights(spec_full.energies, model, spec_full.degeneracy)
+    p_half, z_half = _boltzmann_weights(spec_half.energies, half, spec_half.degeneracy)
+    # a 1-D level is one state, so the Shannon entropies are over the levels
+    s_half = OneParticleDistribution(p_half).entropy()
     if N == 1:
-        s_before = p_full.entropy()
+        s_before = OneParticleDistribution(p_full).entropy()
         s_after = LN2 + s_half
     else:
-        s_before = multinomial_entropy(MultinomialDist(N, p_full)).total
-        s_after = szilard_split_entropy(SzilardSplitDist(N, 0.5, p_half, p_half))
+        s_before = _multinomial_report(N, p_full, spec_full.degeneracy).total
+        s_after = _multinomial_report(N, 0.5 * p_half, 2 * spec_half.degeneracy).total
     return SzilardResult(
         s_before=s_before,
         s_half_box=s_half,

@@ -38,7 +38,7 @@ from .distributions import (
     _mvhg_log_pmf_grid,
 )
 from .entropy import _mvhg_entropies, multinomial_entropy, mvhg_entropy
-from .marginals import _BLOCK_CELLS
+from .marginals import _BLOCK_CELLS, log_factorial
 
 __all__ = [
     "BosonicDensityOperator",
@@ -302,7 +302,7 @@ def _rounding_bound(U: int, N: int, colours: int, samples: int) -> float:
     """B, the bound proven in holevo_chi's docstring on the rounding of the
     mean over ``samples`` urns of U balls in ``colours`` colours of the
     entropy of N draws without replacement; one sample bounds one urn's."""
-    return (61 + math.log2(N + 1) + math.log2(colours * samples) / 2) * _EPS * math.lgamma(U + 1.0)
+    return (61 + math.log2(N + 1) + math.log2(colours * samples) / 2) * _EPS * log_factorial(U)
 
 
 def _limit_and_urn_entropies(
@@ -345,8 +345,6 @@ def empirical_information(universe: OccupancyVector, N: int) -> float:
     without-replacement distribution; non-negative because the multinomial
     maximizes entropy at fixed one-particle distribution. The one-urn view
     of _limit_and_urn_entropies, which refuses it past its rounding bound."""
-    if N == 0:
-        return 0.0
     s_limit, (hyper,) = _limit_and_urn_entropies(universe, N, [universe.total])
     return s_limit - hyper
 

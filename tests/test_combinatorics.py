@@ -11,7 +11,6 @@ from occupancy_entropy.combinatorics import (
     CapExceededError,
     OccupancyVector,
     enumerate_occupancies,
-    log_factorial_real,
     occupancy_count,
     support_matrix,
 )
@@ -72,30 +71,6 @@ class TestLogFactorial:
         kernel = _log_factorial(counts)
         assert [log_factorial(n) for n in counts.tolist()] == kernel.tolist()
         assert [log_factorial(n) for n in counts[::97]] == kernel[::97].tolist()
-
-
-class TestLogFactorialReal:
-    def test_zero(self):
-        assert log_factorial_real(0.0) == 0.0
-
-    def test_integer_four(self):
-        assert log_factorial_real(4.0) == pytest.approx(math.log(24), abs=1e-12)
-
-    def test_half(self):
-        # Gamma(1.5) = sqrt(pi)/2
-        expected = math.log(math.sqrt(math.pi) / 2)
-        assert log_factorial_real(0.5) == pytest.approx(expected, abs=1e-12)
-        assert log_factorial_real(0.5) == pytest.approx(-0.120782238, abs=1e-9)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            log_factorial_real(-0.1)
-
-    @given(st.integers(min_value=0, max_value=300))
-    def test_agrees_with_integer_path(self, n):
-        assert log_factorial_real(float(n)) == pytest.approx(
-            log_factorial(n), abs=1e-12, rel=1e-12
-        )
 
 
 class TestOccupancyVector:
