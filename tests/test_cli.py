@@ -838,10 +838,26 @@ class TestEmpiricalInformationBounds:
         code, out = run(capsys, "entropy", '{"kind":"mvhg","urn":[5,0,0],"N":3}')
         report = json.loads(out)
         assert (code, report["total"], report["microstate_term"]) == (0, 0.0, 0.0)
+        assert '"boltzmann": 0.0,\n' in out
         code, out = run(capsys, "converge", "--base-urn", "0,5", "--draws", "3", "--scales", "1,2")
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert code == 0 and [row[0] for row in rows] == ["5", "10"]
         assert all(row[2:] == ["0", "0", "0"] for row in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["empirical-info", "--urn", "0,0", "--draws", "0"],
+        ["empirical-info", "--urn", "", "--draws", "0"],
+        ["converge", "--base-urn", "0,0", "--draws", "0", "--scales", "1"],
+        ["ledger", '{"start":{"kind":"agnostic","N":0},'
+                   '"steps":[{"op":"povm_empirical_model","urn":[0,0]}]}'],
+    ], ids=["empirical_info", "empirical_info_no_colours", "converge", "ledger_povm"])
+    def test_empty_urn_exits_2_at_no_draws(self, argv):
+        # no draws from an empty urn once printed 0.0 on empirical-info alone
+        assert _run_captured(argv) == (2, "", "error: empirical distribution needs a non-empty urn\n")
+
+    def test_no_draws_give_zero_information(self, capsys):
+        code, out = run(capsys, "empirical-info", "--urn", "30,20,10", "--draws", "0")
+        assert code == 0 and '"empirical_information_nats": 0.0,\n' in out
 
     def test_one_draw_entropy_is_the_multinomial_one(self, capsys):
         urn = (300, 200, 500)

@@ -347,7 +347,28 @@ class TestMultinomialPrecision:
 
 class TestBoltzmannEntropy:
     def test_single_color(self):
-        assert boltzmann_entropy((2, 0)) == pytest.approx(0.0, abs=1e-14)
+        assert boltzmann_entropy((2, 0)) == 0.0
+
+    @pytest.mark.parametrize("urn, N", [((5, 0, 0), 3), ((0, 7), 2)])
+    def test_mvhg_mean_in_one_colour_is_exactly_zero(self, urn, N):
+        # ln Gamma of the total less ln Gamma of the one colour's mean, once
+        # two roundings of the same value an ulp apart (4.4e-16 at (5, 0, 0))
+        assert repr(mvhg_entropy(MvhgDist(OccupancyVector(urn), N)).boltzmann) == "0.0"
+
+    @pytest.mark.parametrize("urn, N", [
+        ((30, 20, 10), 12), ((3000, 2000, 5000), 4500), ((7, 3), 5), ((1, 1), 2),
+        ((60, 25, 10, 5), 40), ((100, 1), 50), ((10**6, 3 * 10**6, 1), 10**5),
+    ])
+    def test_within_two_ulp_of_mpmath(self, urn, N):
+        # the lgamma difference was up to 48 ulp off at these means
+        mp = pytest.importorskip("mpmath")
+        mean = N * np.asarray(urn, dtype=np.float64) / sum(urn)
+        with mp.workdps(40):
+            m = [mp.mpf(float(x)) for x in mean]
+            want = mp.loggamma(mp.fsum(m) + 1) - mp.fsum(mp.loggamma(x + 1) for x in m)
+        got = boltzmann_entropy(mean)
+        assert abs(float(got - want)) <= 2 * math.ulp(got)
+        assert mvhg_entropy(MvhgDist(OccupancyVector(urn), N)).boltzmann == got
 
     def test_even_split(self):
         assert boltzmann_entropy((1, 1)) == pytest.approx(math.log(2), abs=1e-14)

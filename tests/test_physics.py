@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import numpy as np
@@ -13,7 +14,11 @@ from occupancy_entropy.distributions import (
     OneParticleDistribution,
     SzilardSplitDist,
 )
-from occupancy_entropy.entropy import entropy_by_enumeration, multinomial_entropy
+from occupancy_entropy.entropy import (
+    entropy_by_enumeration,
+    multinomial_entropy,
+    szilard_split_entropy,
+)
 from occupancy_entropy.physics import (
     BoxModel,
     DEFAULT_TRUNCATION,
@@ -381,6 +386,69 @@ class TestSzilardInsertion:
             ).total,
             abs=1e-12,
         )
+
+
+def random_1d_boxes(seed, count, max_particles):
+    """Seeded 1-D electron boxes: T log-uniform in [1, 3000] K, side uniform
+    in [1, 50] nm, N uniform in [2, max_particles]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        T = math.exp(rng.uniform(0.0, math.log(3000.0)))
+        side = rng.uniform(1.0, 50.0) * 1e-9
+        yield BoxModel(ELECTRON_MASS, T, side, dimensions=1), rng.randint(2, max_particles)
+
+
+def per_state_szilard(model, N):
+    """S_before and S_after by the per-state route: one probability per
+    state, regrouped by multinomial_entropy, and the split law built by
+    SzilardSplitDist, which renormalises its weights."""
+    p_full = boltzmann_distribution(model)[0]
+    p_half = boltzmann_distribution(model.with_side(model.side_length / 2.0))[0]
+    before = multinomial_entropy(MultinomialDist(N, p_full)).total
+    return before, szilard_split_entropy(SzilardSplitDist(N, 0.5, p_half, p_half))
+
+
+def split_entropy_mpmath(N, p_half):
+    """40-digit H(Mult(N, q)), q = (p_half / 2, p_half / 2) over its sum, as
+    N H(q) - ln N! + sum_c E{ln n_c!}, each E{ln n_c!} summed over the
+    binomial counts 2..N of colour c."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        w = [mp.mpf(float(x)) / 2 for x in p_half] * 2
+        total = mp.fsum(w)
+        q = [x / total for x in w]
+        log_fact = [mp.log(mp.factorial(k)) for k in range(N + 1)]
+        e_log_fact = mp.fsum(
+            mp.binomial(N, k) * x**k * (1 - x) ** (N - k) * log_fact[k]
+            for x in q for k in range(2, N + 1)
+        )
+        return -N * mp.fsum(x * mp.log(x) for x in q if x) - log_fact[N] + e_log_fact
+
+
+class TestSzilardOnLevels:
+    def test_level_path_matches_the_per_state_route(self):
+        # S_before sums the same level terms, so it keeps every bit; S_after's
+        # law is renormalised once more on the per-state route, which moves it
+        # by an ulp now and then (2 ulp at the box of the mpmath test below)
+        for model, N in random_1d_boxes(seed=29, count=100, max_particles=3000):
+            res = szilard_insertion(model, N)
+            before, after = per_state_szilard(model, N)
+            assert res.s_before == before, (model, N)
+            assert abs(res.s_after - after) <= 2 * math.ulp(after), (model, N)
+
+    def test_split_entropy_within_three_ulp_of_mpmath_as_the_per_state_route(self):
+        # over 600 such boxes both routes came within 2.2 ulp, each 0.48 ulp
+        # off on average: neither is the closer
+        boxes = [
+            *random_1d_boxes(seed=7, count=30, max_particles=3),
+            # the routes are 2 ulp apart here, the level path 2.3 ulp off
+            (BoxModel(ELECTRON_MASS, 90.23643957995553, 1.8528133315800463e-08, 1), 2),
+        ]
+        for model, N in boxes:
+            p_half = boltzmann_distribution(model.with_side(model.side_length / 2.0))[0].probs
+            want = split_entropy_mpmath(N, p_half)
+            for got in (szilard_insertion(model, N).s_after, per_state_szilard(model, N)[1]):
+                assert abs(float(got - want)) <= 3 * math.ulp(got), (model, N)
 
 
 class TestSzilardSplitPmf:

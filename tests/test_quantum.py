@@ -363,7 +363,8 @@ class TestHolevoChi:
         # at N = 100 the bound passes 1 % of chi between U = 10^6 and 10^7
         p = OneParticleDistribution([0.5, 0.3, 0.2])
         assert holevo_chi(10**6, 100, p, mode="monte_carlo", mc_samples=20).standard_error > 0
-        for U in (10**7, 10**12, 2**63 - 1):
+        # a universe past 64 bits, too: ln U! is read as a float
+        for U in (10**7, 10**12, 2**63 - 1, 2**70):
             with pytest.raises(CapExceededError, match="rounding bound") as info:
                 holevo_chi(U, 100, p, mode="monte_carlo")
             bound = (61 + math.log2(101) + math.log2(3 * 10_000) / 2) * 2.0**-52 * math.lgamma(U + 1)
