@@ -205,8 +205,8 @@ def boltzmann_entropy(mean_occupancy: Sequence[float]) -> float:
     tau the Stirling remainder: no term is of size ln M!, and a mean in one
     colour gives exactly 0.0."""
     mean = np.asarray(mean_occupancy, dtype=np.float64)
-    if np.any(mean < 0):
-        raise ValueError("mean occupancies must be non-negative")
+    if not np.all(np.isfinite(mean) & (mean >= 0)):
+        raise ValueError("mean occupancies must be finite and non-negative")
     M = float(mean.sum())
     terms = (*-xlogy(mean, mean / (M or 1.0)), *-_stirling_remainder(mean), _stirling_remainder(M))
     return math.fsum(terms) + 0.0

@@ -384,6 +384,12 @@ class TestBoltzmannEntropy:
         with pytest.raises(ValueError):
             boltzmann_entropy((1.0, -0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN once came back as a number, inf as fsum's "-inf + inf"
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            boltzmann_entropy((1.0, bad))
+
 
 class TestSandwich:
     def test_worked_example(self):
